@@ -23,10 +23,7 @@ for kind in SCHEME_KINDS:
     sc = build_scenario(variant)
     traj = simulate(sc)
 
-    p_load = sc.devices.p_load.copy()
-    for d in sc.disturbances:
-        p_load[d.unit] += d.delta
-    lam = solve_kkt(sc.devices, p_load).lam
+    lam = solve_kkt(sc.devices, sc.final_load()).lam
 
     m = steady_state_metrics(traj, window=6.0, devices=sc.devices)
     mc = marginal_costs(traj, sc.devices)[-1]

@@ -69,10 +69,7 @@ def _run_one(scenario, out_dir):
     traj.to_csv(tmp)
     os.replace(tmp, out_dir / "trajectory.csv")
 
-    p_load_final = scenario.devices.p_load.copy()
-    for d in scenario.disturbances:
-        p_load_final[d.unit] += d.delta
-    kkt = solve_kkt(scenario.devices, p_load_final)
+    kkt = solve_kkt(scenario.devices, scenario.final_load())
     window = max(scenario.dt * scenario.record_stride, 0.1 * scenario.t_end)
     metrics = steady_state_metrics(traj, window, devices=scenario.devices)
     metrics["lambda"] = kkt.lam

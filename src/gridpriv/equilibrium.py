@@ -105,6 +105,8 @@ def lyapunov_value(model, devices, comm, cfg, eq, eta, omega, x, p_c, psi, xi=No
 
     Returns (total, components). Defined for the unit-level consensus
     schemes only; the privacy scheme uses the xi-augmented command term.
+    The state arguments may carry a leading sample axis; total and the
+    components are then arrays over the samples.
     """
     if cfg.kind not in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING):
         raise ConfigurationError(f"no Lyapunov certificate for scheme kind {cfg.kind!r}")
@@ -116,16 +118,19 @@ def lyapunov_value(model, devices, comm, cfg, eq, eta, omega, x, p_c, psi, xi=No
     d_psi = np.asarray(psi, dtype=float) - eq.psi_star
     d_x = np.asarray(x, dtype=float) - eq.x_star
     gi = devices.gen_index
-    v_f = 0.5 * model.inertia @ d_omega**2
-    v_p = 0.5 * model.susceptance @ d_eta**2
+    v_f = 0.5 * (d_omega**2 @ model.inertia)
+    v_p = 0.5 * (d_eta**2 @ model.susceptance)
     weight = cfg.gamma
     if cfg.kind == PRIVACY_PRESERVING:
         if xi is None:
             raise ConfigurationError("privacy scheme Lyapunov value requires xi")
         weight = cfg.gamma + np.asarray(xi, dtype=float)
-    v_c = 0.5 * weight @ d_pc**2
-    v_psi = 0.5 * cfg.gamma_psi @ d_psi**2
-    v_m = (devices.tau[gi] / (2.0 * devices.droop_m[gi])) @ d_x**2
+    v_c = 0.5 * np.sum(weight * d_pc**2, axis=-1)
+    v_psi = 0.5 * (d_psi**2 @ cfg.gamma_psi)
+    v_m = d_x**2 @ (devices.tau[gi] / (2.0 * devices.droop_m[gi]))
+    total = v_f + v_p + v_c + v_psi + v_m
+    if np.ndim(total):
+        return total, {"V_F": v_f, "V_P": v_p, "V_C": v_c, "V_psi": v_psi, "V_M": v_m}
     components = {"V_F": float(v_f), "V_P": float(v_p), "V_C": float(v_c),
                   "V_psi": float(v_psi), "V_M": float(v_m)}
-    return float(v_f + v_p + v_c + v_psi + v_m), components
+    return float(total), components

@@ -14,8 +14,17 @@ class InfeasibilityError(GridPrivError):
 
 
 class DivergenceError(GridPrivError):
-    """The integrator produced a non-finite state."""
+    """The integrator produced a non-finite state.
 
-    def __init__(self, time, message=None):
+    block (eta, omega, x, p_c or psi) and index locate the first
+    non-finite entry of the stacked state; last_finite_time is the time
+    of the state the failing step started from.
+    """
+
+    def __init__(self, time, block, index, last_finite_time):
         self.time = time
-        super().__init__(message or f"non-finite state at t={time:.6g} s")
+        self.block = block
+        self.index = index
+        self.last_finite_time = last_finite_time
+        super().__init__(f"non-finite state at t={time:.6g} s, first in {block}[{index}]; "
+                         f"last finite state at t={last_finite_time:.6g} s")

@@ -139,7 +139,6 @@ def build_scenario(doc, seed=None, dt=None):
                 beta_hat=_floats(pv["beta_hat"], n_units, "$.scheme.privacy.beta_hat"),
                 xi_max=float(pv.get("xi_max", 10.0 * float(np.max(gamma_probe)))),
                 safety=float(pv.get("safety", 0.999)),
-                seed=run_seed,
             )
         except ConfigurationError as exc:
             raise ScenarioError("$.scheme.privacy", str(exc)) from exc
@@ -164,16 +163,20 @@ def build_scenario(doc, seed=None, dt=None):
     except ConfigurationError as exc:
         raise ScenarioError("$.scheme", str(exc)) from exc
 
+    t_end = float(sim_doc["t_end"])
     disturbances = []
     for k, d in enumerate(doc.get("disturbances", [])):
         dpath = f"$.disturbances[{k}]"
         _check_keys(d, dpath, ("t", "unit", "delta"))
-        disturbances.append(Disturbance(float(d["t"]), int(d["unit"]), float(d["delta"])))
+        t = float(d["t"])
+        if not 0.0 <= t <= t_end:
+            raise ScenarioError(f"{dpath}.t", f"must lie in [0, t_end={t_end:g}]")
+        disturbances.append(Disturbance(t, int(d["unit"]), float(d["delta"])))
 
     try:
         return Scenario(model=model, devices=devices, comm=comm, scheme=scheme,
                         disturbances=tuple(disturbances),
-                        t_end=float(sim_doc["t_end"]), dt=run_dt, seed=run_seed,
+                        t_end=t_end, dt=run_dt, seed=run_seed,
                         record_stride=int(sim_doc.get("record_stride", 1)))
     except ConfigurationError as exc:
         raise ScenarioError("$", str(exc)) from exc

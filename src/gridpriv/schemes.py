@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibilityError
+from .network import _connected
 
 INTEGRAL = "integral"
 PRIMAL_DUAL = "primal_dual"
@@ -46,24 +47,13 @@ class CommGraph:
         object.__setattr__(self, "edges", tuple((int(i), int(j)) for i, j in self.edges))
         n, e = self.node_count, len(self.edges)
         H = np.zeros((n, e))
-        adj = [[] for _ in range(n)]
         for k, (i, j) in enumerate(self.edges):
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ConfigurationError(f"bad communication edge ({i},{j})")
             H[i, k] = 1.0
             H[j, k] = -1.0
-            adj[i].append(j)
-            adj[j].append(i)
-        if n > 1:
-            seen = {0}
-            stack = [0]
-            while stack:
-                for k in adj[stack.pop()]:
-                    if k not in seen:
-                        seen.add(k)
-                        stack.append(k)
-            if len(seen) != n:
-                raise ConfigurationError("communication graph is not connected")
+        if n > 1 and not _connected(n, self.edges):
+            raise ConfigurationError("communication graph is not connected")
         object.__setattr__(self, "incidence", H)
 
     @property
@@ -85,7 +75,6 @@ class PrivacyParams:
     beta_hat: np.ndarray  # per unit, >= 0
     xi_max: float
     safety: float = 0.999
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))

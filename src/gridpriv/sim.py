@@ -1,9 +1,16 @@
 """Closed-loop simulation: plant + devices + controller, fixed-step RK4.
 
-The stacked state is [eta, omega, x, p_c, psi]. Privacy signals are
-refreshed once per step and held constant across the four internal
-stages; they are inputs, not integrated states. Disturbances are step
-changes of the uncontrollable load, snapped to step boundaries.
+The stacked state is [eta, omega, x, p_c, psi]. The closed loop is one
+affine operator on it, dy = A y + B [p_load, n_f], with the command rows
+divided by the controller time constants (gamma + xi for the privacy
+scheme). `closed_loop` assembles A and B once per run from the index data
+of the network, the units and the communication graph; `swing_rhs`,
+`device_outputs`, `device_rhs` and `scheme_rhs` are its per-stage
+reference. Privacy signals are refreshed once per step and held constant
+across the four internal stages; they are inputs, not integrated states.
+Disturbances are step changes of the uncontrollable load, snapped to step
+boundaries. Device outputs and the Lyapunov column are computed from the
+recorded states after the loop.
 """
 
 import csv
@@ -12,23 +19,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import DeviceState, device_outputs, device_rhs
 from .equilibrium import build_equilibrium, lyapunov_value, solve_kkt
 from .errors import ConfigurationError, DivergenceError
-from .network import PlantState, swing_rhs
 from .schemes import (
     EXTENDED_PRIMAL_DUAL,
     INTEGRAL,
     PRIMAL_DUAL,
     PRIVACY_PRESERVING,
+    UNIT_CONSENSUS_KINDS,
     CommGraph,
-    SchemeState,
     design_condition_report,
     refresh_privacy_signals,
-    scheme_rhs,
 )
 
 SETTLE_THRESHOLD = 2.0 * np.pi * 0.01  # 0.01 Hz in rad/s
+BLOCKS = ("eta", "omega", "x", "p_c", "psi")  # order of the stacked state
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,16 @@ class Scenario:
         for d in self.disturbances:
             if not 0 <= d.unit < self.devices.n_units:
                 raise ConfigurationError(f"disturbance unit {d.unit} out of range")
+            if not 0.0 <= d.time <= self.t_end:
+                raise ConfigurationError(
+                    f"disturbance time {d.time:g} s outside [0, t_end={self.t_end:g}]")
+
+    def final_load(self):
+        """Uncontrollable load per unit after every disturbance."""
+        p_load = self.devices.p_load.copy()
+        for d in self.disturbances:
+            p_load[d.unit] += d.delta
+        return p_load
 
 
 @dataclass
@@ -134,148 +149,265 @@ def bus_comm_graph(model):
     return CommGraph(model.bus_count, model.lines)
 
 
-def _initial_state(scenario, kkt):
+@dataclass(frozen=True)
+class ClosedLoop:
+    """The closed loop as one affine operator on the stacked state.
+
+    dy = A y + B [p_load, n_f], after which the p_c rows, which hold the
+    numerator of tau_c * pc_dot, are divided by the controller time
+    constants: gamma + xi for the unit-level schemes, gamma for
+    primal_dual and q / K for integral. A and B are COO triples, each
+    applied with one bincount.
+    """
+
+    offsets: np.ndarray  # start of each of BLOCKS in the stacked state, then its size
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    in_rows: np.ndarray
+    in_cols: np.ndarray  # into the input vector [p_load, n_f]
+    in_vals: np.ndarray
+    tau_c: np.ndarray  # per controller, before xi
+    unit_level: bool  # xi adds to tau_c and n_f enters the command rows
+    graph: CommGraph | None  # consensus graph of the controllers
+    size: int = field(init=False)
+    pc: slice = field(init=False)  # the command rows
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", int(self.offsets[-1]))
+        object.__setattr__(self, "pc", slice(self.offsets[3], self.offsets[4]))
+
+    def inputs(self, p_load, xi, n_f):
+        """The input term b = B [p_load, n_f] and the time constants tau_c."""
+        u = np.concatenate([p_load, n_f])
+        b = np.bincount(self.in_rows, self.in_vals * u[self.in_cols], minlength=self.size)
+        return b, (self.tau_c + xi if self.unit_level else self.tau_c)
+
+    def rhs(self, y, b, tau_c):
+        """dy at the stacked state y, for the inputs from `inputs`."""
+        dy = np.bincount(self.rows, self.vals * y[self.cols], minlength=self.size)
+        dy += b
+        dy[self.pc] /= tau_c
+        return dy
+
+    def blocks(self, y):
+        """Views of the BLOCKS of a stacked state, or of each row of a stack."""
+        return tuple(y[..., a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:]))
+
+
+def closed_loop(scenario):
+    """Assemble the ClosedLoop of a scenario from its index data.
+
+    Row by row it is swing_rhs, device_outputs, device_rhs and
+    scheme_rhs, which stay as its reference.
+    """
+    model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
+    n_units = devices.n_units
+    unit_level = cfg.kind in UNIT_CONSENSUS_KINDS
+    if unit_level:
+        graph = scenario.comm
+        if graph is None or graph.node_count != n_units:
+            raise ConfigurationError("unit-level scheme needs a communication node per unit")
+    elif cfg.kind == PRIMAL_DUAL:
+        graph = bus_comm_graph(model)
+    else:
+        graph = None
+    n_ctrl = model.bus_count if cfg.kind == PRIMAL_DUAL else n_units
+    sizes = [model.line_count, model.bus_count, devices.n_generators, n_ctrl,
+             graph.edge_count if graph is not None else 0]
+    offsets = np.cumsum([0] + sizes)
+    E, W, X, C, P = offsets[:-1]
+
+    entries, inputs = [], []
+
+    def add(to, row, col, val):
+        to.append(np.broadcast_arrays(row, col, np.asarray(val, dtype=float)))
+
+    tail, head = np.array(model.lines, dtype=int).reshape(-1, 2).T
+    line = np.arange(model.line_count)
+    node = np.arange(model.bus_count)
+    unit = np.arange(n_units)
+    gi, bus = devices.gen_index, devices.bus
+    gen = np.arange(devices.n_generators)
+    ctrl = C + (bus if cfg.kind == PRIMAL_DUAL else unit)
+    h = devices.damping_h
+    inv_m = 1.0 / model.inertia
+
+    # swing: eta_dot = A^T omega, M omega_dot = net - D omega - A (b eta), with
+    # net = sum of x_g + h (u - omega) over the bus's units minus its load
+    add(entries, E + line, W + tail, 1.0)
+    add(entries, E + line, W + head, -1.0)
+    add(entries, W + node, W + node, -model.damping * inv_m)
+    add(entries, W + tail, E + line, -model.susceptance * inv_m[tail])
+    add(entries, W + head, E + line, model.susceptance * inv_m[head])
+    add(entries, W + bus[gi], X + gen, inv_m[bus[gi]])
+    add(entries, W + bus, ctrl, h * inv_m[bus])
+    add(entries, W + bus, W + bus, -h * inv_m[bus])
+    add(inputs, W + bus, unit, -inv_m[bus])
+    # generator lag: tau x_dot = -x + m (u - omega)
+    m_tau = devices.droop_m[gi] / devices.tau[gi]
+    add(entries, X + gen, X + gen, -1.0 / devices.tau[gi])
+    add(entries, X + gen, ctrl[gi], m_tau)
+    add(entries, X + gen, W + bus[gi], -m_tau)
+
+    if cfg.kind == INTEGRAL:
+        # (q / K) pc_dot = -omega
+        add(entries, C + unit, W + bus, -1.0)
+        tau_c = devices.cost_q / cfg.integral_gain
+    else:
+        # tau_c pc_dot = s_tilde - H psi (+ n_f), summed per bus for primal_dual,
+        # with s_tilde = -x_g - h (u - omega) + p_load
+        add(entries, ctrl[gi], X + gen, -1.0)
+        add(entries, ctrl, ctrl, -h)
+        add(entries, ctrl, W + bus, h)
+        add(inputs, ctrl, unit, 1.0)
+        if unit_level:
+            add(inputs, ctrl, n_units + unit, 1.0)
+        # gamma_psi psi_dot = H^T p_c
+        a, c = np.array(graph.edges, dtype=int).reshape(-1, 2).T
+        edge = np.arange(graph.edge_count)
+        add(entries, C + a, P + edge, -1.0)
+        add(entries, C + c, P + edge, 1.0)
+        add(entries, P + edge, C + a, 1.0 / cfg.gamma_psi)
+        add(entries, P + edge, C + c, -1.0 / cfg.gamma_psi)
+        tau_c = cfg.gamma
+
+    def coo(parts):
+        rows, cols, vals = (np.concatenate(v) for v in zip(*parts))
+        return rows.astype(np.intp), cols.astype(np.intp), vals
+
+    return ClosedLoop(offsets, *coo(entries), *coo(inputs), tau_c=tau_c,
+                      unit_level=unit_level, graph=graph)
+
+
+def _initial_state(scenario, kkt, graph):
     """Pre-disturbance equilibrium of the chosen scheme."""
     model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
-    if cfg.kind in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING):
-        eq = build_equilibrium(model, devices, scenario.comm, kkt)
+    if cfg.kind in UNIT_CONSENSUS_KINDS:
+        eq = build_equilibrium(model, devices, graph, kkt)
         return eq.eta_star, eq.x_star, eq.p_c_star, eq.psi_star
     eq = build_equilibrium(model, devices, None, kkt)
     if cfg.kind == INTEGRAL:
         return eq.eta_star, eq.x_star, eq.p_c_star, np.zeros(0)
     # primal_dual: bus-level commands and consensus states
-    graph = bus_comm_graph(model)
     zeta_star = devices.bus_sum(eq.s_tilde_star)
     psi0, _, _, _ = np.linalg.lstsq(graph.incidence, zeta_star, rcond=None)
     return eq.eta_star, eq.x_star, np.full(model.bus_count, -kkt.lam), psi0
+
+
+def _divergence(op, y, k, dt):
+    """DivergenceError naming the first non-finite entry of the state after step k."""
+    first = int(np.flatnonzero(~np.isfinite(y))[0])
+    block = int(np.searchsorted(op.offsets, first, side="right")) - 1
+    return DivergenceError((k + 1) * dt, BLOCKS[block], first - int(op.offsets[block]), k * dt)
 
 
 def simulate(scenario):
     """Integrate the closed loop and record a full trajectory."""
     model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
     n_units = devices.n_units
-    unit_level = cfg.kind in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING)
-    if unit_level:
-        if scenario.comm is None or scenario.comm.node_count != n_units:
-            raise ConfigurationError("unit-level scheme needs a communication node per unit")
-        graph = scenario.comm
-    elif cfg.kind == PRIMAL_DUAL:
-        graph = bus_comm_graph(model)
-    else:
-        graph = None
-    if cfg.kind == PRIVACY_PRESERVING:
+    unit_level = cfg.kind in UNIT_CONSENSUS_KINDS
+    privacy = cfg.kind == PRIVACY_PRESERVING
+    op = closed_loop(scenario)
+    if privacy:
         feasible, _, _ = design_condition_report(devices, model, cfg.privacy)
         if not feasible.all():
             bad = np.flatnonzero(~feasible).tolist()
             raise ConfigurationError(f"design condition violated for units {bad}")
 
     kkt0 = solve_kkt(devices)
-    eta0, x0, pc0, psi0 = _initial_state(scenario, kkt0)
-    n_ctrl = pc0.shape[0]
-    n_edges = psi0.shape[0]
+    eta0, x0, pc0, psi0 = _initial_state(scenario, kkt0, op.graph)
+    y = np.concatenate([eta0, np.zeros(model.bus_count), x0, pc0, psi0])
 
     # Lyapunov reference: the equilibrium reached after all load steps
     eq_ref = None
     if unit_level:
-        p_load_final = devices.p_load.copy()
-        for d in scenario.disturbances:
-            p_load_final[d.unit] += d.delta
+        p_load_final = scenario.final_load()
         eq_ref = build_equilibrium(
             model, devices, scenario.comm, solve_kkt(devices, p_load_final), p_load_final
         )
 
-    # state layout
-    nE, nN, nG = model.line_count, model.bus_count, devices.n_generators
-    ofs = np.cumsum([0, nE, nN, nG, n_ctrl, n_edges])
-    y = np.concatenate([eta0, np.zeros(nN), x0, pc0, psi0])
-
     rng = np.random.default_rng(scenario.seed)
     xi = np.zeros(n_units)
     n_f = np.zeros(n_units)
-    if cfg.kind == PRIVACY_PRESERVING:
+    if privacy:
         priv = cfg.privacy
         xi = rng.uniform(0.0, priv.xi_max / 10.0, n_units)
         xi[priv.beta_hat == 0.0] = 0.0  # degenerate units stay at the plain scheme
 
-    p_load = devices.p_load.copy()
-    pending = sorted(scenario.disturbances, key=lambda d: d.time)
-
-    def full_rhs(yv):
-        eta = yv[ofs[0]:ofs[1]]
-        omega = yv[ofs[1]:ofs[2]]
-        x = yv[ofs[2]:ofs[3]]
-        p_c = yv[ofs[3]:ofs[4]]
-        psi = yv[ofs[4]:ofs[5]]
-        u = p_c[devices.bus] if cfg.kind == PRIMAL_DUAL else p_c
-        p_M, d_c, s_tilde, net = device_outputs(devices, DeviceState(x), u, omega, p_load)
-        eta_dot, omega_dot = swing_rhs(model, PlantState(eta, omega), net)
-        x_dot = device_rhs(devices, DeviceState(x), u, omega)
-        zeta = devices.bus_sum(s_tilde) if cfg.kind == PRIMAL_DUAL else None
-        sr = scheme_rhs(cfg, graph, SchemeState(p_c, psi, xi, n_f), devices,
-                        s_tilde, omega, zeta)
-        dy = np.concatenate([eta_dot, omega_dot, x_dot, sr.pc_dot, sr.psi_dot])
-        return dy, (p_M, d_c, s_tilde, u, sr)
-
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
-    rec = {k: [] for k in ("t", "omega", "eta", "x", "p_c", "psi", "xi", "n_f",
-                           "n_d", "s_tilde", "p_M", "d_c", "u", "pc_dot", "lyap")}
+    steps = list(range(0, n_steps + 1, scenario.record_stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    n_samples = len(steps)
+    # Every recorded signal is a column block of one buffer. One large
+    # allocation is mapped on its own and goes back to the system whole
+    # when the trajectory is dropped; a dozen smaller ones fragment the heap.
+    n_gen, n_ctrl = devices.n_generators, op.pc.stop - op.pc.start
+    widths = [op.size, n_units, n_units, n_ctrl, n_units, n_gen, n_units - n_gen, n_units]
+    record = np.empty((n_samples, sum(widths)))
+    states, xis, n_fs, pc_dots, s_tilde, p_M, d_c, n_d = np.split(
+        record, np.cumsum(widths[:-1]), axis=1)
 
-    def record(t, yv, signals):
-        p_M, d_c, s_tilde, u, sr = signals
-        rec["t"].append(t)
-        rec["eta"].append(yv[ofs[0]:ofs[1]].copy())
-        rec["omega"].append(yv[ofs[1]:ofs[2]].copy())
-        rec["x"].append(yv[ofs[2]:ofs[3]].copy())
-        rec["p_c"].append(yv[ofs[3]:ofs[4]].copy())
-        rec["psi"].append(yv[ofs[4]:ofs[5]].copy())
-        rec["xi"].append(xi.copy())
-        rec["n_f"].append(n_f.copy())
-        rec["n_d"].append(sr.n_d.copy())
-        rec["s_tilde"].append(s_tilde.copy())
-        rec["p_M"].append(p_M.copy())
-        rec["d_c"].append(d_c.copy())
-        rec["u"].append(u.copy())
-        rec["pc_dot"].append(sr.pc_dot.copy())
-        if unit_level:
-            v, _ = lyapunov_value(model, devices, scenario.comm, cfg, eq_ref,
-                                  yv[ofs[0]:ofs[1]], yv[ofs[1]:ofs[2]],
-                                  yv[ofs[2]:ofs[3]], yv[ofs[3]:ofs[4]],
-                                  yv[ofs[4]:ofs[5]], xi)
-            rec["lyap"].append(v)
-
+    p_load = devices.p_load.copy()
+    loads = []  # (first sample, load) of each load segment
+    pending = sorted(scenario.disturbances, key=lambda d: d.time)
+    omega_rows = slice(op.offsets[1], op.offsets[2])
+    j = 0
     for k in range(n_steps + 1):
         t = k * dt
+        new_load = k == 0
         while pending and pending[0].time <= t + 1e-12:
             d = pending.pop(0)
             p_load[d.unit] += d.delta
-        if cfg.kind == PRIVACY_PRESERVING:
-            omega_now = y[ofs[1]:ofs[2]]
-            xi, n_f = refresh_privacy_signals(cfg.privacy, xi, devices.bus,
-                                              omega_now, dt, rng)
-        k1, signals = full_rhs(y)
-        if k % scenario.record_stride == 0 or k == n_steps:
-            record(t, y, signals)
+            new_load = True
+        if new_load:
+            loads.append((j, p_load.copy()))
+        if privacy:
+            xi, n_f = refresh_privacy_signals(cfg.privacy, xi, devices.bus, y[omega_rows],
+                                              dt, rng)
+        if new_load or privacy:
+            b, tau_c = op.inputs(p_load, xi, n_f)
+        k1 = op.rhs(y, b, tau_c)
+        if k == steps[j]:
+            states[j] = y
+            xis[j] = xi
+            n_fs[j] = n_f
+            pc_dots[j] = k1[op.pc]
+            j += 1
         if k == n_steps:
             break
-        k2, _ = full_rhs(y + 0.5 * dt * k1)
-        k3, _ = full_rhs(y + 0.5 * dt * k2)
-        k4, _ = full_rhs(y + dt * k3)
+        k2 = op.rhs(y + 0.5 * dt * k1, b, tau_c)
+        k3 = op.rhs(y + 0.5 * dt * k2, b, tau_c)
+        k4 = op.rhs(y + dt * k3, b, tau_c)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(y).all():
-            raise DivergenceError((k + 1) * dt)
+            raise _divergence(op, y, k, dt)
 
-    lyap = np.array(rec["lyap"]) if unit_level else None
+    eta, omega, x, p_c, psi = op.blocks(states)
+    # device outputs at the recorded samples, as device_outputs computes them
+    gi, li = devices.gen_index, devices.load_index
+    u = p_c[:, devices.bus] if cfg.kind == PRIMAL_DUAL else p_c
+    drive = u - omega[:, devices.bus]
+    np.add(x, devices.damping_h[gi] * drive[:, gi], out=p_M)
+    np.multiply(-devices.damping_h[li], drive[:, li], out=d_c)
+    s_tilde[:, gi] = -p_M
+    s_tilde[:, li] = d_c
+    for (j0, load), (j1, _) in zip(loads, loads[1:] + [(n_samples, None)]):
+        s_tilde[j0:j1] += load
+    lyap = None
+    if unit_level:
+        np.multiply(-xis, pc_dots, out=n_d)
+        lyap, _ = lyapunov_value(model, devices, scenario.comm, cfg, eq_ref,
+                                 eta, omega, x, p_c, psi, xis)
+    else:
+        n_d[:] = 0.0
     return Trajectory(
-        times=np.array(rec["t"]),
-        omega=np.array(rec["omega"]), eta=np.array(rec["eta"]),
-        x=np.array(rec["x"]).reshape(len(rec["t"]), nG),
-        p_c=np.array(rec["p_c"]), psi=np.array(rec["psi"]).reshape(len(rec["t"]), n_edges),
-        xi=np.array(rec["xi"]), n_f=np.array(rec["n_f"]), n_d=np.array(rec["n_d"]),
-        s_tilde=np.array(rec["s_tilde"]),
-        p_M=np.array(rec["p_M"]).reshape(len(rec["t"]), nG),
-        d_c=np.array(rec["d_c"]).reshape(len(rec["t"]), n_units - nG),
-        u=np.array(rec["u"]), pc_dot=np.array(rec["pc_dot"]),
+        times=np.array(steps) * dt,
+        omega=omega, eta=eta, x=x, p_c=p_c, psi=psi,
+        xi=xis, n_f=n_fs, n_d=n_d, s_tilde=s_tilde, p_M=p_M, d_c=d_c,
+        u=u, pc_dot=pc_dots,
         lyapunov=lyap, scheme_kind=cfg.kind, equilibrium=eq_ref,
         meta={"lambda": kkt0.lam, "seed": scenario.seed, "dt": dt},
     )

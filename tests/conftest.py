@@ -60,7 +60,7 @@ def comm4():
     return CommGraph(4, ((0, 1), (1, 2), (2, 3)))
 
 
-def make_scheme(kind, n_units, n_edges, seed=0, beta=None, beta_hat=None,
+def make_scheme(kind, n_units, n_edges, beta=None, beta_hat=None,
                 xi_max=0.5, integral_gain=400.0, n_controllers=None):
     gamma = np.full(n_controllers if n_controllers is not None else n_units, 0.04)
     gamma_psi = np.full(n_edges, 0.03)
@@ -70,7 +70,6 @@ def make_scheme(kind, n_units, n_edges, seed=0, beta=None, beta_hat=None,
             beta=np.full(n_units, 0.004) if beta is None else beta,
             beta_hat=np.full(n_units, 0.002) if beta_hat is None else beta_hat,
             xi_max=xi_max,
-            seed=seed,
         )
     return SchemeConfig(kind=kind, gamma=gamma, gamma_psi=gamma_psi,
                         integral_gain=integral_gain, privacy=privacy)
@@ -84,7 +83,7 @@ def make_scenario(model, devices, comm, kind, seed=0, t_end=30.0, dt=0.01,
     else:
         n_ctrl = devices.n_units
         n_edges = comm.edge_count if comm is not None else 0
-    cfg = make_scheme(kind, devices.n_units, n_edges, seed=seed,
+    cfg = make_scheme(kind, devices.n_units, n_edges,
                       n_controllers=n_ctrl, **scheme_kw)
     return Scenario(
         model=model, devices=devices, comm=comm, scheme=cfg,
@@ -96,8 +95,7 @@ def make_scenario(model, devices, comm, kind, seed=0, t_end=30.0, dt=0.01,
 @pytest.fixture
 def scenario_factory(model3, devices4, comm4):
     def factory(kind, **kw):
-        comm = comm4 if kind in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING) else comm4
-        return make_scenario(model3, devices4, comm, kind, **kw)
+        return make_scenario(model3, devices4, comm4, kind, **kw)
     return factory
 
 

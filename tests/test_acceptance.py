@@ -59,10 +59,8 @@ def big_runs():
         t0 = perf_counter()
         traj = simulate(sc)
         runs[kind] = (sc, traj, perf_counter() - t0)
-    p_load = runs[INTEGRAL][0].devices.p_load.copy()
-    for d in runs[INTEGRAL][0].disturbances:
-        p_load[d.unit] += d.delta
-    lam = solve_kkt(runs[INTEGRAL][0].devices, p_load).lam
+    sc = runs[INTEGRAL][0]
+    lam = solve_kkt(sc.devices, sc.final_load()).lam
     return runs, lam
 
 

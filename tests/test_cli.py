@@ -75,6 +75,16 @@ def test_run_invalid_scenario_exits_2(runner, tmp_path):
     assert "error:" in result.output
 
 
+def test_run_disturbance_after_t_end_exits_2(runner, tmp_path):
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    doc["disturbances"][0]["t"] = 9.0
+    scen.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "$.disturbances[0].t" in result.output
+
+
 def test_run_divergence_exits_3(runner, tmp_path):
     scen = gen(runner, tmp_path, t_end=500.0)
     with np.errstate(all="ignore"):

@@ -103,6 +103,14 @@ def test_bad_kind_rejected(small_doc):
         build_scenario(doc)
 
 
+@pytest.mark.parametrize("t", [-0.5, 10.5])
+def test_disturbance_outside_horizon_rejected(small_doc, t):
+    doc = copy.deepcopy(small_doc)
+    doc["disturbances"].append({"t": t, "unit": 0, "delta": 0.1})
+    with pytest.raises(ScenarioError, match=r"\$\.disturbances\[1\]\.t"):
+        build_scenario(doc)
+
+
 def test_gains_follow_cost_coefficients(small_doc):
     sc = build_scenario(small_doc)
     lhs = sc.devices.cost_q * (sc.devices.droop_m + sc.devices.damping_h)

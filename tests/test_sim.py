@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from gridpriv import Scenario, simulate, solve_kkt
+from gridpriv import (
+    DeviceState,
+    PlantState,
+    RandomScenarioSpec,
+    Scenario,
+    SchemeState,
+    build_scenario,
+    device_outputs,
+    device_rhs,
+    gen_scenario,
+    lyapunov_value,
+    scheme_rhs,
+    simulate,
+    solve_kkt,
+    swing_rhs,
+)
 from gridpriv.errors import ConfigurationError, DivergenceError
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
@@ -13,6 +28,7 @@ from gridpriv.sim import (
     SETTLE_THRESHOLD,
     Disturbance,
     Trajectory,
+    closed_loop,
     marginal_costs,
     steady_state_metrics,
 )
@@ -40,9 +56,7 @@ def test_starts_at_equilibrium_before_disturbance(scenario_factory):
 def test_converges_to_dispatch_optimum(scenario_factory, kind, devices4):
     sc = scenario_factory(kind, t_end=60.0)
     traj = simulate(sc)
-    p_load = devices4.p_load.copy()
-    p_load[0] += 0.2
-    kkt = solve_kkt(devices4, p_load)
+    kkt = solve_kkt(devices4, sc.final_load())
     np.testing.assert_allclose(traj.p_c[-1], -kkt.lam, rtol=0.0, atol=1e-3)
     mc = marginal_costs(traj, devices4)[-1]
     np.testing.assert_allclose(mc, abs(kkt.lam), rtol=0.0, atol=1e-3)
@@ -154,8 +168,17 @@ def test_record_stride(model3, devices4, comm4):
 def test_divergence_raises(model3, devices4, comm4):
     sc = make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL,
                        t_end=2000.0, dt=10.0, disturbances=((0.0, 0, 0.5),))
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
         simulate(sc)
+    err = info.value
+    sizes = {"eta": 2, "omega": 3, "x": 2, "p_c": 4, "psi": 3}
+    assert err.block in sizes and 0 <= err.index < sizes[err.block]
+    assert err.last_finite_time == pytest.approx(err.time - sc.dt)
+    assert f"{err.block}[{err.index}]" in str(err)
+    # the run up to the last finite time completes
+    sc.t_end = err.last_finite_time
+    with np.errstate(over="ignore"):  # the Lyapunov column of the huge state
+        assert np.isfinite(simulate(sc).p_c).all()
 
 
 def test_steady_state_metrics(scenario_factory, devices4):
@@ -177,3 +200,85 @@ def test_scenario_validation(model3, devices4, comm4, scenario_factory):
     with pytest.raises(ConfigurationError):
         make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL,
                       disturbances=((1.0, 99, 0.1),))
+    with pytest.raises(ConfigurationError, match="t_end"):
+        make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL, t_end=5.0,
+                      disturbances=((6.0, 0, 0.1),))
+
+
+def oracle_scenario(system, kind, scenario_factory):
+    """The conftest 3-bus system or a small generated one, 2 s with a load step at 1 s."""
+    if system == "3-bus":
+        return scenario_factory(kind, t_end=2.0)
+    doc = gen_scenario(RandomScenarioSpec(bus_count=3, units_per_bus=(2, 3), t_end=2.0,
+                                          seed=system))
+    doc["scheme"]["kind"] = kind
+    return build_scenario(doc)
+
+
+def stacked_rhs(sc, op, y, p_load, xi, n_f):
+    """The closed loop from the per-stage functions, and their outputs."""
+    cfg, devices = sc.scheme, sc.devices
+    eta, omega, x, p_c, psi = op.blocks(y)
+    u = p_c[devices.bus] if cfg.kind == PRIMAL_DUAL else p_c
+    p_M, d_c, s_tilde, net = device_outputs(devices, DeviceState(x), u, omega, p_load)
+    eta_dot, omega_dot = swing_rhs(sc.model, PlantState(eta, omega), net)
+    x_dot = device_rhs(devices, DeviceState(x), u, omega)
+    zeta = devices.bus_sum(s_tilde) if cfg.kind == PRIMAL_DUAL else None
+    sr = scheme_rhs(cfg, op.graph, SchemeState(p_c, psi, xi, n_f), devices, s_tilde,
+                    omega, zeta)
+    dy = np.concatenate([eta_dot, omega_dot, x_dot, sr.pc_dot, sr.psi_dot])
+    return dy, {"p_M": p_M, "d_c": d_c, "s_tilde": s_tilde, "u": u,
+                "pc_dot": sr.pc_dot, "n_d": sr.n_d}
+
+
+def assert_close(got, want):
+    """Within 1e-12 relative to the largest entry compared."""
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max(initial=0.0))
+
+
+ORACLE_SYSTEMS = ["3-bus", 21, 22]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("system", ORACLE_SYSTEMS)
+def test_closed_loop_matches_per_stage_functions(scenario_factory, system, kind):
+    sc = oracle_scenario(system, kind, scenario_factory)
+    op = closed_loop(sc)
+    n_units = sc.devices.n_units
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        y = rng.normal(size=op.size)
+        p_load = rng.normal(scale=0.2, size=n_units)
+        xi = rng.uniform(0.0, 0.1, n_units)
+        n_f = rng.normal(scale=0.01, size=n_units)
+        want, _ = stacked_rhs(sc, op, y, p_load, xi, n_f)
+        got = op.rhs(y, *op.inputs(p_load, xi, n_f))
+        for got_block, want_block in zip(op.blocks(got), op.blocks(want)):
+            assert_close(got_block, want_block)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("system", ORACLE_SYSTEMS)
+def test_recorded_outputs_match_per_stage_functions(scenario_factory, system, kind):
+    sc = oracle_scenario(system, kind, scenario_factory)
+    op = closed_loop(sc)
+    traj = simulate(sc)
+    want = {}
+    for j, t in enumerate(traj.times):
+        p_load = sc.devices.p_load.copy()
+        for d in sc.disturbances:
+            if d.time <= t + 1e-12:
+                p_load[d.unit] += d.delta
+        y = np.concatenate([traj.eta[j], traj.omega[j], traj.x[j], traj.p_c[j], traj.psi[j]])
+        _, outputs = stacked_rhs(sc, op, y, p_load, traj.xi[j], traj.n_f[j])
+        for name, value in outputs.items():
+            want.setdefault(name, []).append(value)
+    for name, value in want.items():
+        assert_close(getattr(traj, name), np.array(value))
+    if kind in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING):
+        per_sample = [lyapunov_value(sc.model, sc.devices, sc.comm, sc.scheme,
+                                     traj.equilibrium, traj.eta[j], traj.omega[j],
+                                     traj.x[j], traj.p_c[j], traj.psi[j], traj.xi[j])[0]
+                      for j in range(len(traj.times))]
+        np.testing.assert_allclose(traj.lyapunov, per_sample, rtol=1e-12, atol=0.0)
