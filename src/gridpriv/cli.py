@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import schemes
+from . import schemes, sim
 from .adversary import KnowledgeSet, naive_readout, observer_attack
 from .equilibrium import solve_kkt
 from .errors import ConfigurationError, DivergenceError, GridPrivError
@@ -32,14 +32,9 @@ from .sim import Trajectory, marginal_costs, simulate, steady_state_metrics
 log = logging.getLogger("gridpriv")
 
 
-def _atomic_write(path, text):
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with sim.atomic_open(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _handle_errors(fn):
@@ -65,9 +60,7 @@ def _run_one(scenario, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj = simulate(scenario)
-    tmp = out_dir / "trajectory.csv.tmp"
-    traj.to_csv(tmp)
-    os.replace(tmp, out_dir / "trajectory.csv")
+    traj.to_csv(out_dir / "trajectory.csv")
 
     kkt = solve_kkt(scenario.devices, scenario.final_load())
     window = max(scenario.dt * scenario.record_stride, 0.1 * scenario.t_end)
@@ -185,20 +178,21 @@ def compare_cmd(scenario_path, scheme_list, out_dir, seed, dt):
     """Run one scenario under several schemes and emit side-by-side outputs."""
     doc = load_scenario_dict(scenario_path)
     kinds = [k.strip() for k in scheme_list.split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in schemes.SCHEME_KINDS:
-            raise ConfigurationError(f"unknown scheme kind {kind!r}")
+    unknown = [k for k in kinds if k not in schemes.SCHEME_KINDS]
+    if unknown or not kinds:
+        raise ConfigurationError(f"--schemes takes kinds from {list(schemes.SCHEME_KINDS)}, "
+                                 f"got {scheme_list!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results = {}
-    all_metrics = {}
+    all_metrics, freq, inferred = {}, {}, {}
     for kind in kinds:
         variant = json.loads(json.dumps(doc))
         variant["scheme"]["kind"] = kind
         scenario = build_scenario(variant, seed=seed, dt=dt)
-        traj, metrics = _run_one(scenario, out_dir / kind)
-        results[kind] = (scenario, traj)
+        dist = scenario.disturbances
+        watch_bus = int(scenario.devices.bus[dist[0].unit]) if dist else 0
+        times, freq[kind], inferred[kind], metrics = _compare_one(scenario, out_dir, watch_bus)
         all_metrics[kind] = metrics
         log.info("scheme %s: settle=%s spread=%.3g", kind,
                  metrics["settle_time"], metrics["p_c_spread_end"])
@@ -208,60 +202,38 @@ def compare_cmd(scenario_path, scheme_list, out_dir, seed, dt):
         (k for k in kinds if settle[k] is not None), key=lambda k: settle[k]
     )
     _write_json(out_dir / "metrics.json", all_metrics)
-    _emit_figure_data(out_dir, kinds, results)
+    sim.write_csv(out_dir / "fig_frequency.csv",
+                  ["t"] + [f"freq_hz_bus{watch_bus}_{k}" for k in kinds],
+                  [times] + [freq[k] for k in kinds])
+    observed = [k for k in schemes.UNIT_CONSENSUS_KINDS if k in kinds]
+    if observed:
+        true = inferred[observed[0]][0]
+        show = range(true.shape[1])
+        sim.write_csv(out_dir / "fig_inferred_demand.csv",
+                      ["t"] + [f"true_{u}" for u in show]
+                      + [f"inferred_{k}_{u}" for k in observed for u in show],
+                      [times, true] + [inferred[k][1] for k in observed])
     click.echo(str(out_dir / "metrics.json"))
 
 
-def _emit_figure_data(out_dir, kinds, results):
-    """Plot-ready CSVs mirroring the frequency / marginal-cost /
-    communicated-signal / inferred-demand views."""
-    first_scenario, first_traj = next(iter(results.values()))
-    dist = first_scenario.disturbances
-    watch_bus = int(first_scenario.devices.bus[dist[0].unit]) if dist else 0
-
-    times = first_traj.times
-    freq = [times] + [results[k][1].omega[:, watch_bus] / (2.0 * np.pi) for k in kinds]
-    _write_csv(out_dir / "fig_frequency.csv",
-               ["t"] + [f"freq_hz_bus{watch_bus}_{k}" for k in kinds], np.column_stack(freq))
-
-    for kind in kinds:
-        scenario, traj = results[kind]
-        mc = marginal_costs(traj, scenario.devices)
-        _write_csv(out_dir / f"fig_marginal_costs_{kind}.csv",
-                   ["t"] + [f"mc_{u}" for u in range(mc.shape[1])],
-                   np.column_stack([traj.times, mc]))
-        leaked = naive_readout(traj, kind)
-        wire = leaked if leaked is not None else traj.p_c
-        label = "s_tilde" if leaked is not None else "pc"
-        _write_csv(out_dir / f"fig_communicated_{kind}.csv",
-                   ["t"] + [f"{label}_{u}" for u in range(wire.shape[1])],
-                   np.column_stack([traj.times, wire]))
-
-    inferred = {}
-    for kind in (schemes.EXTENDED_PRIMAL_DUAL, schemes.PRIVACY_PRESERVING):
-        if kind in results:
-            scenario, traj = results[kind]
-            report = observer_attack(traj, scenario.comm, scenario.scheme, KnowledgeSet())
-            inferred[kind] = (traj, report)
-    if inferred:
-        kind0, (traj0, _) = next(iter(inferred.items()))
-        cols, blocks = ["t"], [traj0.times]
-        show = list(range(min(3, traj0.s_tilde.shape[1])))
-        for u in show:
-            cols.append(f"true_{u}")
-            blocks.append(traj0.s_tilde[:, u])
-        for kind, (traj, report) in inferred.items():
-            for u in show:
-                cols.append(f"inferred_{kind}_{u}")
-                blocks.append(report.s_hat[:, u])
-        _write_csv(out_dir / "fig_inferred_demand.csv", cols, np.column_stack(blocks))
-
-
-def _write_csv(path, header, data):
-    lines = [",".join(header)]
-    for row in np.atleast_2d(data):
-        lines.append(",".join(repr(float(v)) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _compare_one(scenario, out_dir, watch_bus):
+    """Run one scheme of `compare` and write its files. Only what the shared figures
+    need is returned, so that one trajectory is alive at a time."""
+    kind = scenario.scheme.kind
+    traj, metrics = _run_one(scenario, out_dir / kind)
+    mc = marginal_costs(traj, scenario.devices)
+    sim.write_csv(out_dir / f"fig_marginal_costs_{kind}.csv",
+                  ["t"] + [f"mc_{u}" for u in range(mc.shape[1])], [traj.times, mc])
+    leaked = naive_readout(traj, kind)
+    wire = leaked if leaked is not None else traj.p_c
+    label = "s_tilde" if leaked is not None else "pc"
+    sim.write_csv(out_dir / f"fig_communicated_{kind}.csv",
+                  ["t"] + [f"{label}_{u}" for u in range(wire.shape[1])], [traj.times, wire])
+    inferred = None
+    if kind in schemes.UNIT_CONSENSUS_KINDS:
+        report = observer_attack(traj, scenario.comm, scenario.scheme, KnowledgeSet())
+        inferred = (traj.s_tilde[:, :3].copy(), report.s_hat[:, :3].copy())
+    return traj.times, traj.omega[:, watch_bus] / (2.0 * np.pi), inferred, metrics
 
 
 @main.command("check-design")

@@ -16,7 +16,7 @@ from .devices import DeviceSet, design_optimal_gains
 from .errors import ConfigurationError, InfeasibilityError
 from .network import NetworkModel
 from .schemes import CommGraph, PrivacyParams, SchemeConfig, max_feasible_beta
-from .sim import Disturbance, Scenario
+from .sim import Disturbance, Scenario, on_sample_grid
 
 KIND_ALIASES = {"generator": True, "load": False}
 
@@ -164,6 +164,10 @@ def build_scenario(doc, seed=None, dt=None):
         raise ScenarioError("$.scheme", str(exc)) from exc
 
     t_end = float(sim_doc["t_end"])
+    stride = int(sim_doc.get("record_stride", 1))
+    if run_dt > 0 and stride >= 1 and not on_sample_grid(t_end, run_dt * stride):
+        raise ScenarioError("$.sim.t_end",
+                            f"not a multiple of dt*record_stride={run_dt * stride:g}")
     disturbances = []
     for k, d in enumerate(doc.get("disturbances", [])):
         dpath = f"$.disturbances[{k}]"
@@ -176,8 +180,7 @@ def build_scenario(doc, seed=None, dt=None):
     try:
         return Scenario(model=model, devices=devices, comm=comm, scheme=scheme,
                         disturbances=tuple(disturbances),
-                        t_end=t_end, dt=run_dt, seed=run_seed,
-                        record_stride=int(sim_doc.get("record_stride", 1)))
+                        t_end=t_end, dt=run_dt, seed=run_seed, record_stride=stride)
     except ConfigurationError as exc:
         raise ScenarioError("$", str(exc)) from exc
 

@@ -13,8 +13,9 @@ boundaries. Device outputs and the Lyapunov column are computed from the
 recorded states after the loop.
 """
 
-import csv
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,42 @@ from .schemes import (
 
 SETTLE_THRESHOLD = 2.0 * np.pi * 0.01  # 0.01 Hz in rad/s
 BLOCKS = ("eta", "omega", "x", "p_c", "psi")  # order of the stacked state
+CSV_CHUNK_ROWS = 256  # rows formatted per % call; bounds the transient text
+# (column prefix, Trajectory field) of each trace block, in column order after t
+TRACE_BLOCKS = (("omega", "omega"), ("pc", "p_c"), ("psi", "psi"), ("x", "x"),
+                ("s_tilde", "s_tilde"), ("xi", "xi"), ("nf", "n_f"))
+
+
+@contextmanager
+def atomic_open(path):
+    """Text file written as path.tmp and renamed onto path once complete; a
+    write that raises removes the temporary file and leaves path as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_csv(path, header, blocks):
+    """CSV of column blocks (a 1-D block is one column), one row per sample, LF line
+    ends, %.17g cells (exact float64 round trip), formatted a chunk of rows at a time."""
+    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+    row = ",".join(["%.17g"] * sum(b.shape[1] for b in blocks)) + "\n"
+    with atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(blocks[0]), CSV_CHUNK_ROWS):
+            chunk = np.hstack([b[i:i + CSV_CHUNK_ROWS] for b in blocks])
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def on_sample_grid(t_end, spacing):
+    """Whether t_end is a positive integer multiple of spacing (relative tolerance 1e-9)."""
+    n = np.round(t_end / spacing)
+    return n >= 1 and abs(n * spacing - t_end) <= 1e-9 * t_end
 
 
 @dataclass(frozen=True)
@@ -60,6 +97,9 @@ class Scenario:
             raise ConfigurationError("need dt > 0 and t_end >= dt")
         if self.record_stride < 1:
             raise ConfigurationError("record_stride must be >= 1")
+        if not on_sample_grid(self.t_end, self.dt * self.record_stride):
+            raise ConfigurationError(f"t_end={self.t_end:g} is not a multiple of "
+                                     f"dt*record_stride={self.dt * self.record_stride:g}")
         for d in self.disturbances:
             if not 0 <= d.unit < self.devices.n_units:
                 raise ConfigurationError(f"disturbance unit {d.unit} out of range")
@@ -103,45 +143,35 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
     def to_csv(self, path):
-        """Wide CSV, one row per recorded sample. repr round-trips floats."""
-        cols = ["t"]
-        blocks = [self.times[:, None], self.omega, self.p_c, self.psi, self.x,
-                  self.s_tilde, self.xi, self.n_f]
-        cols += [f"omega_{j}" for j in range(self.omega.shape[1])]
-        cols += [f"pc_{u}" for u in range(self.p_c.shape[1])]
-        cols += [f"psi_{e}" for e in range(self.psi.shape[1])]
-        cols += [f"x_{g}" for g in range(self.x.shape[1])]
-        cols += [f"s_tilde_{u}" for u in range(self.s_tilde.shape[1])]
-        cols += [f"xi_{u}" for u in range(self.xi.shape[1])]
-        cols += [f"nf_{u}" for u in range(self.n_f.shape[1])]
+        """Wide CSV trace, one row per recorded sample (see write_csv)."""
+        blocks = [getattr(self, name) for _, name in TRACE_BLOCKS]
+        cols = ["t"] + [f"{prefix}_{k}" for (prefix, _), b in zip(TRACE_BLOCKS, blocks)
+                        for k in range(b.shape[1])]
+        blocks.insert(0, self.times)
         if self.lyapunov is not None:
             cols.append("lyapunov")
-            blocks.append(self.lyapunov[:, None])
-        data = np.hstack(blocks)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in data:
-                writer.writerow([repr(float(v)) for v in row])
+            blocks.append(self.lyapunov)
+        write_csv(path, cols, blocks)
 
     @classmethod
     def from_csv(cls, path):
         """Rebuild the recorded signals available in a CSV trace."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            data = np.array([[float(v) for v in row] for row in reader])
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                if "t" not in header or data.shape[1] != len(header):
+                    raise ValueError(f"{data.shape[1]} columns under {len(header)} names")
+            except ValueError as exc:
+                raise ConfigurationError(f"malformed trace {path}: {exc}") from exc
         def block(prefix):
             idx = [k for k, c in enumerate(header) if re.fullmatch(rf"{prefix}_\d+", c)]
             return data[:, idx]
-        times = data[:, header.index("t")]
-        omega, p_c, psi, x = block("omega"), block("pc"), block("psi"), block("x")
-        s_tilde, xi, n_f = block("s_tilde"), block("xi"), block("nf")
         lyap = data[:, header.index("lyapunov")] if "lyapunov" in header else None
-        empty = np.zeros((len(times), 0))
-        return cls(times=times, omega=omega, eta=empty, x=x, p_c=p_c, psi=psi,
-                   xi=xi, n_f=n_f, n_d=empty, s_tilde=s_tilde,
-                   p_M=empty, d_c=empty, u=empty, pc_dot=empty, lyapunov=lyap)
+        empty = np.zeros((len(data), 0))
+        return cls(times=data[:, header.index("t")], lyapunov=lyap,
+                   **{name: block(prefix) for prefix, name in TRACE_BLOCKS},
+                   **dict.fromkeys(("eta", "n_d", "p_M", "d_c", "u", "pc_dot"), empty))
 
 
 def bus_comm_graph(model):
@@ -337,9 +367,8 @@ def simulate(scenario):
 
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
-    steps = list(range(0, n_steps + 1, scenario.record_stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
+    stride = scenario.record_stride
+    steps = np.arange(0, n_steps + 1, stride)
     n_samples = len(steps)
     # Every recorded signal is a column block of one buffer. One large
     # allocation is mapped on its own and goes back to the system whole
@@ -370,7 +399,7 @@ def simulate(scenario):
         if new_load or privacy:
             b, tau_c = op.inputs(p_load, xi, n_f)
         k1 = op.rhs(y, b, tau_c)
-        if k == steps[j]:
+        if k % stride == 0:
             states[j] = y
             xis[j] = xi
             n_fs[j] = n_f
@@ -404,7 +433,7 @@ def simulate(scenario):
     else:
         n_d[:] = 0.0
     return Trajectory(
-        times=np.array(steps) * dt,
+        times=steps * dt,
         omega=omega, eta=eta, x=x, p_c=p_c, psi=psi,
         xi=xis, n_f=n_fs, n_d=n_d, s_tilde=s_tilde, p_M=p_M, d_c=d_c,
         u=u, pc_dot=pc_dots,

@@ -99,4 +99,11 @@ def scenario_factory(model3, devices4, comm4):
     return factory
 
 
+def read_csv(path):
+    """Header and float64 data of a CSV file, independently of from_csv."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
 ALL_KINDS = (INTEGRAL, PRIMAL_DUAL, EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING)

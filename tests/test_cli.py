@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gridpriv import KnowledgeSet, Trajectory, build_scenario, observer_attack, simulate
 from gridpriv.cli import main
+from gridpriv.schemes import (
+    EXTENDED_PRIMAL_DUAL,
+    PRIMAL_DUAL,
+    PRIVACY_PRESERVING,
+    SCHEME_KINDS,
+)
+from gridpriv.sim import marginal_costs
+from tests.conftest import read_csv
 
 
 @pytest.fixture
@@ -85,6 +94,24 @@ def test_run_disturbance_after_t_end_exits_2(runner, tmp_path):
     assert "$.disturbances[0].t" in result.output
 
 
+def test_run_off_grid_t_end_exits_2(runner, tmp_path):
+    """A step at t=10.04 under t_end=10.05, dt=0.1 would never be applied."""
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    doc["sim"].update(t_end=10.05, dt=0.1)
+    doc["disturbances"][0]["t"] = 10.04
+    scen.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "$.sim.t_end" in result.output
+    doc["sim"]["t_end"] = 11.0
+    scen.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(scen), "--dt", "0.3",
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "$.sim.t_end" in result.output
+
+
 def test_run_divergence_exits_3(runner, tmp_path):
     scen = gen(runner, tmp_path, t_end=500.0)
     with np.errstate(all="ignore"):
@@ -120,6 +147,27 @@ def test_attack_command(runner, tmp_path):
     assert report["origin_ranking"][0] in range(len(doc["devices"]))
 
 
+@pytest.mark.parametrize("damage", ["truncated last row", "non-numeric cell"])
+def test_attack_malformed_trace_exits_2(runner, tmp_path, damage):
+    scen = gen(runner, tmp_path)
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    trace = tmp_path / "out" / "trajectory.csv"
+    lines = trace.read_text().splitlines()
+    if damage == "truncated last row":
+        lines[-1] = lines[-1][:len(lines[-1]) // 2].rsplit(",", 1)[0]
+    else:
+        cells = lines[5].split(",")
+        cells[1] = "abc"
+        lines[5] = ",".join(cells)
+    trace.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["attack", str(trace), "--scenario", str(scen),
+                                  "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 2
+    assert "error:" in result.output and str(trace) in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_attack_knowledge_file(runner, tmp_path):
     scen = gen(runner, tmp_path)
     result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
@@ -153,6 +201,55 @@ def test_compare_command(runner, tmp_path):
         assert (out / f"fig_communicated_{kind}.csv").exists()
     assert (out / "fig_frequency.csv").exists()
     assert (out / "fig_inferred_demand.csv").exists()
+
+
+@pytest.mark.parametrize("kinds", [SCHEME_KINDS, ("integral", "primal_dual")])
+def test_compare_files_match_in_memory_runs(runner, tmp_path, kinds):
+    """Every file compare writes, read back, equals the same figures computed
+    from in-memory trajectories of the same scenario."""
+    scen = gen(runner, tmp_path)
+    out = tmp_path / "cmp"
+    result = runner.invoke(main, ["compare", str(scen), "--out", str(out),
+                                  "--schemes", ",".join(kinds)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(scen.read_text())
+    runs = {}
+    for kind in kinds:
+        doc["scheme"]["kind"] = kind
+        sc = build_scenario(doc)
+        runs[kind] = (sc, simulate(sc))
+    sc0, traj0 = runs[kinds[0]]
+    times = traj0.times
+    bus = int(sc0.devices.bus[sc0.disturbances[0].unit])
+
+    header, data = read_csv(out / "fig_frequency.csv")
+    assert header == ["t"] + [f"freq_hz_bus{bus}_{k}" for k in kinds]
+    np.testing.assert_array_equal(data, np.column_stack(
+        [times] + [runs[k][1].omega[:, bus] / (2.0 * np.pi) for k in kinds]))
+    for kind, (sc, traj) in runs.items():
+        back = Trajectory.from_csv(out / kind / "trajectory.csv")
+        for name in ("times", "omega", "p_c", "psi", "x", "s_tilde", "xi", "n_f"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
+        header, data = read_csv(out / f"fig_marginal_costs_{kind}.csv")
+        mc = marginal_costs(traj, sc.devices)
+        assert header == ["t"] + [f"mc_{u}" for u in range(mc.shape[1])]
+        np.testing.assert_array_equal(data, np.column_stack([times, mc]))
+        label, wire = ("s_tilde", traj.s_tilde) if kind == PRIMAL_DUAL else ("pc", traj.p_c)
+        header, data = read_csv(out / f"fig_communicated_{kind}.csv")
+        assert header == ["t"] + [f"{label}_{u}" for u in range(wire.shape[1])]
+        np.testing.assert_array_equal(data, np.column_stack([times, wire]))
+
+    observed = [k for k in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING) if k in kinds]
+    if not observed:
+        assert not (out / "fig_inferred_demand.csv").exists()
+        return
+    s_hat = {k: observer_attack(runs[k][1], runs[k][0].comm, runs[k][0].scheme,
+                                KnowledgeSet()).s_hat[:, :3] for k in observed}
+    header, data = read_csv(out / "fig_inferred_demand.csv")
+    assert header == (["t"] + [f"true_{u}" for u in range(3)]
+                      + [f"inferred_{k}_{u}" for k in observed for u in range(3)])
+    np.testing.assert_array_equal(data, np.column_stack(
+        [times, runs[observed[0]][1].s_tilde[:, :3]] + [s_hat[k] for k in observed]))
 
 
 def test_compare_rejects_unknown_scheme(runner, tmp_path):

@@ -111,6 +111,21 @@ def test_disturbance_outside_horizon_rejected(small_doc, t):
         build_scenario(doc)
 
 
+@pytest.mark.parametrize("t_end, dt, stride", [(10.05, 0.1, 1), (10.05, 0.01, 10),
+                                                (10.0, 0.03, 1)])
+def test_t_end_off_the_sample_grid_rejected(small_doc, t_end, dt, stride):
+    doc = copy.deepcopy(small_doc)
+    doc["sim"].update(t_end=t_end, dt=dt, record_stride=stride)
+    with pytest.raises(ScenarioError, match=r"\$\.sim\.t_end"):
+        build_scenario(doc)
+
+
+def test_dt_override_checked_against_t_end(small_doc):
+    with pytest.raises(ScenarioError, match=r"\$\.sim\.t_end"):
+        build_scenario(small_doc, dt=0.3)
+    assert build_scenario(small_doc, dt=0.025).dt == 0.025
+
+
 def test_gains_follow_cost_coefficients(small_doc):
     sc = build_scenario(small_doc)
     lhs = sc.devices.cost_q * (sc.devices.droop_m + sc.devices.damping_h)

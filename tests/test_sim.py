@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,8 +34,9 @@ from gridpriv.sim import (
     closed_loop,
     marginal_costs,
     steady_state_metrics,
+    write_csv,
 )
-from tests.conftest import ALL_KINDS, make_scenario
+from tests.conftest import ALL_KINDS, make_scenario, read_csv
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -154,6 +158,66 @@ def test_csv_round_trip(tmp_path, scenario_factory):
     assert "xi_0" in header and "nf_0" in header and "lyapunov" in header
 
 
+def test_csv_round_trip_is_bit_exact_for_edge_values(tmp_path):
+    values = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 1 / 3])
+    path = tmp_path / "edge.csv"
+    write_csv(path, ["a", "b"], [values, values[::-1].copy()])
+    header, back = read_csv(path)
+    assert header == ["a", "b"]
+    want = np.column_stack([values, values[::-1]])
+    np.testing.assert_array_equal(back.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(back[0, 0]) and np.signbit(back[-1, 1])
+
+
+def test_csv_one_row_zero_width_block_and_line_endings(tmp_path, scenario_factory):
+    traj = simulate(scenario_factory(INTEGRAL, t_end=0.02, disturbances=((0.0, 0, 0.2),)))
+    assert traj.psi.shape[1] == 0 and traj.lyapunov is None  # integral has no psi
+    one = dataclasses.replace(traj, **{name: getattr(traj, name)[:1] for name in (
+        "times", "omega", "p_c", "psi", "x", "s_tilde", "xi", "n_f")})
+    path = tmp_path / "one.csv"
+    one.to_csv(path)
+    raw = path.read_bytes()
+    assert b"\r" not in raw and raw.count(b"\n") == 2 and raw.endswith(b"\n")
+    back = Trajectory.from_csv(path)
+    assert back.times.shape == (1,) and back.psi.shape == (1, 0)
+    for name in ("times", "omega", "p_c", "x", "s_tilde", "xi", "n_f"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(one, name))
+    assert back.lyapunov is None
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_failed_csv_write_leaves_no_partial_target(tmp_path):
+    column = np.arange(600, dtype=float).astype(object)
+    column[400] = "not a number"  # in the second chunk, after the first is written
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_text("previous\n")
+    for path in (kept, absent):
+        with pytest.raises(TypeError):
+            write_csv(path, ["a"], [column])
+    assert kept.read_text() == "previous\n"
+    assert not absent.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_from_csv_reads_the_old_trace_format(tmp_path, scenario_factory):
+    """CRLF line ends and repr cells, as csv.writer wrote traces before."""
+    traj = simulate(scenario_factory(PRIVACY_PRESERVING, t_end=1.0))
+    traj.to_csv(tmp_path / "new.csv")
+    header, _ = read_csv(tmp_path / "new.csv")
+    data = np.hstack([traj.times[:, None], traj.omega, traj.p_c, traj.psi, traj.x,
+                      traj.s_tilde, traj.xi, traj.n_f, traj.lyapunov[:, None]])
+    path = tmp_path / "old.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in data:
+            writer.writerow([repr(float(v)) for v in row])
+    assert b"\r\n" in path.read_bytes()
+    back = Trajectory.from_csv(path)
+    for name in ("times", "omega", "p_c", "psi", "x", "s_tilde", "xi", "n_f", "lyapunov"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
+
+
 def test_record_stride(model3, devices4, comm4):
     dense = simulate(make_scenario(model3, devices4, comm4,
                                    EXTENDED_PRIMAL_DUAL, t_end=2.0, dt=0.01))
@@ -163,6 +227,19 @@ def test_record_stride(model3, devices4, comm4):
     sparse = simulate(sc)
     assert len(sparse.times) == 21
     np.testing.assert_array_equal(sparse.omega, dense.omega[::10])
+
+
+def test_t_end_must_lie_on_the_sample_grid(model3, devices4, comm4):
+    with pytest.raises(ConfigurationError, match="t_end"):
+        make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL, t_end=10.05, dt=0.1)
+    sc = make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL, t_end=2.0, dt=0.01)
+    with pytest.raises(ConfigurationError, match="t_end"):
+        dataclasses.replace(sc, t_end=10.05, record_stride=10)
+    strided = dataclasses.replace(sc, record_stride=10)
+    traj = simulate(strided)
+    assert traj.dt == sc.dt * 10
+    np.testing.assert_allclose(np.diff(traj.times), traj.dt, rtol=1e-12)
+    assert traj.times[-1] == pytest.approx(sc.t_end, rel=1e-12)
 
 
 def test_divergence_raises(model3, devices4, comm4):
