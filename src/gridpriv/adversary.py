@@ -23,20 +23,16 @@ EXACT_DERIV = "exact"
 
 @dataclass
 class KnowledgeSet:
-    """What the adversary sees and believes.
+    """What the adversary observes.
 
     observed_channels: "all", ("neighbors_of", unit) or an explicit list
-    of unit indices whose power command signal is intercepted.
-    model_params holds the (gamma, gamma_psi, incidence) the adversary
-    believes; pass the true values for the strongest attack.
+    of unit indices whose power command signal is intercepted. An
+    adversary that knows the dynamics uses the true gamma, gamma_psi and
+    communication incidence.
     """
 
     observed_channels: object = "all"
     knows_dynamics: bool = True
-    knows_noise_steady_state: bool = False
-    gamma: np.ndarray | None = None
-    gamma_psi: np.ndarray | None = None
-    incidence: np.ndarray | None = None
 
     def observed_mask(self, n_units, comm_edges=None):
         mask = np.zeros(n_units, dtype=bool)
@@ -87,17 +83,18 @@ def naive_readout(traj, scheme_kind=None):
     return None
 
 
-def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, psi0_guess=None,
-                    target_units=None, transient_window=None, disturbance_time=None):
+def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units=None,
+                    disturbance_time=None):
     """Reconstruct prosumption from power command trajectories.
 
     deriv selects the command-derivative estimate: finite differences on
     the recorded samples, or the trajectory's stored derivatives for the
     idealized adversary. In the idealized case the consensus states are
     taken as exactly integrated (the stored ones); otherwise they are
-    trapezoid-integrated from psi0_guess. When psi0_guess is omitted the
-    first recorded consensus sample is used (the trace starts at a known
-    steady state); without it the estimate carries a constant bias.
+    trapezoid-integrated from the first recorded consensus sample (the
+    trace starts at a known steady state). A trace without consensus
+    states starts the integration at zero, so the estimate carries a
+    constant bias. The RMSE is over all samples.
     """
     if not knowledge.knows_dynamics:
         raise ConfigurationError("observer attack requires knowledge of the dynamics")
@@ -105,11 +102,7 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, psi0_guess=N
     dt = traj.dt
     p_c = traj.p_c
     n_units = p_c.shape[1]
-    gamma = np.asarray(knowledge.gamma if knowledge.gamma is not None else cfg.gamma, dtype=float)
-    gamma_psi = np.asarray(
-        knowledge.gamma_psi if knowledge.gamma_psi is not None else cfg.gamma_psi, dtype=float
-    )
-    H = knowledge.incidence if knowledge.incidence is not None else comm.incidence
+    H = comm.incidence
 
     warnings_out = []
     mask = knowledge.observed_mask(n_units, comm.edges if comm is not None else None)
@@ -127,11 +120,10 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, psi0_guess=N
         psi_hat = traj.psi
     else:
         pc_dot = _finite_difference(pc_obs, dt, deriv)
-        if psi0_guess is None and traj.psi.shape[1] == H.shape[1]:
-            psi0_guess = traj.psi[0]
-        psi_hat = _integrate_psi(pc_obs, H, gamma_psi, dt, psi0_guess)
+        psi0 = traj.psi[0] if traj.psi.shape[1] == H.shape[1] else None
+        psi_hat = _integrate_psi(pc_obs, H, cfg.gamma_psi, dt, psi0)
 
-    s_hat_full = gamma * pc_dot + psi_hat @ H.T
+    s_hat_full = cfg.gamma * pc_dot + psi_hat @ H.T
 
     if target_units is None:
         targets = np.arange(n_units)
@@ -143,13 +135,7 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, psi0_guess=N
             warnings_out.append("channels incident to a target unit are unobserved")
     s_hat = s_hat_full[:, targets]
     err = s_hat - traj.s_tilde[:, targets]
-
-    if transient_window is not None:
-        lo, hi = transient_window
-        sel = (times >= lo) & (times <= hi)
-    else:
-        sel = np.ones(len(times), dtype=bool)
-    rmse_transient = float(np.sqrt(np.mean(err[sel] ** 2)))
+    rmse_transient = float(np.sqrt(np.mean(err**2)))
     tail = times >= times[-1] - max(dt, 0.05 * (times[-1] - times[0]))
     rmse_steady = float(np.sqrt(np.mean(err[tail].mean(axis=0) ** 2)))
 

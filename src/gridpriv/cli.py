@@ -20,11 +20,11 @@ from .equilibrium import solve_kkt
 from .errors import ConfigurationError, DivergenceError, GridPrivError
 from .scenario import (
     RandomScenarioSpec,
-    ScenarioError,
     build_scenario,
     gen_scenario,
+    load_knowledge,
     load_scenario,
-    load_scenario_dict,
+    load_json,
     save_scenario,
 )
 from .sim import Trajectory, marginal_costs, simulate, steady_state_metrics
@@ -45,7 +45,7 @@ def _handle_errors(fn):
         except DivergenceError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
-        except (ScenarioError, GridPrivError, FileNotFoundError) as exc:
+        except (GridPrivError, FileNotFoundError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
     return wrapper
@@ -138,12 +138,7 @@ def attack_cmd(trajectory_path, scenario_path, knowledge_path, baseline_path, ou
             "trajectory columns do not match the scenario's unit count "
             f"(got {traj.p_c.shape[1]} pc / {traj.s_tilde.shape[1]} s_tilde columns)"
         )
-    kdoc = json.loads(Path(knowledge_path).read_text()) if knowledge_path else {}
-    channels = kdoc.get("channels", "all")
-    if isinstance(channels, list):
-        channels = [int(c) for c in channels]
-    knowledge = KnowledgeSet(observed_channels=channels)
-    deriv = kdoc.get("deriv", "central")
+    knowledge, deriv = load_knowledge(knowledge_path, n_units)
 
     dist_time = scenario.disturbances[0].time if scenario.disturbances else None
     report = observer_attack(traj, scenario.comm, scenario.scheme, knowledge,
@@ -176,7 +171,7 @@ def attack_cmd(trajectory_path, scenario_path, knowledge_path, baseline_path, ou
 @_handle_errors
 def compare_cmd(scenario_path, scheme_list, out_dir, seed, dt):
     """Run one scenario under several schemes and emit side-by-side outputs."""
-    doc = load_scenario_dict(scenario_path)
+    doc = load_json(scenario_path)
     kinds = [k.strip() for k in scheme_list.split(",") if k.strip()]
     unknown = [k for k in kinds if k not in schemes.SCHEME_KINDS]
     if unknown or not kinds:
@@ -202,17 +197,13 @@ def compare_cmd(scenario_path, scheme_list, out_dir, seed, dt):
         (k for k in kinds if settle[k] is not None), key=lambda k: settle[k]
     )
     _write_json(out_dir / "metrics.json", all_metrics)
-    sim.write_csv(out_dir / "fig_frequency.csv",
-                  ["t"] + [f"freq_hz_bus{watch_bus}_{k}" for k in kinds],
-                  [times] + [freq[k] for k in kinds])
+    sim.write_csv(out_dir / "fig_frequency.csv", [("t", times)] + [
+        (f"freq_hz_bus{watch_bus}_{kind}", freq[kind]) for kind in kinds])
     observed = [k for k in schemes.UNIT_CONSENSUS_KINDS if k in kinds]
     if observed:
-        true = inferred[observed[0]][0]
-        show = range(true.shape[1])
         sim.write_csv(out_dir / "fig_inferred_demand.csv",
-                      ["t"] + [f"true_{u}" for u in show]
-                      + [f"inferred_{k}_{u}" for k in observed for u in show],
-                      [times, true] + [inferred[k][1] for k in observed])
+                      [("t", times), ("true", inferred[observed[0]][0])]
+                      + [(f"inferred_{kind}", inferred[kind][1]) for kind in observed])
     click.echo(str(out_dir / "metrics.json"))
 
 
@@ -221,14 +212,11 @@ def _compare_one(scenario, out_dir, watch_bus):
     need is returned, so that one trajectory is alive at a time."""
     kind = scenario.scheme.kind
     traj, metrics = _run_one(scenario, out_dir / kind)
-    mc = marginal_costs(traj, scenario.devices)
     sim.write_csv(out_dir / f"fig_marginal_costs_{kind}.csv",
-                  ["t"] + [f"mc_{u}" for u in range(mc.shape[1])], [traj.times, mc])
+                  [("t", traj.times), ("mc", marginal_costs(traj, scenario.devices))])
     leaked = naive_readout(traj, kind)
-    wire = leaked if leaked is not None else traj.p_c
-    label = "s_tilde" if leaked is not None else "pc"
-    sim.write_csv(out_dir / f"fig_communicated_{kind}.csv",
-                  ["t"] + [f"{label}_{u}" for u in range(wire.shape[1])], [traj.times, wire])
+    wire = ("s_tilde", leaked) if leaked is not None else ("pc", traj.p_c)
+    sim.write_csv(out_dir / f"fig_communicated_{kind}.csv", [("t", traj.times), wire])
     inferred = None
     if kind in schemes.UNIT_CONSENSUS_KINDS:
         report = observer_attack(traj, scenario.comm, scenario.scheme, KnowledgeSet())

@@ -100,19 +100,36 @@ def device_outputs(devices, dstate, u, omega, p_load=None):
         raise ConfigurationError("u must be per unit and omega per bus")
     if dstate.x.shape != (devices.n_generators,):
         raise ConfigurationError("device state length must match generator count")
-    drive = u - omega[devices.bus]
+    p_M, d_c, s_tilde = unit_outputs(devices, dstate.x, u, omega, p_load)
+    return p_M, d_c, s_tilde, bus_injection(devices, p_M, d_c, p_load)
+
+
+def unit_outputs(devices, x, u, omega, p_load):
+    """(p_M, d_c, s_tilde) at generator states x, unit inputs u and bus
+    frequencies omega; x, u and omega may carry a leading sample axis."""
+    drive = u - omega[..., devices.bus]
     gi, li = devices.gen_index, devices.load_index
-    p_M = dstate.x + devices.damping_h[gi] * drive[gi]
-    d_c = -devices.damping_h[li] * drive[li]
-    s_tilde = np.empty(devices.n_units)
-    s_tilde[gi] = -p_M
-    s_tilde[li] = d_c
-    s_tilde = s_tilde + p_load
-    net_injection = np.zeros(devices.bus_count)
-    np.add.at(net_injection, devices.bus[gi], p_M)
-    np.add.at(net_injection, devices.bus[li], -d_c)
-    np.add.at(net_injection, devices.bus, -p_load)
-    return p_M, d_c, s_tilde, net_injection
+    p_M = x + devices.damping_h[gi] * drive[..., gi]
+    d_c = -devices.damping_h[li] * drive[..., li]
+    return p_M, d_c, prosumption(devices, p_M, d_c, p_load)
+
+
+def prosumption(devices, p_M, d_c, p_load):
+    """Per-unit prosumption s_tilde: -p_M for generators, d_c for loads, plus p_load."""
+    s_tilde = np.empty(p_M.shape[:-1] + (devices.n_units,))
+    s_tilde[..., devices.gen_index] = -p_M
+    s_tilde[..., devices.load_index] = d_c
+    s_tilde += p_load
+    return s_tilde
+
+
+def bus_injection(devices, p_M, d_c, p_load):
+    """Per-bus net injection: generation minus controllable and uncontrollable demand."""
+    injection = np.zeros(devices.bus_count)
+    np.add.at(injection, devices.bus[devices.gen_index], p_M)
+    np.add.at(injection, devices.bus[devices.load_index], -d_c)
+    np.add.at(injection, devices.bus, -p_load)
+    return injection
 
 
 def device_rhs(devices, dstate, u, omega):

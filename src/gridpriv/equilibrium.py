@@ -12,9 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .devices import bus_injection, prosumption
 from .errors import ConfigurationError, InfeasibilityError
 from .network import dc_power_flow
 from .schemes import EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING
+
+RESIDUAL_TOL = 1e-9  # power balance and consensus residual of an equilibrium
 
 
 @dataclass
@@ -52,7 +55,7 @@ def solve_kkt(devices, p_load=None):
                                total_cost=float(total_cost))
 
 
-def build_equilibrium(model, devices, comm, kkt, p_load=None, residual_tol=1e-9):
+def build_equilibrium(model, devices, comm, kkt, p_load=None):
     """Complete a dispatch optimum into a closed-loop equilibrium.
 
     The power commands synchronize at -lambda, frequency deviations vanish,
@@ -69,27 +72,19 @@ def build_equilibrium(model, devices, comm, kkt, p_load=None, residual_tol=1e-9)
             stacklevel=2,
         )
     n_units = devices.n_units
-    gi, li = devices.gen_index, devices.load_index
     p_c_star = np.full(n_units, -kkt.lam)
-    x_star = devices.droop_m[gi] * p_c_star[gi]
-    s_tilde_star = np.empty(n_units)
-    s_tilde_star[gi] = -kkt.p_M_star
-    s_tilde_star[li] = kkt.d_c_star
-    s_tilde_star = s_tilde_star + p_load
+    x_star = devices.droop_m[devices.gen_index] * p_c_star[devices.gen_index]
+    s_tilde_star = prosumption(devices, kkt.p_M_star, kkt.d_c_star, p_load)
     total = s_tilde_star.sum()
-    if abs(total) > residual_tol * (1.0 + np.abs(s_tilde_star).sum()):
+    if abs(total) > RESIDUAL_TOL * (1.0 + np.abs(s_tilde_star).sum()):
         raise InfeasibilityError(f"equilibrium prosumption does not balance (sum {total:.3e})")
-    injection = np.zeros(devices.bus_count)
-    np.add.at(injection, devices.bus[gi], kkt.p_M_star)
-    np.add.at(injection, devices.bus[li], -kkt.d_c_star)
-    np.add.at(injection, devices.bus, -p_load)
-    _, eta_star = dc_power_flow(model, injection, balance_tol=max(residual_tol, 1e-9))
+    _, eta_star = dc_power_flow(model, bus_injection(devices, kkt.p_M_star, kkt.d_c_star, p_load))
     if comm is not None:
         if comm.node_count != n_units:
             raise ConfigurationError("communication graph must have one node per unit")
         psi_star, _, _, _ = np.linalg.lstsq(comm.incidence, s_tilde_star, rcond=None)
         residual = np.abs(comm.incidence @ psi_star - s_tilde_star).max()
-        if residual > residual_tol:
+        if residual > RESIDUAL_TOL:
             raise InfeasibilityError(f"consensus equilibrium residual {residual:.3e}")
     else:
         psi_star = None
@@ -129,8 +124,7 @@ def lyapunov_value(model, devices, comm, cfg, eq, eta, omega, x, p_c, psi, xi=No
     v_psi = 0.5 * (d_psi**2 @ cfg.gamma_psi)
     v_m = d_x**2 @ (devices.tau[gi] / (2.0 * devices.droop_m[gi]))
     total = v_f + v_p + v_c + v_psi + v_m
+    components = {"V_F": v_f, "V_P": v_p, "V_C": v_c, "V_psi": v_psi, "V_M": v_m}
     if np.ndim(total):
-        return total, {"V_F": v_f, "V_P": v_p, "V_C": v_c, "V_psi": v_psi, "V_M": v_m}
-    components = {"V_F": float(v_f), "V_P": float(v_p), "V_C": float(v_c),
-                  "V_psi": float(v_psi), "V_M": float(v_m)}
-    return float(total), components
+        return total, components
+    return float(total), {k: float(v) for k, v in components.items()}

@@ -9,6 +9,14 @@ class ConfigurationError(GridPrivError):
     """Inconsistent dimensions, invalid parameters or unsupported combinations."""
 
 
+class ScenarioError(ConfigurationError):
+    """Schema violation; carries the JSON path of the offending entry."""
+
+    def __init__(self, path, message):
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
 class InfeasibilityError(GridPrivError):
     """A linear system or design condition has no admissible solution."""
 

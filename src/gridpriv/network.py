@@ -52,14 +52,7 @@ class NetworkModel:
             if key in seen:
                 raise ConfigurationError(f"duplicate line between buses {i} and {j}")
             seen.add(key)
-        # node-edge incidence: +1 at the tail bus, -1 at the head bus
-        A = np.zeros((n, e))
-        for k, (i, j) in enumerate(self.lines):
-            A[i, k] = 1.0
-            A[j, k] = -1.0
-        object.__setattr__(self, "incidence", A)
-        if n > 1 and not _connected(n, self.lines):
-            raise ConfigurationError("network graph is not connected")
+        object.__setattr__(self, "incidence", incidence_matrix(n, self.lines, "network"))
 
     @property
     def line_count(self):
@@ -69,6 +62,19 @@ class NetworkModel:
         """Susceptance-weighted graph Laplacian."""
         A = self.incidence
         return A @ (self.susceptance[:, None] * A.T)
+
+
+def incidence_matrix(n, edges, graph):
+    """Node-edge incidence of a connected graph of n nodes: +1 at the tail, -1 at
+    the head of each (i, j) edge. graph names it in the error."""
+    if n > 1 and not _connected(n, edges):
+        raise ConfigurationError(f"{graph} graph is not connected")
+    A = np.zeros((n, len(edges)))
+    tail, head = np.array(edges, dtype=int).reshape(-1, 2).T
+    edge = np.arange(len(edges))
+    A[tail, edge] = 1.0
+    A[head, edge] = -1.0
+    return A
 
 
 def _connected(n, edges):
@@ -129,19 +135,17 @@ def swing_rhs(model, state, net_injection):
     return eta_dot, omega_dot
 
 
-def dc_power_flow(model, injection, balance_tol=1e-9):
+def dc_power_flow(model, injection):
     """Bus angles and line angle differences balancing a given injection.
 
     Solves the susceptance-weighted Laplacian system with bus 0 as the
-    angle reference. The injection must sum to zero.
+    angle reference. The injection must sum to zero within 1e-9.
     """
     injection = np.asarray(injection, dtype=float)
     if injection.shape != (model.bus_count,):
         raise ConfigurationError("injection length must match bus_count")
-    if abs(injection.sum()) > balance_tol:
-        raise InfeasibilityError(
-            f"injections sum to {injection.sum():.3e}, expected 0 within {balance_tol:.0e}"
-        )
+    if abs(injection.sum()) > 1e-9:
+        raise InfeasibilityError(f"injections sum to {injection.sum():.3e}, expected 0 within 1e-9")
     L = model.laplacian()
     theta = np.zeros(model.bus_count)
     if model.bus_count > 1:

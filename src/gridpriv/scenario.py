@@ -2,8 +2,9 @@
 
 A scenario file fully describes one closed-loop experiment: the electrical
 network, the prosumption units, the communication graph, the controller
-configuration, the integration settings and the load disturbances. Unknown
-keys are rejected so that typos fail loudly.
+configuration, the integration settings and the load disturbances. An
+attack knowledge file names what the eavesdropper observes. Unknown keys
+are rejected so that typos fail loudly.
 """
 
 import json
@@ -12,21 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schemes
+from .adversary import CENTRAL_DIFF, FORWARD_DIFF, KnowledgeSet
 from .devices import DeviceSet, design_optimal_gains
-from .errors import ConfigurationError, InfeasibilityError
+from .errors import ConfigurationError, InfeasibilityError, ScenarioError
 from .network import NetworkModel
 from .schemes import CommGraph, PrivacyParams, SchemeConfig, max_feasible_beta
-from .sim import Disturbance, Scenario, on_sample_grid
+from .sim import Disturbance, Scenario
 
 KIND_ALIASES = {"generator": True, "load": False}
-
-
-class ScenarioError(ConfigurationError):
-    """Schema violation; carries the JSON path of the offending entry."""
-
-    def __init__(self, path, message):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 def _check_keys(obj, path, required, optional=()):
@@ -49,12 +43,33 @@ def _floats(value, length, path):
     return arr
 
 
-def load_scenario_dict(path):
+def load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ScenarioError("$", f"invalid JSON: {exc}") from exc
+        raise ScenarioError("$", f"invalid JSON in {path}: {exc}") from exc
+
+
+def load_knowledge(path, n_units):
+    """(KnowledgeSet, deriv) of an attack knowledge file; no path gives the defaults.
+
+    Both keys are optional: channels is "all" or a list of unit indices in
+    [0, n_units); deriv is "central" or "forward".
+    """
+    doc = load_json(path) if path else {}
+    _check_keys(doc, "$", (), ("channels", "deriv"))
+    channels = doc.get("channels", "all")
+    if channels != "all":
+        if not isinstance(channels, list):
+            raise ScenarioError("$.channels", "expected 'all' or a list of unit indices")
+        for k, c in enumerate(channels):
+            if type(c) is not int or not 0 <= c < n_units:
+                raise ScenarioError(f"$.channels[{k}]", f"expected a unit index in [0, {n_units})")
+    deriv = doc.get("deriv", CENTRAL_DIFF)
+    if deriv not in (CENTRAL_DIFF, FORWARD_DIFF):
+        raise ScenarioError("$.deriv", f"expected {CENTRAL_DIFF!r} or {FORWARD_DIFF!r}")
+    return KnowledgeSet(observed_channels=channels), deriv
 
 
 def build_scenario(doc, seed=None, dt=None):
@@ -115,7 +130,7 @@ def build_scenario(doc, seed=None, dt=None):
         comm = CommGraph(n_units, tuple(edges))
     except ConfigurationError as exc:
         raise ScenarioError("$.comm", str(exc)) from exc
-    gamma_psi_units = _floats(comm_doc["gamma_psi"], comm.edge_count, "$.comm.gamma_psi")
+    gamma_psi = _floats(comm_doc["gamma_psi"], comm.edge_count, "$.comm.gamma_psi")
 
     sch = doc["scheme"]
     _check_keys(sch, "$.scheme", ("kind", "gamma"), ("integral_gain", "privacy"))
@@ -123,21 +138,16 @@ def build_scenario(doc, seed=None, dt=None):
     if kind not in schemes.SCHEME_KINDS:
         raise ScenarioError("$.scheme.kind", f"must be one of {list(schemes.SCHEME_KINDS)}")
 
-    sim_doc = doc["sim"]
-    _check_keys(sim_doc, "$.sim", ("t_end", "dt", "seed"), ("record_stride",))
-    run_seed = int(sim_doc["seed"]) if seed is None else int(seed)
-    run_dt = float(sim_doc["dt"]) if dt is None else float(dt)
-
+    gamma = _floats(sch["gamma"], n_units, "$.scheme.gamma")
     privacy = None
     if "privacy" in sch:
         pv = sch["privacy"]
         _check_keys(pv, "$.scheme.privacy", ("beta", "beta_hat"), ("xi_max", "safety"))
-        gamma_probe = _floats(sch["gamma"], n_units, "$.scheme.gamma")
         try:
             privacy = PrivacyParams(
                 beta=_floats(pv["beta"], n_units, "$.scheme.privacy.beta"),
                 beta_hat=_floats(pv["beta_hat"], n_units, "$.scheme.privacy.beta_hat"),
-                xi_max=float(pv.get("xi_max", 10.0 * float(np.max(gamma_probe)))),
+                xi_max=float(pv.get("xi_max", 10.0 * float(np.max(gamma)))),
                 safety=float(pv.get("safety", 0.999)),
             )
         except ConfigurationError as exc:
@@ -148,14 +158,8 @@ def build_scenario(doc, seed=None, dt=None):
     if kind == schemes.PRIMAL_DUAL:
         # bus-level controller: per-unit time constants aggregate to bus means,
         # the communication graph mirrors the electrical topology
-        gamma_units = _floats(sch["gamma"], n_units, "$.scheme.gamma")
-        sums = np.zeros(n_bus)
-        np.add.at(sums, devices.bus, gamma_units)
-        gamma = sums / devices.units_per_bus()
-        gamma_psi = _floats(float(np.mean(gamma_psi_units)), model.line_count, "$.comm.gamma_psi")
-    else:
-        gamma = _floats(sch["gamma"], n_units, "$.scheme.gamma")
-        gamma_psi = gamma_psi_units
+        gamma = devices.bus_sum(gamma) / devices.units_per_bus()
+        gamma_psi = np.full(model.line_count, float(np.mean(gamma_psi)))
     try:
         scheme = SchemeConfig(kind=kind, gamma=gamma, gamma_psi=gamma_psi,
                               integral_gain=float(sch.get("integral_gain", 1.0)),
@@ -163,30 +167,21 @@ def build_scenario(doc, seed=None, dt=None):
     except ConfigurationError as exc:
         raise ScenarioError("$.scheme", str(exc)) from exc
 
-    t_end = float(sim_doc["t_end"])
-    stride = int(sim_doc.get("record_stride", 1))
-    if run_dt > 0 and stride >= 1 and not on_sample_grid(t_end, run_dt * stride):
-        raise ScenarioError("$.sim.t_end",
-                            f"not a multiple of dt*record_stride={run_dt * stride:g}")
+    sim_doc = doc["sim"]
+    _check_keys(sim_doc, "$.sim", ("t_end", "dt", "seed"), ("record_stride",))
     disturbances = []
     for k, d in enumerate(doc.get("disturbances", [])):
-        dpath = f"$.disturbances[{k}]"
-        _check_keys(d, dpath, ("t", "unit", "delta"))
-        t = float(d["t"])
-        if not 0.0 <= t <= t_end:
-            raise ScenarioError(f"{dpath}.t", f"must lie in [0, t_end={t_end:g}]")
-        disturbances.append(Disturbance(t, int(d["unit"]), float(d["delta"])))
-
-    try:
-        return Scenario(model=model, devices=devices, comm=comm, scheme=scheme,
-                        disturbances=tuple(disturbances),
-                        t_end=t_end, dt=run_dt, seed=run_seed, record_stride=stride)
-    except ConfigurationError as exc:
-        raise ScenarioError("$", str(exc)) from exc
+        _check_keys(d, f"$.disturbances[{k}]", ("t", "unit", "delta"))
+        disturbances.append(Disturbance(float(d["t"]), int(d["unit"]), float(d["delta"])))
+    return Scenario(model=model, devices=devices, comm=comm, scheme=scheme,
+                    disturbances=tuple(disturbances), t_end=float(sim_doc["t_end"]),
+                    dt=float(sim_doc["dt"] if dt is None else dt),
+                    seed=int(sim_doc["seed"] if seed is None else seed),
+                    record_stride=int(sim_doc.get("record_stride", 1)))
 
 
 def load_scenario(path, seed=None, dt=None):
-    return build_scenario(load_scenario_dict(path), seed=seed, dt=dt)
+    return build_scenario(load_json(path), seed=seed, dt=dt)
 
 
 def save_scenario(doc, path):
@@ -214,6 +209,11 @@ class RandomScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.bus_count < 1:
+            raise ConfigurationError("bus_count (--buses) must be at least 1")
+        if not 1 <= self.units_per_bus[0] <= self.units_per_bus[1]:
+            raise ConfigurationError("units_per_bus (--units-min, --units-max) must satisfy "
+                                     "1 <= min <= max")
         if self.q_range[0] <= 0 or self.q_range[1] < self.q_range[0]:
             raise ConfigurationError("q_range must be positive and ordered")
         if self.comm_style not in ("tree", "random"):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibilityError
-from .network import _connected
+from .network import incidence_matrix
 
 INTEGRAL = "integral"
 PRIMAL_DUAL = "primal_dual"
@@ -45,16 +45,11 @@ class CommGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(i), int(j)) for i, j in self.edges))
-        n, e = self.node_count, len(self.edges)
-        H = np.zeros((n, e))
-        for k, (i, j) in enumerate(self.edges):
+        n = self.node_count
+        for i, j in self.edges:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ConfigurationError(f"bad communication edge ({i},{j})")
-            H[i, k] = 1.0
-            H[j, k] = -1.0
-        if n > 1 and not _connected(n, self.edges):
-            raise ConfigurationError("communication graph is not connected")
-        object.__setattr__(self, "incidence", H)
+        object.__setattr__(self, "incidence", incidence_matrix(n, self.edges, "communication"))
 
     @property
     def edge_count(self):

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibrium import build_equilibrium, lyapunov_value, solve_kkt
-from .errors import ConfigurationError, DivergenceError
+from .devices import unit_outputs
+from .errors import ConfigurationError, DivergenceError, ScenarioError
 from .schemes import (
     EXTENDED_PRIMAL_DUAL,
     INTEGRAL,
@@ -55,22 +56,19 @@ def atomic_open(path):
             os.remove(tmp)
 
 
-def write_csv(path, header, blocks):
-    """CSV of column blocks (a 1-D block is one column), one row per sample, LF line
-    ends, %.17g cells (exact float64 round trip), formatted a chunk of rows at a time."""
-    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
-    row = ",".join(["%.17g"] * sum(b.shape[1] for b in blocks)) + "\n"
+def write_csv(path, columns):
+    """CSV of (name, block) column blocks, one row per sample. A 1-D block is the
+    column `name`, a 2-D block the columns `name_0`, `name_1`, ... LF line ends,
+    %.17g cells (exact float64 round trip), formatted a chunk of rows at a time."""
+    header = [name if b.ndim == 1 else f"{name}_{k}" for name, b in columns
+              for k in range(1 if b.ndim == 1 else b.shape[1])]
+    blocks = [b[:, None] if b.ndim == 1 else b for _, b in columns]
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(blocks[0]), CSV_CHUNK_ROWS):
             chunk = np.hstack([b[i:i + CSV_CHUNK_ROWS] for b in blocks])
             fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
-
-
-def on_sample_grid(t_end, spacing):
-    """Whether t_end is a positive integer multiple of spacing (relative tolerance 1e-9)."""
-    n = np.round(t_end / spacing)
-    return n >= 1 and abs(n * spacing - t_end) <= 1e-9 * t_end
 
 
 @dataclass(frozen=True)
@@ -93,19 +91,22 @@ class Scenario:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < self.dt:
-            raise ConfigurationError("need dt > 0 and t_end >= dt")
+        """Check the run settings; errors name the scenario file's JSON path."""
+        if not self.dt > 0:
+            raise ScenarioError("$.sim.dt", "must be positive")
         if self.record_stride < 1:
-            raise ConfigurationError("record_stride must be >= 1")
-        if not on_sample_grid(self.t_end, self.dt * self.record_stride):
-            raise ConfigurationError(f"t_end={self.t_end:g} is not a multiple of "
-                                     f"dt*record_stride={self.dt * self.record_stride:g}")
-        for d in self.disturbances:
-            if not 0 <= d.unit < self.devices.n_units:
-                raise ConfigurationError(f"disturbance unit {d.unit} out of range")
+            raise ScenarioError("$.sim.record_stride", "must be >= 1")
+        spacing = self.dt * self.record_stride  # t_end: a positive multiple, rtol 1e-9
+        n = np.round(self.t_end / spacing)
+        if not (n >= 1 and abs(n * spacing - self.t_end) <= 1e-9 * self.t_end):
+            raise ScenarioError("$.sim.t_end", f"not a multiple of dt*record_stride={spacing:g}")
+        for k, d in enumerate(self.disturbances):
             if not 0.0 <= d.time <= self.t_end:
-                raise ConfigurationError(
-                    f"disturbance time {d.time:g} s outside [0, t_end={self.t_end:g}]")
+                raise ScenarioError(f"$.disturbances[{k}].t",
+                                    f"must lie in [0, t_end={self.t_end:g}]")
+            if not 0 <= d.unit < self.devices.n_units:
+                raise ScenarioError(f"$.disturbances[{k}].unit",
+                                    f"must lie in [0, {self.devices.n_units})")
 
     def final_load(self):
         """Uncontrollable load per unit after every disturbance."""
@@ -136,7 +137,6 @@ class Trajectory:
     lyapunov: np.ndarray | None = None  # (T,) for unit-level consensus schemes
     scheme_kind: str = EXTENDED_PRIMAL_DUAL
     equilibrium: object = None  # reference used for the Lyapunov column
-    meta: dict = field(default_factory=dict)
 
     @property
     def dt(self):
@@ -144,14 +144,11 @@ class Trajectory:
 
     def to_csv(self, path):
         """Wide CSV trace, one row per recorded sample (see write_csv)."""
-        blocks = [getattr(self, name) for _, name in TRACE_BLOCKS]
-        cols = ["t"] + [f"{prefix}_{k}" for (prefix, _), b in zip(TRACE_BLOCKS, blocks)
-                        for k in range(b.shape[1])]
-        blocks.insert(0, self.times)
+        columns = [("t", self.times)]
+        columns += [(prefix, getattr(self, name)) for prefix, name in TRACE_BLOCKS]
         if self.lyapunov is not None:
-            cols.append("lyapunov")
-            blocks.append(self.lyapunov)
-        write_csv(path, cols, blocks)
+            columns.append(("lyapunov", self.lyapunov))
+        write_csv(path, columns)
 
     @classmethod
     def from_csv(cls, path):
@@ -172,11 +169,6 @@ class Trajectory:
         return cls(times=data[:, header.index("t")], lyapunov=lyap,
                    **{name: block(prefix) for prefix, name in TRACE_BLOCKS},
                    **dict.fromkeys(("eta", "n_d", "p_M", "d_c", "u", "pc_dot"), empty))
-
-
-def bus_comm_graph(model):
-    """Bus-level communication graph mirroring the electrical topology."""
-    return CommGraph(model.bus_count, model.lines)
 
 
 @dataclass(frozen=True)
@@ -239,7 +231,7 @@ def closed_loop(scenario):
         if graph is None or graph.node_count != n_units:
             raise ConfigurationError("unit-level scheme needs a communication node per unit")
     elif cfg.kind == PRIMAL_DUAL:
-        graph = bus_comm_graph(model)
+        graph = CommGraph(model.bus_count, model.lines)  # mirrors the electrical topology
     else:
         graph = None
     n_ctrl = model.bus_count if cfg.kind == PRIMAL_DUAL else n_units
@@ -336,7 +328,6 @@ def simulate(scenario):
     """Integrate the closed loop and record a full trajectory."""
     model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
     n_units = devices.n_units
-    unit_level = cfg.kind in UNIT_CONSENSUS_KINDS
     privacy = cfg.kind == PRIVACY_PRESERVING
     op = closed_loop(scenario)
     if privacy:
@@ -345,13 +336,12 @@ def simulate(scenario):
             bad = np.flatnonzero(~feasible).tolist()
             raise ConfigurationError(f"design condition violated for units {bad}")
 
-    kkt0 = solve_kkt(devices)
-    eta0, x0, pc0, psi0 = _initial_state(scenario, kkt0, op.graph)
+    eta0, x0, pc0, psi0 = _initial_state(scenario, solve_kkt(devices), op.graph)
     y = np.concatenate([eta0, np.zeros(model.bus_count), x0, pc0, psi0])
 
     # Lyapunov reference: the equilibrium reached after all load steps
     eq_ref = None
-    if unit_level:
+    if op.unit_level:
         p_load_final = scenario.final_load()
         eq_ref = build_equilibrium(
             model, devices, scenario.comm, solve_kkt(devices, p_load_final), p_load_final
@@ -415,18 +405,12 @@ def simulate(scenario):
             raise _divergence(op, y, k, dt)
 
     eta, omega, x, p_c, psi = op.blocks(states)
-    # device outputs at the recorded samples, as device_outputs computes them
-    gi, li = devices.gen_index, devices.load_index
     u = p_c[:, devices.bus] if cfg.kind == PRIMAL_DUAL else p_c
-    drive = u - omega[:, devices.bus]
-    np.add(x, devices.damping_h[gi] * drive[:, gi], out=p_M)
-    np.multiply(-devices.damping_h[li], drive[:, li], out=d_c)
-    s_tilde[:, gi] = -p_M
-    s_tilde[:, li] = d_c
     for (j0, load), (j1, _) in zip(loads, loads[1:] + [(n_samples, None)]):
-        s_tilde[j0:j1] += load
+        seg = slice(j0, j1)
+        p_M[seg], d_c[seg], s_tilde[seg] = unit_outputs(devices, x[seg], u[seg], omega[seg], load)
     lyap = None
-    if unit_level:
+    if op.unit_level:
         np.multiply(-xis, pc_dots, out=n_d)
         lyap, _ = lyapunov_value(model, devices, scenario.comm, cfg, eq_ref,
                                  eta, omega, x, p_c, psi, xis)
@@ -438,11 +422,10 @@ def simulate(scenario):
         xi=xis, n_f=n_fs, n_d=n_d, s_tilde=s_tilde, p_M=p_M, d_c=d_c,
         u=u, pc_dot=pc_dots,
         lyapunov=lyap, scheme_kind=cfg.kind, equilibrium=eq_ref,
-        meta={"lambda": kkt0.lam, "seed": scenario.seed, "dt": dt},
     )
 
 
-def steady_state_metrics(traj, window, devices=None, settle_threshold=SETTLE_THRESHOLD):
+def steady_state_metrics(traj, window, devices=None):
     """Terminal-window summary of a trajectory.
 
     Per-unit quantities are averaged over the final window before taking
@@ -458,7 +441,7 @@ def steady_state_metrics(traj, window, devices=None, settle_threshold=SETTLE_THR
     omega_w = traj.omega[sel]
     max_abs_omega_end = float(np.abs(omega_w).max())
 
-    over = np.abs(traj.omega).max(axis=1) >= settle_threshold
+    over = np.abs(traj.omega).max(axis=1) >= SETTLE_THRESHOLD
     if over.any():
         last = np.flatnonzero(over)[-1]
         settle_time = float(times[last + 1]) if last + 1 < len(times) else None
@@ -470,7 +453,7 @@ def steady_state_metrics(traj, window, devices=None, settle_threshold=SETTLE_THR
     metrics = {
         "max_abs_omega_end": max_abs_omega_end,
         "settle_time": settle_time,
-        "settle_threshold": float(settle_threshold),
+        "settle_threshold": SETTLE_THRESHOLD,
         "p_c_spread_end": p_c_spread_end,
         "p_c_mean_end": float(pc_mean.mean()),
     }

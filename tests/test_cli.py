@@ -184,6 +184,45 @@ def test_attack_knowledge_file(runner, tmp_path):
     assert any("partial knowledge" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("text, path", [
+    ('{"channels": [99]}', "$.channels[0]"),
+    ('{"channels": [-1]}', "$.channels[0]"),
+    ('{"channels": [0, 1.5]}', "$.channels[1]"),
+    ('{"channels": "foo"}', "$.channels"),
+    ('{"chanels": [0]}', "$.chanels"),
+    ('{"deriv": "exact"}', "$.deriv"),
+    ('{"channels": [0', "invalid JSON"),
+])
+def test_attack_bad_knowledge_file_exits_2(runner, tmp_path, text, path):
+    scen = gen(runner, tmp_path)
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    kpath = tmp_path / "knowledge.json"
+    kpath.write_text(text)
+    result = runner.invoke(main, [
+        "attack", str(tmp_path / "out" / "trajectory.csv"),
+        "--scenario", str(scen), "--knowledge", str(kpath),
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output and path in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("args, option", [
+    (["--buses", "0"], "--buses"),
+    (["--buses", "-2"], "--buses"),
+    (["--units-min", "4", "--units-max", "2"], "--units-min"),
+    (["--units-min", "0", "--units-max", "0"], "--units-min"),
+])
+def test_gen_scenario_impossible_sizes_exit_2(runner, tmp_path, args, option):
+    out = tmp_path / "scenario.json"
+    result = runner.invoke(main, ["gen-scenario", str(out)] + args)
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output and option in result.output
+    assert not out.exists()
+
+
 def test_compare_command(runner, tmp_path):
     scen = gen(runner, tmp_path)
     out = tmp_path / "cmp"

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gridpriv import simulate
+from gridpriv import errors, simulate
 from gridpriv.scenario import (
     RandomScenarioSpec,
     ScenarioError,
@@ -19,6 +19,7 @@ from gridpriv.schemes import (
     SCHEME_KINDS,
     design_condition_report,
 )
+from gridpriv.sim import Disturbance, Scenario
 
 
 @pytest.fixture
@@ -109,6 +110,23 @@ def test_disturbance_outside_horizon_rejected(small_doc, t):
     doc["disturbances"].append({"t": t, "unit": 0, "delta": 0.1})
     with pytest.raises(ScenarioError, match=r"\$\.disturbances\[1\]\.t"):
         build_scenario(doc)
+
+
+def test_scenario_names_the_disturbance_unit_path(small_doc):
+    sc = build_scenario(small_doc)
+    bad = Disturbance(1.0, sc.devices.n_units, 0.1)
+    with pytest.raises(ScenarioError, match=r"\$\.disturbances\[0\]\.unit"):
+        Scenario(model=sc.model, devices=sc.devices, comm=sc.comm, scheme=sc.scheme,
+                 disturbances=(bad,), t_end=10.0, dt=0.01)
+    doc = copy.deepcopy(small_doc)
+    doc["disturbances"].append({"t": 2.0, "unit": -1, "delta": 0.1})
+    with pytest.raises(ScenarioError, match=r"\$\.disturbances\[1\]\.unit"):
+        build_scenario(doc)
+
+
+def test_scenario_error_is_shared():
+    assert ScenarioError is errors.ScenarioError
+    assert issubclass(ScenarioError, errors.ConfigurationError)
 
 
 @pytest.mark.parametrize("t_end, dt, stride", [(10.05, 0.1, 1), (10.05, 0.01, 10),

@@ -161,7 +161,7 @@ def test_csv_round_trip(tmp_path, scenario_factory):
 def test_csv_round_trip_is_bit_exact_for_edge_values(tmp_path):
     values = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 1 / 3])
     path = tmp_path / "edge.csv"
-    write_csv(path, ["a", "b"], [values, values[::-1].copy()])
+    write_csv(path, [("a", values), ("b", values[::-1].copy())])
     header, back = read_csv(path)
     assert header == ["a", "b"]
     want = np.column_stack([values, values[::-1]])
@@ -193,7 +193,7 @@ def test_failed_csv_write_leaves_no_partial_target(tmp_path):
     kept.write_text("previous\n")
     for path in (kept, absent):
         with pytest.raises(TypeError):
-            write_csv(path, ["a"], [column])
+            write_csv(path, [("a", column)])
     assert kept.read_text() == "previous\n"
     assert not absent.exists()
     assert list(tmp_path.glob("*.tmp")) == []
