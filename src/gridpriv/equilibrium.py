@@ -14,7 +14,7 @@ import numpy as np
 
 from .devices import bus_injection, prosumption
 from .errors import ConfigurationError, InfeasibilityError
-from .network import dc_power_flow
+from .network import _laplacian_potentials, dc_power_flow
 from .schemes import EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING
 
 RESIDUAL_TOL = 1e-9  # power balance and consensus residual of an equilibrium
@@ -82,8 +82,9 @@ def build_equilibrium(model, devices, comm, kkt, p_load=None):
     if comm is not None:
         if comm.node_count != n_units:
             raise ConfigurationError("communication graph must have one node per unit")
-        psi_star, _, _, _ = np.linalg.lstsq(comm.incidence, s_tilde_star, rcond=None)
-        residual = np.abs(comm.incidence @ psi_star - s_tilde_star).max()
+        H = comm.incidence
+        psi_star = H.T @ _laplacian_potentials(n_units, comm.edges, 1.0, s_tilde_star)
+        residual = np.abs(H @ psi_star - s_tilde_star).max()
         if residual > RESIDUAL_TOL:
             raise InfeasibilityError(f"consensus equilibrium residual {residual:.3e}")
     else:

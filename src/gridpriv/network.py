@@ -77,6 +77,22 @@ def incidence_matrix(n, edges, graph):
     return A
 
 
+def _laplacian_potentials(n, edges, weights, s):
+    """Potentials z with L z = s and sum(z) = 0, for the weighted Laplacian L of a
+    connected graph of n nodes and a zero-sum s.
+
+    L + 11ᵀ/n is positive definite, so one dense solve gives z; L is built in place
+    on the 1/n shift. With unit weights, Hᵀ z is the minimum-norm solution of H ψ = s.
+    """
+    M = np.full((n, n), 1.0 / n)
+    tail, head = np.array(edges, dtype=int).reshape(-1, 2).T
+    np.add.at(M, (tail, tail), weights)
+    np.add.at(M, (head, head), weights)
+    np.add.at(M, (tail, head), -weights)
+    np.add.at(M, (head, tail), -weights)
+    return np.linalg.solve(M, s)
+
+
 def _connected(n, edges):
     adj = [[] for _ in range(n)]
     for i, j in edges:
@@ -146,9 +162,7 @@ def dc_power_flow(model, injection):
         raise ConfigurationError("injection length must match bus_count")
     if abs(injection.sum()) > 1e-9:
         raise InfeasibilityError(f"injections sum to {injection.sum():.3e}, expected 0 within 1e-9")
-    L = model.laplacian()
-    theta = np.zeros(model.bus_count)
-    if model.bus_count > 1:
-        theta[1:] = np.linalg.solve(L[1:, 1:], injection[1:])
+    z = _laplacian_potentials(model.bus_count, model.lines, model.susceptance, injection)
+    theta = z - z[0]
     eta_star = model.incidence.T @ theta
     return theta, eta_star

@@ -84,10 +84,10 @@ def build_scenario(doc, seed=None, dt=None):
         _check_keys(line, f"$.network.lines[{k}]", ("from", "to", "b"))
         lines.append((int(line["from"]), int(line["to"])))
         b.append(float(line["b"]))
+    inertia = _floats(net["inertia"], n_bus, "$.network.inertia")
+    damping = _floats(net["damping"], n_bus, "$.network.damping")
     try:
-        model = NetworkModel(n_bus, tuple(lines), np.array(b),
-                             _floats(net["inertia"], n_bus, "$.network.inertia"),
-                             _floats(net["damping"], n_bus, "$.network.damping"))
+        model = NetworkModel(n_bus, tuple(lines), np.array(b), inertia, damping)
     except ConfigurationError as exc:
         raise ScenarioError("$.network", str(exc)) from exc
 
@@ -143,10 +143,11 @@ def build_scenario(doc, seed=None, dt=None):
     if "privacy" in sch:
         pv = sch["privacy"]
         _check_keys(pv, "$.scheme.privacy", ("beta", "beta_hat"), ("xi_max", "safety"))
+        beta = _floats(pv["beta"], n_units, "$.scheme.privacy.beta")
+        beta_hat = _floats(pv["beta_hat"], n_units, "$.scheme.privacy.beta_hat")
         try:
             privacy = PrivacyParams(
-                beta=_floats(pv["beta"], n_units, "$.scheme.privacy.beta"),
-                beta_hat=_floats(pv["beta_hat"], n_units, "$.scheme.privacy.beta_hat"),
+                beta=beta, beta_hat=beta_hat,
                 xi_max=float(pv.get("xi_max", 10.0 * float(np.max(gamma)))),
                 safety=float(pv.get("safety", 0.999)),
             )
@@ -158,7 +159,11 @@ def build_scenario(doc, seed=None, dt=None):
     if kind == schemes.PRIMAL_DUAL:
         # bus-level controller: per-unit time constants aggregate to bus means,
         # the communication graph mirrors the electrical topology
-        gamma = devices.bus_sum(gamma) / devices.units_per_bus()
+        per_bus = devices.units_per_bus()
+        if not per_bus.all():
+            raise ScenarioError("$.devices", f"bus {int(np.flatnonzero(per_bus == 0)[0])} has "
+                                "no units; the bus-level primal_dual scheme needs one per bus")
+        gamma = devices.bus_sum(gamma) / per_bus
         gamma_psi = np.full(model.line_count, float(np.mean(gamma_psi)))
     try:
         scheme = SchemeConfig(kind=kind, gamma=gamma, gamma_psi=gamma_psi,

@@ -23,6 +23,7 @@ import numpy as np
 from .equilibrium import build_equilibrium, lyapunov_value, solve_kkt
 from .devices import unit_outputs
 from .errors import ConfigurationError, DivergenceError, ScenarioError
+from .network import _laplacian_potentials
 from .schemes import (
     EXTENDED_PRIMAL_DUAL,
     INTEGRAL,
@@ -313,7 +314,7 @@ def _initial_state(scenario, kkt, graph):
         return eq.eta_star, eq.x_star, eq.p_c_star, np.zeros(0)
     # primal_dual: bus-level commands and consensus states
     zeta_star = devices.bus_sum(eq.s_tilde_star)
-    psi0, _, _, _ = np.linalg.lstsq(graph.incidence, zeta_star, rcond=None)
+    psi0 = graph.incidence.T @ _laplacian_potentials(model.bus_count, graph.edges, 1.0, zeta_star)
     return eq.eta_star, eq.x_star, np.full(model.bus_count, -kkt.lam), psi0
 
 

@@ -291,6 +291,20 @@ def test_compare_files_match_in_memory_runs(runner, tmp_path, kinds):
         [times, runs[observed[0]][1].s_tilde[:, :3]] + [s_hat[k] for k in observed]))
 
 
+def test_compare_bus_without_units_exits_2(runner, tmp_path):
+    """The bus-level scheme averages gamma over a bus's units; a bus with none
+    is an input error, not a nan time constant."""
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    for unit in doc["devices"]:
+        if unit["bus"] == 2:
+            unit["bus"] = 1
+    scen.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["compare", str(scen), "--out", str(tmp_path / "cmp")])
+    assert result.exit_code == 2, result.output
+    assert "$.devices" in result.output and "bus 2" in result.output
+
+
 def test_compare_rejects_unknown_scheme(runner, tmp_path):
     scen = gen(runner, tmp_path)
     result = runner.invoke(main, ["compare", str(scen), "--schemes", "pid",

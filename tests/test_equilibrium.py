@@ -3,11 +3,19 @@ import warnings
 import numpy as np
 import pytest
 
-from gridpriv import DeviceSet, build_equilibrium, design_optimal_gains, solve_kkt
-from gridpriv.devices import DeviceState, device_outputs, device_rhs
+from gridpriv import (
+    CommGraph,
+    DeviceSet,
+    NetworkModel,
+    build_equilibrium,
+    design_optimal_gains,
+    solve_kkt,
+)
+from gridpriv.devices import DeviceState, bus_injection, device_outputs, device_rhs
 from gridpriv.equilibrium import lyapunov_value
 from gridpriv.errors import ConfigurationError
-from gridpriv.network import PlantState, swing_rhs
+from gridpriv.network import PlantState, dc_power_flow, swing_rhs
+from gridpriv.scenario import RandomScenarioSpec, build_scenario, gen_scenario
 from gridpriv.schemes import EXTENDED_PRIMAL_DUAL, SchemeState, scheme_rhs
 from tests.conftest import make_scheme
 
@@ -94,6 +102,43 @@ def test_equilibrium_is_closed_loop_fixed_point(model3, devices4, comm4):
                      devices4, s_tilde, omega)
     np.testing.assert_allclose(out.pc_dot, 0.0, atol=1e-9)
     np.testing.assert_allclose(out.psi_dot, 0.0, atol=1e-9)
+
+
+def test_edge_flows_match_min_norm_lstsq(model3, devices4):
+    """psi* is the minimum-norm solution of H psi = s and eta* the grounded DC
+    power flow, on trees, meshed graphs, an antiparallel pair and one node."""
+    cases = []
+    for buses, style in ((4, "tree"), (10, "tree"), (200, "tree"), (10, "random")):
+        sc = build_scenario(gen_scenario(RandomScenarioSpec(
+            bus_count=buses, comm_style=style, edge_prob=0.3, t_end=5.0, seed=buses)))
+        cases.append((sc.model, sc.devices, sc.comm))
+    assert cases[-1][2].edge_count > 2 * cases[-1][2].node_count  # meshed
+    cases.append((model3, devices4, CommGraph(4, ((0, 1), (1, 0), (1, 2), (3, 2)))))
+    one_bus = NetworkModel(1, (), np.zeros(0), np.array([2.0]), np.array([1.0]))
+    m, h = design_optimal_gains(np.array([100.0]), np.array([True]))
+    one_unit = DeviceSet(np.array([0]), np.array([True]), np.ones(1), m, h,
+                         np.array([100.0]), np.array([0.3]), bus_count=1)
+    cases.append((one_bus, one_unit, CommGraph(1, ())))
+
+    rng = np.random.default_rng(5)
+    for model, devices, comm in cases:
+        p_load = rng.uniform(-0.2, 0.4, devices.n_units)
+        kkt = solve_kkt(devices, p_load)
+        eq = build_equilibrium(model, devices, comm, kkt, p_load)
+        s = eq.s_tilde_star
+        oracle, _, _, _ = np.linalg.lstsq(comm.incidence, s, rcond=None)
+        assert eq.psi_star.shape == (comm.edge_count,)
+        assert np.abs(eq.psi_star - oracle).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(s).max())
+
+        injection = bus_injection(devices, kkt.p_M_star, kkt.d_c_star, p_load)
+        L = model.laplacian()
+        theta = np.zeros(model.bus_count)
+        theta[1:] = np.linalg.solve(L[1:, 1:], injection[1:])
+        theta_dc, eta_dc = dc_power_flow(model, injection)
+        np.testing.assert_array_equal(eta_dc, eq.eta_star)
+        tol = 1e-12 * (1.0 + np.abs(injection).max())
+        assert np.abs(theta_dc - theta).max() <= tol
+        assert np.abs(eta_dc - model.incidence.T @ theta).max(initial=0.0) <= tol
 
 
 def test_equilibrium_warns_on_suboptimal_gains(model3, comm4, devices4):

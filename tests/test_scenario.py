@@ -76,10 +76,18 @@ def test_missing_key_rejected(small_doc):
 
 
 def test_wrong_length_list_rejected(small_doc):
-    doc = copy.deepcopy(small_doc)
-    doc["network"]["inertia"] = [1.0, 2.0]
-    with pytest.raises(ScenarioError, match="length"):
-        build_scenario(doc)
+    """The error gives the list's own path, once, not the enclosing block's."""
+    for block, key in (("network", "inertia"), ("network", "damping"),
+                       ("scheme.privacy", "beta"), ("scheme.privacy", "beta_hat")):
+        doc = copy.deepcopy(small_doc)
+        parent = doc
+        for part in block.split("."):
+            parent = parent[part]
+        parent[key] = [1.0, 2.0]
+        with pytest.raises(ScenarioError, match="length") as info:
+            build_scenario(doc)
+        assert info.value.path == f"$.{block}.{key}"
+        assert str(info.value).count("$.") == 1
 
 
 def test_generator_requires_tau(small_doc):

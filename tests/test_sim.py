@@ -47,13 +47,15 @@ def test_all_schemes_run_and_restore_frequency(scenario_factory, kind):
 
 
 def test_starts_at_equilibrium_before_disturbance(scenario_factory):
-    traj = simulate(scenario_factory(EXTENDED_PRIMAL_DUAL, t_end=5.0,
-                                     disturbances=((2.0, 0, 0.2),)))
-    pre = traj.times < 2.0 - 1e-9
-    assert np.abs(traj.omega[pre]).max() < 1e-10
-    # commands sit at the pre-disturbance optimum and only move after the step
-    assert np.abs(traj.p_c[pre] - traj.p_c[0]).max() < 1e-10
-    assert np.abs(traj.p_c[-1] - traj.p_c[0]).max() > 1e-3
+    for kind in (EXTENDED_PRIMAL_DUAL, PRIMAL_DUAL):
+        traj = simulate(scenario_factory(kind, t_end=5.0, disturbances=((2.0, 0, 0.2),)))
+        pre = traj.times < 2.0 - 1e-9
+        assert np.abs(traj.omega[pre]).max() < 1e-10
+        # commands and consensus states sit at the pre-disturbance optimum and
+        # only move after the step
+        assert np.abs(traj.p_c[pre] - traj.p_c[0]).max() < 1e-10
+        assert np.abs(traj.psi[pre] - traj.psi[0]).max() < 1e-10
+        assert np.abs(traj.p_c[-1] - traj.p_c[0]).max() > 1e-3
 
 
 @pytest.mark.parametrize("kind", [EXTENDED_PRIMAL_DUAL, PRIMAL_DUAL])
