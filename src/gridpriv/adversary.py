@@ -19,6 +19,7 @@ from .schemes import PRIMAL_DUAL
 FORWARD_DIFF = "forward"
 CENTRAL_DIFF = "central"
 EXACT_DERIV = "exact"
+ORIGIN_WINDOW = 2.0  # s after the disturbance that origin detection looks at
 
 
 @dataclass
@@ -94,7 +95,10 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units
     trapezoid-integrated from the first recorded consensus sample (the
     trace starts at a known steady state). A trace without consensus
     states starts the integration at zero, so the estimate carries a
-    constant bias. The RMSE is over all samples.
+    constant bias. The RMSE is over all samples. A disturbance_time adds
+    the origin_detection ranking over the ORIGIN_WINDOW seconds after it,
+    or as much of them as the trace holds; with fewer than three samples
+    after it the ranking is None and a warning says so.
     """
     if not knowledge.knows_dynamics:
         raise ConfigurationError("observer attack requires knowledge of the dynamics")
@@ -106,25 +110,16 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units
 
     warnings_out = []
     mask = knowledge.observed_mask(n_units, comm.edges if comm is not None else None)
-    pc_obs = np.where(mask[None, :], p_c, 0.0)
+    pc_obs = p_c
     if not mask.all():
+        pc_obs = np.where(mask[None, :], p_c, 0.0)
         warnings_out.append(
             "partial knowledge: unobserved channels "
             f"{np.flatnonzero(~mask).tolist()} zero-filled"
         )
+    s_hat = _reconstruct(traj, pc_obs, H, cfg, deriv)
 
-    if deriv == EXACT_DERIV:
-        if traj.pc_dot.shape[1] != n_units:
-            raise ConfigurationError("trajectory carries no stored derivatives")
-        pc_dot = traj.pc_dot
-        psi_hat = traj.psi
-    else:
-        pc_dot = _finite_difference(pc_obs, dt, deriv)
-        psi0 = traj.psi[0] if traj.psi.shape[1] == H.shape[1] else None
-        psi_hat = _integrate_psi(pc_obs, H, cfg.gamma_psi, dt, psi0)
-
-    s_hat_full = cfg.gamma * pc_dot + psi_hat @ H.T
-
+    s_true = traj.s_tilde
     if target_units is None:
         targets = np.arange(n_units)
     else:
@@ -133,27 +128,51 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units
         ends = {e for k in np.flatnonzero(touched) for e in comm.edges[k]}
         if ends and not mask[list(ends)].all():
             warnings_out.append("channels incident to a target unit are unobserved")
-    s_hat = s_hat_full[:, targets]
-    err = s_hat - traj.s_tilde[:, targets]
-    rmse_transient = float(np.sqrt(np.mean(err**2)))
+        s_hat, s_true = s_hat[:, targets], s_true[:, targets]
+    err = s_hat - s_true
+    rmse_transient = float(np.sqrt(err.ravel() @ err.ravel() / err.size))
     tail = times >= times[-1] - max(dt, 0.05 * (times[-1] - times[0]))
     rmse_steady = float(np.sqrt(np.mean(err[tail].mean(axis=0) ** 2)))
 
     ranking = None
     if disturbance_time is not None:
-        ranking, _ = origin_detection(traj, disturbance_time)
+        if np.count_nonzero(times > disturbance_time) < 3:
+            warnings_out.append("origin detection skipped: fewer than 3 samples follow "
+                                f"the disturbance at t={disturbance_time:g} s")
+        else:
+            window = min(ORIGIN_WINDOW, times[-1] - disturbance_time)
+            ranking, _ = origin_detection(traj, disturbance_time, window)
     return AttackReport(s_hat=s_hat, target_units=targets,
                         rmse_transient=rmse_transient, rmse_steady=rmse_steady,
                         origin_ranking=ranking, warnings=warnings_out)
 
 
+def _reconstruct(traj, pc_obs, H, cfg, deriv):
+    """s_hat = gamma * pc_dot + H psi_hat for every unit, holding at most two
+    (samples x units) arrays besides the trajectory and pc_obs."""
+    if deriv == EXACT_DERIV:
+        if traj.pc_dot.shape[1] != pc_obs.shape[1]:
+            raise ConfigurationError("trajectory carries no stored derivatives")
+        s_hat = traj.psi @ H.T
+        s_hat += cfg.gamma * traj.pc_dot
+        return s_hat
+    psi0 = traj.psi[0] if traj.psi.shape[1] == H.shape[1] else None
+    s_hat = _integrate_psi(pc_obs, H, cfg.gamma_psi, traj.dt, psi0) @ H.T
+    pc_dot = _finite_difference(pc_obs, traj.dt, deriv)
+    pc_dot *= cfg.gamma
+    s_hat += pc_dot
+    return s_hat
+
+
 def _finite_difference(signal, dt, kind):
     out = np.empty_like(signal)
     if kind == FORWARD_DIFF:
-        out[:-1] = (signal[1:] - signal[:-1]) / dt
+        np.subtract(signal[1:], signal[:-1], out=out[:-1])
+        out[:-1] /= dt
         out[-1] = out[-2]
     elif kind == CENTRAL_DIFF:
-        out[1:-1] = (signal[2:] - signal[:-2]) / (2.0 * dt)
+        np.subtract(signal[2:], signal[:-2], out=out[1:-1])
+        out[1:-1] /= 2.0 * dt
         out[0] = (signal[1] - signal[0]) / dt
         out[-1] = (signal[-1] - signal[-2]) / dt
     else:
@@ -162,16 +181,20 @@ def _finite_difference(signal, dt, kind):
 
 
 def _integrate_psi(p_c, H, gamma_psi, dt, psi0=None):
-    """Trapezoid integration of the consensus dynamics from observed commands."""
-    rhs = (p_c @ H) / gamma_psi
+    """Trapezoid integration of the consensus dynamics from observed commands,
+    in place in the returned array."""
+    rhs = p_c @ H
+    rhs /= gamma_psi
     psi = np.empty_like(rhs)
     psi[0] = np.zeros(H.shape[1]) if psi0 is None else np.asarray(psi0, dtype=float)
-    increments = 0.5 * dt * (rhs[1:] + rhs[:-1])
-    psi[1:] = psi[0] + np.cumsum(increments, axis=0)
+    np.add(rhs[1:], rhs[:-1], out=psi[1:])
+    psi[1:] *= 0.5 * dt
+    np.cumsum(psi[1:], axis=0, out=psi[1:])
+    psi[1:] += psi[0]
     return psi
 
 
-def origin_detection(traj, disturbance_time, window=2.0):
+def origin_detection(traj, disturbance_time, window=ORIGIN_WINDOW):
     """Rank units by power command activity right after a disturbance.
 
     Activity is the summed |command increment| over a short slice at the

@@ -10,7 +10,7 @@ reference. Privacy signals are refreshed once per step and held constant
 across the four internal stages; they are inputs, not integrated states.
 Disturbances are step changes of the uncontrollable load, snapped to step
 boundaries. Device outputs and the Lyapunov column are computed from the
-recorded states after the loop.
+recorded states after the loop, a chunk of samples at a time.
 """
 
 import os
@@ -38,6 +38,7 @@ from .schemes import (
 SETTLE_THRESHOLD = 2.0 * np.pi * 0.01  # 0.01 Hz in rad/s
 BLOCKS = ("eta", "omega", "x", "p_c", "psi")  # order of the stacked state
 CSV_CHUNK_ROWS = 256  # rows formatted per % call; bounds the transient text
+OUTPUT_CHUNK_ROWS = 64  # samples per post-loop output chunk; bounds its temporaries
 # (column prefix, Trajectory field) of each trace block, in column order after t
 TRACE_BLOCKS = (("omega", "omega"), ("pc", "p_c"), ("psi", "psi"), ("x", "x"),
                 ("s_tilde", "s_tilde"), ("xi", "xi"), ("nf", "n_f"))
@@ -108,6 +109,8 @@ class Scenario:
             if not 0 <= d.unit < self.devices.n_units:
                 raise ScenarioError(f"$.disturbances[{k}].unit",
                                     f"must lie in [0, {self.devices.n_units})")
+        # the order they act in; stable, so same-time steps keep file order
+        self.disturbances = tuple(sorted(self.disturbances, key=lambda d: d.time))
 
     def final_load(self):
         """Uncontrollable load per unit after every disturbance."""
@@ -119,7 +122,11 @@ class Scenario:
 
 @dataclass
 class Trajectory:
-    """Time-indexed record of all plant, controller and privacy signals."""
+    """Time-indexed record of all plant, controller and privacy signals.
+
+    The fields `simulate` returns are views into one buffer; outside the
+    privacy scheme xi, n_f and n_d are read-only zero views.
+    """
 
     times: np.ndarray
     omega: np.ndarray  # (T, |N|)
@@ -364,15 +371,20 @@ def simulate(scenario):
     # Every recorded signal is a column block of one buffer. One large
     # allocation is mapped on its own and goes back to the system whole
     # when the trajectory is dropped; a dozen smaller ones fragment the heap.
+    # xi, n_f and n_d vary only under the privacy scheme; elsewhere they
+    # are one read-only zero view and take no columns.
     n_gen, n_ctrl = devices.n_generators, op.pc.stop - op.pc.start
-    widths = [op.size, n_units, n_units, n_ctrl, n_units, n_gen, n_units - n_gen, n_units]
+    widths = [op.size, n_ctrl, n_units, n_gen, n_units - n_gen]
+    if privacy:
+        widths += [n_units] * 3
     record = np.empty((n_samples, sum(widths)))
-    states, xis, n_fs, pc_dots, s_tilde, p_M, d_c, n_d = np.split(
+    states, pc_dots, s_tilde, p_M, d_c, *noise = np.split(
         record, np.cumsum(widths[:-1]), axis=1)
+    xis, n_fs, n_d = noise if privacy else [np.broadcast_to(0.0, (n_samples, n_units))] * 3
 
     p_load = devices.p_load.copy()
     loads = []  # (first sample, load) of each load segment
-    pending = sorted(scenario.disturbances, key=lambda d: d.time)
+    pending = list(scenario.disturbances)
     omega_rows = slice(op.offsets[1], op.offsets[2])
     j = 0
     for k in range(n_steps + 1):
@@ -392,9 +404,9 @@ def simulate(scenario):
         k1 = op.rhs(y, b, tau_c)
         if k % stride == 0:
             states[j] = y
-            xis[j] = xi
-            n_fs[j] = n_f
             pc_dots[j] = k1[op.pc]
+            if privacy:
+                xis[j], n_fs[j] = xi, n_f
             j += 1
         if k == n_steps:
             break
@@ -405,18 +417,22 @@ def simulate(scenario):
         if not np.isfinite(y).all():
             raise _divergence(op, y, k, dt)
 
+    def chunks(j0, j1):
+        return (slice(i, min(i + OUTPUT_CHUNK_ROWS, j1))
+                for i in range(j0, j1, OUTPUT_CHUNK_ROWS))
+
     eta, omega, x, p_c, psi = op.blocks(states)
     u = p_c[:, devices.bus] if cfg.kind == PRIMAL_DUAL else p_c
     for (j0, load), (j1, _) in zip(loads, loads[1:] + [(n_samples, None)]):
-        seg = slice(j0, j1)
-        p_M[seg], d_c[seg], s_tilde[seg] = unit_outputs(devices, x[seg], u[seg], omega[seg], load)
-    lyap = None
-    if op.unit_level:
-        np.multiply(-xis, pc_dots, out=n_d)
-        lyap, _ = lyapunov_value(model, devices, scenario.comm, cfg, eq_ref,
-                                 eta, omega, x, p_c, psi, xis)
-    else:
-        n_d[:] = 0.0
+        for c in chunks(j0, j1):
+            p_M[c], d_c[c], s_tilde[c] = unit_outputs(devices, x[c], u[c], omega[c], load)
+    lyap = np.empty(n_samples) if op.unit_level else None
+    for c in chunks(0, n_samples):
+        if op.unit_level:
+            lyap[c] = lyapunov_value(model, devices, scenario.comm, cfg, eq_ref,
+                                     eta[c], omega[c], x[c], p_c[c], psi[c], xis[c])[0]
+        if privacy:
+            n_d[c] = -xis[c] * pc_dots[c]
     return Trajectory(
         times=steps * dt,
         omega=omega, eta=eta, x=x, p_c=p_c, psi=psi,

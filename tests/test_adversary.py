@@ -1,7 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gridpriv import KnowledgeSet, naive_readout, observer_attack, origin_detection, simulate
+from gridpriv import (
+    KnowledgeSet,
+    RandomScenarioSpec,
+    build_scenario,
+    gen_scenario,
+    naive_readout,
+    observer_attack,
+    origin_detection,
+    simulate,
+)
 from gridpriv.adversary import CENTRAL_DIFF, EXACT_DERIV, FORWARD_DIFF
 from gridpriv.errors import ConfigurationError
 from gridpriv.schemes import EXTENDED_PRIMAL_DUAL, PRIMAL_DUAL, PRIVACY_PRESERVING
@@ -86,6 +97,54 @@ def test_partial_knowledge_flags_warning(epd_run):
     assert any("unobserved" in w for w in report.warnings)
     full = observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), target_units=[3])
     assert report.rmse_transient >= full.rmse_transient
+
+
+def reference_attack(traj, comm, cfg, mask, targets, deriv):
+    """The observer written out with whole-array temporaries: (s_hat, rmse)."""
+    dt, H = traj.dt, comm.incidence
+    pc = np.where(mask[None, :], traj.p_c, 0.0)
+    if deriv == FORWARD_DIFF:
+        pc_dot = np.empty_like(pc)
+        pc_dot[:-1] = (pc[1:] - pc[:-1]) / dt
+        pc_dot[-1] = pc_dot[-2]
+    else:
+        pc_dot = np.gradient(pc, dt, axis=0)
+    rhs = (pc @ H) / cfg.gamma_psi
+    psi0 = traj.psi[0]
+    psi = np.vstack([psi0, psi0 + np.cumsum(0.5 * dt * (rhs[1:] + rhs[:-1]), axis=0)])
+    s_hat = (cfg.gamma * pc_dot + psi @ H.T)[:, targets]
+    return s_hat, np.sqrt(np.mean((s_hat - traj.s_tilde[:, targets]) ** 2))
+
+
+@pytest.mark.parametrize("deriv", [CENTRAL_DIFF, FORWARD_DIFF])
+@pytest.mark.parametrize("channels, targets", [("all", None), ([0, 1], [3]), ([0, 2, 3], [1, 2])])
+def test_observer_matches_whole_array_reference(pp_run, deriv, channels, targets):
+    sc, traj = pp_run
+    knowledge = KnowledgeSet(observed_channels=channels)
+    report = observer_attack(traj, sc.comm, sc.scheme, knowledge, deriv=deriv,
+                             target_units=targets)
+    mask = knowledge.observed_mask(4, sc.comm.edges)
+    want = np.arange(4) if targets is None else targets
+    s_hat, rmse = reference_attack(traj, sc.comm, sc.scheme, mask, want, deriv)
+    np.testing.assert_array_equal(report.s_hat, s_hat)
+    assert report.rmse_transient == pytest.approx(rmse, rel=1e-14)
+
+
+def test_observer_without_targets_is_lean_and_equals_all_targets():
+    sc = build_scenario(gen_scenario(RandomScenarioSpec(bus_count=30, t_end=5.0, seed=2)))
+    traj = simulate(sc)
+    n = sc.devices.n_units
+    tracemalloc.start()
+    try:
+        plain = observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * traj.p_c.size * 8  # at most three (samples x units) arrays
+    listed = observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), target_units=np.arange(n))
+    np.testing.assert_array_equal(plain.s_hat, listed.s_hat)
+    assert plain.rmse_transient == pytest.approx(listed.rmse_transient, rel=1e-15, abs=0)
+    assert plain.rmse_steady == listed.rmse_steady
 
 
 def test_neighbors_of_mask(comm4):

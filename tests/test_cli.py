@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gridpriv import KnowledgeSet, Trajectory, build_scenario, observer_attack, simulate
+from gridpriv import (
+    KnowledgeSet,
+    Trajectory,
+    build_scenario,
+    observer_attack,
+    origin_detection,
+    simulate,
+)
 from gridpriv.cli import main
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
@@ -145,6 +152,68 @@ def test_attack_command(runner, tmp_path):
     assert report["rmse_transient"] > 0
     assert report["rmse_ratio_vs_baseline"] > 1.0
     assert report["origin_ranking"][0] in range(len(doc["devices"]))
+
+
+def run_and_attack(runner, tmp_path, scen):
+    """The `attack` result on the `run` trace of scen, and its report path."""
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(scen), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report_path = tmp_path / "report.json"
+    result = runner.invoke(main, ["attack", str(out / "trajectory.csv"), "--scenario",
+                                  str(scen), "--out", str(report_path)])
+    return result, report_path
+
+
+@pytest.mark.parametrize("t, ranked", [(9.0, True), (9.98, False)])
+def test_attack_late_disturbance(runner, tmp_path, t, ranked):
+    """Origin detection looks at what the trace holds after a late step, and
+    reports no ranking when fewer than three samples follow it."""
+    scen = gen(runner, tmp_path, buses=4, units_min=3, units_max=5, t_end=10, seed=3)
+    doc = json.loads(scen.read_text())
+    doc["disturbances"][0]["t"] = t
+    scen.write_text(json.dumps(doc))
+    result, report_path = run_and_attack(runner, tmp_path, scen)
+    assert result.exit_code == 0, result.output
+    report = json.loads(report_path.read_text())
+    if ranked:
+        assert report["origin_ranking"][0] == doc["disturbances"][0]["unit"]
+        assert report["warnings"] == []
+    else:
+        assert report["origin_ranking"] is None
+        assert any("fewer than 3 samples" in w for w in report["warnings"])
+
+
+def late_first_disturbances(runner, tmp_path):
+    """A scenario file listing a step at bus 2 (t=5) before one at bus 1 (t=1)."""
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    assert [doc["devices"][u]["bus"] for u in (2, 4)] == [1, 2]
+    doc["disturbances"] = [{"t": 5.0, "unit": 4, "delta": 0.2},
+                           {"t": 1.0, "unit": 2, "delta": 0.2}]
+    scen.write_text(json.dumps(doc))
+    return scen
+
+
+def test_attack_detects_origin_at_the_earliest_disturbance(runner, tmp_path):
+    scen = late_first_disturbances(runner, tmp_path)
+    result, report_path = run_and_attack(runner, tmp_path, scen)
+    assert result.exit_code == 0, result.output
+    report = json.loads(report_path.read_text())
+    traj = Trajectory.from_csv(tmp_path / "out" / "trajectory.csv")
+    assert report["origin_ranking"] == origin_detection(traj, 1.0)[0]
+    assert report["origin_ranking"][0] == 2
+    assert report["disturbed_units"] == [2, 4]
+
+
+def test_compare_watches_the_bus_of_the_earliest_disturbance(runner, tmp_path):
+    scen = late_first_disturbances(runner, tmp_path)
+    out = tmp_path / "cmp"
+    result = runner.invoke(main, ["compare", str(scen), "--out", str(out),
+                                  "--schemes", "integral"])
+    assert result.exit_code == 0, result.output
+    header, _ = read_csv(out / "fig_frequency.csv")
+    assert header == ["t", "freq_hz_bus1_integral"]
 
 
 @pytest.mark.parametrize("damage", ["truncated last row", "non-numeric cell"])

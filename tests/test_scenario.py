@@ -132,6 +132,18 @@ def test_scenario_names_the_disturbance_unit_path(small_doc):
         build_scenario(doc)
 
 
+def test_disturbances_are_kept_in_time_order(small_doc):
+    doc = copy.deepcopy(small_doc)
+    doc["disturbances"] = [{"t": 5.0, "unit": 1, "delta": 0.1},
+                           {"t": 1.0, "unit": 0, "delta": 0.2},
+                           {"t": 5.0, "unit": 2, "delta": 0.3}]
+    sc = build_scenario(doc)
+    assert [(d.time, d.unit) for d in sc.disturbances] == [(1.0, 0), (5.0, 1), (5.0, 2)]
+    doc["disturbances"][2]["unit"] = -1  # errors still name the file's index
+    with pytest.raises(ScenarioError, match=r"\$\.disturbances\[2\]\.unit"):
+        build_scenario(doc)
+
+
 def test_scenario_error_is_shared():
     assert ScenarioError is errors.ScenarioError
     assert issubclass(ScenarioError, errors.ConfigurationError)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,39 @@ def test_privacy_reduces_to_plain_scheme_bitwise(scenario_factory):
         np.testing.assert_array_equal(getattr(plain, name), getattr(degenerate, name))
     assert np.all(degenerate.xi == 0.0)
     assert np.all(degenerate.n_f == 0.0)
+
+
+@pytest.mark.parametrize("kind", (INTEGRAL, PRIMAL_DUAL, EXTENDED_PRIMAL_DUAL))
+def test_plain_run_privacy_columns_are_a_read_only_zero_view(scenario_factory, kind):
+    traj = simulate(scenario_factory(kind, t_end=2.0))
+    for name in ("xi", "n_f", "n_d"):
+        block = getattr(traj, name)
+        assert block.shape == (len(traj.times), 4)
+        assert block.strides == (0, 0)
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+        assert np.all(block == 0.0)
+
+
+def test_simulate_peak_memory_is_the_recording_buffer():
+    """One buffer holds every recorded signal, 8 x (state + n_ctrl + 2 n_units
+    + 3 n_units for privacy) bytes per sample; the post-loop outputs add
+    chunk-sized temporaries only."""
+    sc = build_scenario(gen_scenario(RandomScenarioSpec(
+        bus_count=30, t_end=5.0, seed=2, scheme_kind=PRIVACY_PRESERVING)))
+    state_size, n = closed_loop(sc).size, sc.devices.n_units
+    tracemalloc.start()
+    try:
+        traj = simulate(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = traj.omega.base
+    for name in ("eta", "x", "p_c", "psi", "pc_dot", "s_tilde", "p_M", "d_c",
+                 "xi", "n_f", "n_d"):
+        assert getattr(traj, name).base is record
+    assert record.nbytes == 8 * len(traj.times) * (state_size + n + 2 * n + 3 * n)
+    assert peak <= 1.25 * record.nbytes
 
 
 def test_lyapunov_monotone(scenario_factory):
