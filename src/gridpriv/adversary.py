@@ -2,9 +2,10 @@
 
 A naive eavesdropper only reads what is on the wire; with the bus-level
 scheme that is the prosumption itself. An informed eavesdropper knows the
-controller dynamics and reconstructs the prosumption from the power
-command trajectories: it integrates the consensus states from the
-observed commands and inverts the command dynamics,
+controller dynamics, including the communication `Graph` and its
+incidence H, and reconstructs the prosumption from the power command
+trajectories: it integrates the consensus states from the observed
+commands and inverts the command dynamics,
 s_hat = gamma * pc_dot + H psi_hat. The privacy scheme defeats this
 because the true dynamics carry the unknown signal n.
 """
@@ -26,29 +27,16 @@ ORIGIN_WINDOW = 2.0  # s after the disturbance that origin detection looks at
 class KnowledgeSet:
     """What the adversary observes.
 
-    observed_channels: "all", ("neighbors_of", unit) or an explicit list
-    of unit indices whose power command signal is intercepted. An
-    adversary that knows the dynamics uses the true gamma, gamma_psi and
-    communication incidence.
+    observed_channels: "all" or a list of unit indices whose power command
+    signal is intercepted. The adversary knows the dynamics: the true
+    gamma, gamma_psi and communication graph.
     """
 
     observed_channels: object = "all"
-    knows_dynamics: bool = True
 
-    def observed_mask(self, n_units, comm_edges=None):
+    def observed_mask(self, n_units):
         mask = np.zeros(n_units, dtype=bool)
-        if self.observed_channels == "all":
-            mask[:] = True
-        elif isinstance(self.observed_channels, tuple) and self.observed_channels[0] == "neighbors_of":
-            unit = self.observed_channels[1]
-            mask[unit] = True
-            for i, j in comm_edges or ():
-                if i == unit:
-                    mask[j] = True
-                elif j == unit:
-                    mask[i] = True
-        else:
-            mask[list(self.observed_channels)] = True
+        mask[slice(None) if self.observed_channels == "all" else list(self.observed_channels)] = True
         return mask
 
 
@@ -100,8 +88,6 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units
     or as much of them as the trace holds; with fewer than three samples
     after it the ranking is None and a warning says so.
     """
-    if not knowledge.knows_dynamics:
-        raise ConfigurationError("observer attack requires knowledge of the dynamics")
     times = traj.times
     dt = traj.dt
     p_c = traj.p_c
@@ -109,7 +95,7 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units
     H = comm.incidence
 
     warnings_out = []
-    mask = knowledge.observed_mask(n_units, comm.edges if comm is not None else None)
+    mask = knowledge.observed_mask(n_units)
     pc_obs = p_c
     if not mask.all():
         pc_obs = np.where(mask[None, :], p_c, 0.0)
@@ -124,9 +110,8 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units
         targets = np.arange(n_units)
     else:
         targets = np.asarray(target_units, dtype=int)
-        touched = np.abs(H[targets]).sum(axis=0) > 0
-        ends = {e for k in np.flatnonzero(touched) for e in comm.edges[k]}
-        if ends and not mask[list(ends)].all():
+        touched = np.isin(comm.tail, targets) | np.isin(comm.head, targets)
+        if not mask[comm.tail[touched]].all() or not mask[comm.head[touched]].all():
             warnings_out.append("channels incident to a target unit are unobserved")
         s_hat, s_true = s_hat[:, targets], s_true[:, targets]
     err = s_hat - s_true

@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import schemes, sim
-from .adversary import KnowledgeSet, naive_readout, observer_attack
+from .adversary import KnowledgeSet, observer_attack
 from .equilibrium import solve_kkt
 from .errors import ConfigurationError, DivergenceError, GridPrivError
 from .scenario import (
@@ -214,9 +214,6 @@ def _compare_one(scenario, out_dir, watch_bus):
     traj, metrics = _run_one(scenario, out_dir / kind)
     sim.write_csv(out_dir / f"fig_marginal_costs_{kind}.csv",
                   [("t", traj.times), ("mc", marginal_costs(traj, scenario.devices))])
-    leaked = naive_readout(traj, kind)
-    wire = ("s_tilde", leaked) if leaked is not None else ("pc", traj.p_c)
-    sim.write_csv(out_dir / f"fig_communicated_{kind}.csv", [("t", traj.times), wire])
     inferred = None
     if kind in schemes.UNIT_CONSENSUS_KINDS:
         report = observer_attack(traj, scenario.comm, scenario.scheme, KnowledgeSet())

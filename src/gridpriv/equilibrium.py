@@ -14,7 +14,7 @@ import numpy as np
 
 from .devices import bus_injection, prosumption
 from .errors import ConfigurationError, InfeasibilityError
-from .network import _laplacian_potentials, dc_power_flow
+from .network import dc_power_flow
 from .schemes import EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING
 
 RESIDUAL_TOL = 1e-9  # power balance and consensus residual of an equilibrium
@@ -82,9 +82,8 @@ def build_equilibrium(model, devices, comm, kkt, p_load=None):
     if comm is not None:
         if comm.node_count != n_units:
             raise ConfigurationError("communication graph must have one node per unit")
-        H = comm.incidence
-        psi_star = H.T @ _laplacian_potentials(n_units, comm.edges, 1.0, s_tilde_star)
-        residual = np.abs(H @ psi_star - s_tilde_star).max()
+        psi_star = comm.edge_diff(comm.potentials(1.0, s_tilde_star))
+        residual = np.abs(comm.node_sum(psi_star) - s_tilde_star).max()
         if residual > RESIDUAL_TOL:
             raise InfeasibilityError(f"consensus equilibrium residual {residual:.3e}")
     else:
@@ -114,16 +113,17 @@ def lyapunov_value(model, devices, comm, cfg, eq, eta, omega, x, p_c, psi, xi=No
     d_psi = np.asarray(psi, dtype=float) - eq.psi_star
     d_x = np.asarray(x, dtype=float) - eq.x_star
     gi = devices.gen_index
-    v_f = 0.5 * (d_omega**2 @ model.inertia)
-    v_p = 0.5 * (d_eta**2 @ model.susceptance)
+    # einsum, not a BLAS matvec: a sample's value must not depend on the batch
+    v_f = 0.5 * np.einsum("...i,i->...", d_omega**2, model.inertia)
+    v_p = 0.5 * np.einsum("...i,i->...", d_eta**2, model.susceptance)
     weight = cfg.gamma
     if cfg.kind == PRIVACY_PRESERVING:
         if xi is None:
             raise ConfigurationError("privacy scheme Lyapunov value requires xi")
         weight = cfg.gamma + np.asarray(xi, dtype=float)
     v_c = 0.5 * np.sum(weight * d_pc**2, axis=-1)
-    v_psi = 0.5 * (d_psi**2 @ cfg.gamma_psi)
-    v_m = d_x**2 @ (devices.tau[gi] / (2.0 * devices.droop_m[gi]))
+    v_psi = 0.5 * np.einsum("...i,i->...", d_psi**2, cfg.gamma_psi)
+    v_m = np.einsum("...i,i->...", d_x**2, devices.tau[gi] / (2.0 * devices.droop_m[gi]))
     total = v_f + v_p + v_c + v_psi + v_m
     components = {"V_F": v_f, "V_P": v_p, "V_C": v_c, "V_psi": v_psi, "V_M": v_m}
     if np.ndim(total):

@@ -1,4 +1,9 @@
-"""Electrical network graph, swing dynamics and DC power flow.
+"""Graphs, the electrical network, swing dynamics and DC power flow.
+
+`Graph` is the one graph type, for the network's lines and the controllers'
+communication graph alike. It validates its edges once and owns the edge
+difference Hᵀv, the node sum H f, the weighted-Laplacian potential solve
+and the dense incidence H, built on first use.
 
 The grid is a connected graph of buses and lossless lines. Line power is
 linear in the phase-angle difference (small-angle approximation), and bus
@@ -7,6 +12,7 @@ inertia and damping.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -14,83 +20,68 @@ from .errors import ConfigurationError, InfeasibilityError
 
 
 @dataclass(frozen=True)
-class NetworkModel:
-    """Buses, transmission lines and swing-equation constants.
+class Graph:
+    """Connected graph of node_count nodes and directed (tail, head) edges.
 
-    lines are directed (i, j) pairs; direction is an arbitrary bookkeeping
-    convention and does not affect the dynamics.
+    Direction is a bookkeeping convention: the incidence H has +1 at the
+    tail and -1 at the head of each edge.
     """
 
-    bus_count: int
-    lines: tuple  # tuple of (i, j) bus-index pairs
-    susceptance: np.ndarray  # per line, pu, > 0
-    inertia: np.ndarray  # per bus, > 0
-    damping: np.ndarray  # per bus, > 0
-    incidence: np.ndarray = field(init=False, repr=False)
+    node_count: int
+    edges: tuple  # (tail, head) node-index pairs
+    tail: np.ndarray = field(init=False, repr=False, compare=False)
+    head: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lines", tuple((int(i), int(j)) for i, j in self.lines))
-        object.__setattr__(self, "susceptance", np.asarray(self.susceptance, dtype=float))
-        object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float))
-        object.__setattr__(self, "damping", np.asarray(self.damping, dtype=float))
-        n, e = self.bus_count, len(self.lines)
-        if n <= 0:
-            raise ConfigurationError("bus_count must be positive")
-        if self.susceptance.shape != (e,):
-            raise ConfigurationError("susceptance length must match line count")
-        if self.inertia.shape != (n,) or self.damping.shape != (n,):
-            raise ConfigurationError("inertia/damping length must match bus_count")
-        if np.any(self.susceptance <= 0) or np.any(self.inertia <= 0) or np.any(self.damping <= 0):
-            raise ConfigurationError("susceptance, inertia and damping must be strictly positive")
-        seen = set()
-        for i, j in self.lines:
-            if i == j:
-                raise ConfigurationError(f"self-loop on bus {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ConfigurationError(f"line ({i},{j}) references unknown bus")
-            key = frozenset((i, j))
-            if key in seen:
-                raise ConfigurationError(f"duplicate line between buses {i} and {j}")
-            seen.add(key)
-        object.__setattr__(self, "incidence", incidence_matrix(n, self.lines, "network"))
+        n = self.node_count
+        edges = tuple((int(i), int(j)) for i, j in self.edges)
+        if n < 1:
+            raise ConfigurationError("a graph needs at least one node")
+        for i, j in edges:
+            if i == j or not (0 <= i < n and 0 <= j < n):
+                raise ConfigurationError(f"edge ({i},{j}) is a self-loop or leaves nodes [0, {n})")
+        tail, head = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        if n > 1 and not _connected(n, edges):
+            raise ConfigurationError("graph is not connected")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "head", head)
 
     @property
-    def line_count(self):
-        return len(self.lines)
+    def edge_count(self):
+        return len(self.edges)
 
-    def laplacian(self):
-        """Susceptance-weighted graph Laplacian."""
-        A = self.incidence
-        return A @ (self.susceptance[:, None] * A.T)
+    @cached_property
+    def incidence(self):
+        """Dense node-edge incidence H, built on first use."""
+        H = np.zeros((self.node_count, self.edge_count))
+        H[self.tail, np.arange(self.edge_count)] = 1.0
+        H[self.head, np.arange(self.edge_count)] = -1.0
+        return H
 
+    def edge_diff(self, v):
+        """Hᵀ v: v at each edge's tail minus v at its head, along v's first axis."""
+        return v[self.tail] - v[self.head]
 
-def incidence_matrix(n, edges, graph):
-    """Node-edge incidence of a connected graph of n nodes: +1 at the tail, -1 at
-    the head of each (i, j) edge. graph names it in the error."""
-    if n > 1 and not _connected(n, edges):
-        raise ConfigurationError(f"{graph} graph is not connected")
-    A = np.zeros((n, len(edges)))
-    tail, head = np.array(edges, dtype=int).reshape(-1, 2).T
-    edge = np.arange(len(edges))
-    A[tail, edge] = 1.0
-    A[head, edge] = -1.0
-    return A
+    def node_sum(self, f):
+        """H f: per node, f over its out-edges minus f over its in-edges."""
+        n = self.node_count
+        return np.bincount(self.tail, f, n) - np.bincount(self.head, f, n)
 
+    def potentials(self, weights, s):
+        """Potentials z with L z = s and sum(z) = 0, for the Laplacian L of
+        edge weights `weights` and a zero-sum s.
 
-def _laplacian_potentials(n, edges, weights, s):
-    """Potentials z with L z = s and sum(z) = 0, for the weighted Laplacian L of a
-    connected graph of n nodes and a zero-sum s.
-
-    L + 11ᵀ/n is positive definite, so one dense solve gives z; L is built in place
-    on the 1/n shift. With unit weights, Hᵀ z is the minimum-norm solution of H ψ = s.
-    """
-    M = np.full((n, n), 1.0 / n)
-    tail, head = np.array(edges, dtype=int).reshape(-1, 2).T
-    np.add.at(M, (tail, tail), weights)
-    np.add.at(M, (head, head), weights)
-    np.add.at(M, (tail, head), -weights)
-    np.add.at(M, (head, tail), -weights)
-    return np.linalg.solve(M, s)
+        L + 11ᵀ/n is positive definite, so one dense solve gives z; L is built in place
+        on the 1/n shift. With unit weights, Hᵀ z is the minimum-norm solution of H ψ = s.
+        """
+        n, tail, head = self.node_count, self.tail, self.head
+        M = np.full((n, n), 1.0 / n)
+        np.add.at(M, (tail, tail), weights)
+        np.add.at(M, (head, head), weights)
+        np.add.at(M, (tail, head), -weights)
+        np.add.at(M, (head, tail), -weights)
+        return np.linalg.solve(M, s)
 
 
 def _connected(n, edges):
@@ -98,14 +89,58 @@ def _connected(n, edges):
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
-        for k in adj[stack.pop()]:
-            if k not in seen:
-                seen.add(k)
-                stack.append(k)
+        new = set(adj[stack.pop()]) - seen
+        seen |= new
+        stack.extend(new)
     return len(seen) == n
+
+
+@dataclass(frozen=True)
+class NetworkModel:
+    """Buses, transmission lines and swing-equation constants.
+
+    lines are directed (i, j) pairs; direction is an arbitrary bookkeeping
+    convention and does not affect the dynamics. `graph` is their Graph.
+    """
+
+    bus_count: int
+    lines: tuple  # tuple of (i, j) bus-index pairs
+    susceptance: np.ndarray  # per line, pu, > 0
+    inertia: np.ndarray  # per bus, > 0
+    damping: np.ndarray  # per bus, > 0
+    graph: Graph = field(init=False, repr=False)
+
+    def __post_init__(self):
+        graph = Graph(self.bus_count, self.lines)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "lines", graph.edges)
+        object.__setattr__(self, "susceptance", np.asarray(self.susceptance, dtype=float))
+        object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float))
+        object.__setattr__(self, "damping", np.asarray(self.damping, dtype=float))
+        n, e = self.bus_count, graph.edge_count
+        if self.susceptance.shape != (e,):
+            raise ConfigurationError("susceptance length must match line count")
+        if self.inertia.shape != (n,) or self.damping.shape != (n,):
+            raise ConfigurationError("inertia/damping length must match bus_count")
+        if np.any(self.susceptance <= 0) or np.any(self.inertia <= 0) or np.any(self.damping <= 0):
+            raise ConfigurationError("susceptance, inertia and damping must be strictly positive")
+        if len({frozenset(line) for line in self.lines}) < e:
+            raise ConfigurationError("two lines join the same pair of buses")
+
+    @property
+    def line_count(self):
+        return self.graph.edge_count
+
+    @property
+    def incidence(self):
+        return self.graph.incidence
+
+    def laplacian(self):
+        """Susceptance-weighted graph Laplacian."""
+        A = self.incidence
+        return A @ (self.susceptance[:, None] * A.T)
 
 
 @dataclass
@@ -162,7 +197,6 @@ def dc_power_flow(model, injection):
         raise ConfigurationError("injection length must match bus_count")
     if abs(injection.sum()) > 1e-9:
         raise InfeasibilityError(f"injections sum to {injection.sum():.3e}, expected 0 within 1e-9")
-    z = _laplacian_potentials(model.bus_count, model.lines, model.susceptance, injection)
+    z = model.graph.potentials(model.susceptance, injection)
     theta = z - z[0]
-    eta_star = model.incidence.T @ theta
-    return theta, eta_star
+    return theta, model.graph.edge_diff(theta)

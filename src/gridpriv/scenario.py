@@ -16,8 +16,8 @@ from . import schemes
 from .adversary import CENTRAL_DIFF, FORWARD_DIFF, KnowledgeSet
 from .devices import DeviceSet, design_optimal_gains
 from .errors import ConfigurationError, InfeasibilityError, ScenarioError
-from .network import NetworkModel
-from .schemes import CommGraph, PrivacyParams, SchemeConfig, max_feasible_beta
+from .network import Graph, NetworkModel
+from .schemes import PrivacyParams, SchemeConfig, max_feasible_beta
 from .sim import Disturbance, Scenario
 
 KIND_ALIASES = {"generator": True, "load": False}
@@ -127,7 +127,7 @@ def build_scenario(doc, seed=None, dt=None):
             raise ScenarioError(f"$.comm.edges[{k}]", "expected [from, to]")
         edges.append((int(e[0]), int(e[1])))
     try:
-        comm = CommGraph(n_units, tuple(edges))
+        comm = Graph(n_units, tuple(edges))
     except ConfigurationError as exc:
         raise ScenarioError("$.comm", str(exc)) from exc
     gamma_psi = _floats(comm_doc["gamma_psi"], comm.edge_count, "$.comm.gamma_psi")

@@ -4,25 +4,26 @@ Four controllers are supported:
 
 * integral: each unit integrates its local frequency with gain inversely
   proportional to its cost coefficient;
-* primal_dual: one controller per bus, consensus over a bus-level
-  communication graph, driven by the bus prosumption total;
+* primal_dual: one controller per bus, consensus over the electrical
+  lines (the network's `Graph`), driven by the bus prosumption total;
 * extended_primal_dual: one controller per unit, consensus over a
-  unit-level communication graph, driven by the unit prosumption;
+  unit-level communication `Graph`, driven by the unit prosumption;
 * privacy_preserving: extended_primal_dual plus a privacy signal
   n = n_d + n_f, where n_d modulates the controller speed through a
   non-negative gain xi and n_f is frequency-bounded noise.
 
 n_d = -xi * pc_dot makes the command derivative implicit; it is resolved
 exactly by folding xi into the left-hand side time constant, so
-(gamma + xi) * pc_dot = s_tilde - H psi + n_f.
+(gamma + xi) * pc_dot = s_tilde - H psi + n_f, where H is the incidence
+of the communication `Graph` (`CommGraph` is the same class).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibilityError
-from .network import incidence_matrix
+from .network import Graph
 
 INTEGRAL = "integral"
 PRIMAL_DUAL = "primal_dual"
@@ -34,26 +35,7 @@ SCHEME_KINDS = (INTEGRAL, PRIMAL_DUAL, EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING)
 # Controllers that keep one state per unit and communicate power commands.
 UNIT_CONSENSUS_KINDS = (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING)
 
-
-@dataclass(frozen=True)
-class CommGraph:
-    """Directed communication graph with its node-edge incidence matrix."""
-
-    node_count: int
-    edges: tuple  # (i, j) node-index pairs
-    incidence: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(i), int(j)) for i, j in self.edges))
-        n = self.node_count
-        for i, j in self.edges:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ConfigurationError(f"bad communication edge ({i},{j})")
-        object.__setattr__(self, "incidence", incidence_matrix(n, self.edges, "communication"))
-
-    @property
-    def edge_count(self):
-        return len(self.edges)
+CommGraph = Graph  # a controllers' communication graph is a plain Graph
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,15 @@ The stacked state is [eta, omega, x, p_c, psi]. The closed loop is one
 affine operator on it, dy = A y + B [p_load, n_f], with the command rows
 divided by the controller time constants (gamma + xi for the privacy
 scheme). `closed_loop` assembles A and B once per run from the index data
-of the network, the units and the communication graph; `swing_rhs`,
-`device_outputs`, `device_rhs` and `scheme_rhs` are its per-stage
-reference. Privacy signals are refreshed once per step and held constant
-across the four internal stages; they are inputs, not integrated states.
-Disturbances are step changes of the uncontrollable load, snapped to step
-boundaries. Device outputs and the Lyapunov column are computed from the
-recorded states after the loop, a chunk of samples at a time.
+of the units and the edge endpoints of two `Graph`s: the network's lines
+and the consensus graph (the communication graph, or the lines again for
+primal_dual). `swing_rhs`, `device_outputs`, `device_rhs` and
+`scheme_rhs` are its per-stage reference. Privacy signals are refreshed
+once per step and held constant across the four internal stages; they are
+inputs, not integrated states. Disturbances are step changes of the
+uncontrollable load, snapped to step boundaries. Device outputs and the
+Lyapunov column are computed from the recorded states after the loop, a
+chunk of samples at a time.
 """
 
 import os
@@ -23,14 +25,13 @@ import numpy as np
 from .equilibrium import build_equilibrium, lyapunov_value, solve_kkt
 from .devices import unit_outputs
 from .errors import ConfigurationError, DivergenceError, ScenarioError
-from .network import _laplacian_potentials
+from .network import Graph
 from .schemes import (
     EXTENDED_PRIMAL_DUAL,
     INTEGRAL,
     PRIMAL_DUAL,
     PRIVACY_PRESERVING,
     UNIT_CONSENSUS_KINDS,
-    CommGraph,
     design_condition_report,
     refresh_privacy_signals,
 )
@@ -84,7 +85,7 @@ class Disturbance:
 class Scenario:
     model: object
     devices: object
-    comm: CommGraph | None
+    comm: Graph | None
     scheme: object
     disturbances: tuple = ()
     t_end: float = 60.0
@@ -199,7 +200,7 @@ class ClosedLoop:
     in_vals: np.ndarray
     tau_c: np.ndarray  # per controller, before xi
     unit_level: bool  # xi adds to tau_c and n_f enters the command rows
-    graph: CommGraph | None  # consensus graph of the controllers
+    graph: Graph | None  # consensus graph of the controllers
     size: int = field(init=False)
     pc: slice = field(init=False)  # the command rows
 
@@ -239,7 +240,7 @@ def closed_loop(scenario):
         if graph is None or graph.node_count != n_units:
             raise ConfigurationError("unit-level scheme needs a communication node per unit")
     elif cfg.kind == PRIMAL_DUAL:
-        graph = CommGraph(model.bus_count, model.lines)  # mirrors the electrical topology
+        graph = model.graph  # bus-level consensus over the electrical lines
     else:
         graph = None
     n_ctrl = model.bus_count if cfg.kind == PRIMAL_DUAL else n_units
@@ -253,7 +254,7 @@ def closed_loop(scenario):
     def add(to, row, col, val):
         to.append(np.broadcast_arrays(row, col, np.asarray(val, dtype=float)))
 
-    tail, head = np.array(model.lines, dtype=int).reshape(-1, 2).T
+    tail, head = model.graph.tail, model.graph.head
     line = np.arange(model.line_count)
     node = np.arange(model.bus_count)
     unit = np.arange(n_units)
@@ -294,7 +295,7 @@ def closed_loop(scenario):
         if unit_level:
             add(inputs, ctrl, n_units + unit, 1.0)
         # gamma_psi psi_dot = H^T p_c
-        a, c = np.array(graph.edges, dtype=int).reshape(-1, 2).T
+        a, c = graph.tail, graph.head
         edge = np.arange(graph.edge_count)
         add(entries, C + a, P + edge, -1.0)
         add(entries, C + c, P + edge, 1.0)
@@ -321,7 +322,7 @@ def _initial_state(scenario, kkt, graph):
         return eq.eta_star, eq.x_star, eq.p_c_star, np.zeros(0)
     # primal_dual: bus-level commands and consensus states
     zeta_star = devices.bus_sum(eq.s_tilde_star)
-    psi0 = graph.incidence.T @ _laplacian_potentials(model.bus_count, graph.edges, 1.0, zeta_star)
+    psi0 = graph.edge_diff(graph.potentials(1.0, zeta_star))
     return eq.eta_star, eq.x_star, np.full(model.bus_count, -kkt.lam), psi0
 
 

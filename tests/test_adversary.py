@@ -123,7 +123,7 @@ def test_observer_matches_whole_array_reference(pp_run, deriv, channels, targets
     knowledge = KnowledgeSet(observed_channels=channels)
     report = observer_attack(traj, sc.comm, sc.scheme, knowledge, deriv=deriv,
                              target_units=targets)
-    mask = knowledge.observed_mask(4, sc.comm.edges)
+    mask = knowledge.observed_mask(4)
     want = np.arange(4) if targets is None else targets
     s_hat, rmse = reference_attack(traj, sc.comm, sc.scheme, mask, want, deriv)
     np.testing.assert_array_equal(report.s_hat, s_hat)
@@ -145,18 +145,6 @@ def test_observer_without_targets_is_lean_and_equals_all_targets():
     np.testing.assert_array_equal(plain.s_hat, listed.s_hat)
     assert plain.rmse_transient == pytest.approx(listed.rmse_transient, rel=1e-15, abs=0)
     assert plain.rmse_steady == listed.rmse_steady
-
-
-def test_neighbors_of_mask(comm4):
-    k = KnowledgeSet(observed_channels=("neighbors_of", 1))
-    mask = k.observed_mask(4, comm4.edges)
-    np.testing.assert_array_equal(mask, [True, True, True, False])
-
-
-def test_observer_requires_dynamics_knowledge(epd_run):
-    sc, traj = epd_run
-    with pytest.raises(ConfigurationError):
-        observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(knows_dynamics=False))
 
 
 def test_origin_detection_finds_disturbed_unit(scenario_factory):

@@ -15,7 +15,6 @@ from gridpriv import (
 from gridpriv.cli import main
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
-    PRIMAL_DUAL,
     PRIVACY_PRESERVING,
     SCHEME_KINDS,
 )
@@ -306,7 +305,7 @@ def test_compare_command(runner, tmp_path):
     for kind in ("integral", "extended_primal_dual", "privacy_preserving"):
         assert (out / kind / "trajectory.csv").exists()
         assert (out / f"fig_marginal_costs_{kind}.csv").exists()
-        assert (out / f"fig_communicated_{kind}.csv").exists()
+        assert not (out / f"fig_communicated_{kind}.csv").exists()
     assert (out / "fig_frequency.csv").exists()
     assert (out / "fig_inferred_demand.csv").exists()
 
@@ -342,10 +341,6 @@ def test_compare_files_match_in_memory_runs(runner, tmp_path, kinds):
         mc = marginal_costs(traj, sc.devices)
         assert header == ["t"] + [f"mc_{u}" for u in range(mc.shape[1])]
         np.testing.assert_array_equal(data, np.column_stack([times, mc]))
-        label, wire = ("s_tilde", traj.s_tilde) if kind == PRIMAL_DUAL else ("pc", traj.p_c)
-        header, data = read_csv(out / f"fig_communicated_{kind}.csv")
-        assert header == ["t"] + [f"{label}_{u}" for u in range(wire.shape[1])]
-        np.testing.assert_array_equal(data, np.column_stack([times, wire]))
 
     observed = [k for k in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING) if k in kinds]
     if not observed:

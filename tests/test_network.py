@@ -3,8 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpriv import NetworkModel, PlantState, dc_power_flow, line_flows, swing_rhs
-from gridpriv.errors import ConfigurationError, InfeasibilityError
+from gridpriv import (
+    Graph,
+    NetworkModel,
+    PlantState,
+    RandomScenarioSpec,
+    build_scenario,
+    dc_power_flow,
+    gen_scenario,
+    line_flows,
+    swing_rhs,
+)
+from gridpriv.errors import ConfigurationError, InfeasibilityError, ScenarioError
+from gridpriv.schemes import PRIMAL_DUAL
+from gridpriv.sim import closed_loop
+
+# node 1 has degree 4, (0, 1) and (1, 0) are antiparallel, 1-2-4-3 is a cycle
+MESHED = Graph(5, ((0, 1), (1, 0), (1, 2), (1, 3), (3, 4), (4, 2)))
 
 
 def test_incidence_matrix(model3):
@@ -107,3 +122,75 @@ def test_random_tree_laplacian_nullspace(n, seed):
     assert vals[0] == pytest.approx(0.0, abs=1e-9)
     assert vals[1] > 1e-9
     np.testing.assert_allclose(L @ np.ones(n), 0.0, atol=1e-9)
+
+
+def test_graph_incidence_is_built_once_from_the_endpoints():
+    g = MESHED
+    np.testing.assert_array_equal(g.tail, [0, 1, 1, 1, 3, 4])
+    np.testing.assert_array_equal(g.head, [1, 0, 2, 3, 4, 2])
+    H = g.incidence
+    assert H is g.incidence
+    assert H.shape == (5, 6)
+    np.testing.assert_array_equal(H.sum(axis=0), 0.0)
+    np.testing.assert_array_equal(np.abs(H).sum(axis=0), 2.0)
+    np.testing.assert_array_equal(H[1], [-1, 1, 1, 1, 0, 0])
+
+
+def test_graph_edge_diff_and_node_sum_match_incidence():
+    g, rng = MESHED, np.random.default_rng(0)
+    for v in (rng.normal(size=5), rng.normal(size=(5, 3))):
+        np.testing.assert_array_equal(g.edge_diff(v), g.incidence.T @ v)
+    f = rng.normal(size=6)
+    np.testing.assert_allclose(g.node_sum(f), g.incidence @ f, rtol=0, atol=1e-15)
+
+
+def test_graph_potential_flow_is_min_norm_solution():
+    g, rng = MESHED, np.random.default_rng(1)
+    s = rng.normal(size=5)
+    s -= s.mean()
+    psi = g.edge_diff(g.potentials(1.0, s))
+    oracle = np.linalg.lstsq(g.incidence, s, rcond=None)[0]
+    np.testing.assert_allclose(psi, oracle, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g.node_sum(psi), s, rtol=0, atol=1e-12)
+    # weighted: L z = s with L = H diag(w) Hᵀ
+    w = rng.uniform(1.0, 3.0, 6)
+    z = g.potentials(w, s)
+    np.testing.assert_allclose(g.incidence @ (w * g.edge_diff(z)), s, rtol=0, atol=1e-12)
+    assert abs(z.sum()) <= 1e-12
+
+
+def test_network_lines_are_its_graph(model3):
+    assert model3.graph.node_count == model3.bus_count
+    assert model3.graph.edges == model3.lines
+    assert model3.incidence is model3.graph.incidence
+
+
+BAD_EDGES = {
+    "self-loop": ((0, 1), (1, 1), (1, 2), (2, 3)),
+    "out of range": ((0, 1), (1, 2), (2, 3), (3, 4)),
+    "negative": ((0, 1), (1, 2), (-1, 3)),
+    "disconnected": ((0, 1), (2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_EDGES)
+def test_bad_edges_rejected_on_both_paths(name):
+    edges = BAD_EDGES[name]
+    with pytest.raises(ConfigurationError):
+        Graph(4, edges)
+    with pytest.raises(ConfigurationError):
+        NetworkModel(4, edges, np.ones(len(edges)), np.ones(4), np.ones(4))
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, units_per_bus=(1, 1), t_end=5.0))
+    net = dict(doc, network=dict(doc["network"], lines=[
+        {"from": i, "to": j, "b": 1.0} for i, j in edges]))
+    comm = dict(doc, comm={"edges": [list(e) for e in edges], "gamma_psi": 0.03})
+    for bad, path in ((net, "$.network"), (comm, "$.comm")):
+        with pytest.raises(ScenarioError) as err:
+            build_scenario(bad)
+        assert err.value.path == path
+
+
+def test_primal_dual_consensus_runs_on_the_network_graph():
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, t_end=5.0, scheme_kind=PRIMAL_DUAL))
+    sc = build_scenario(doc)
+    assert closed_loop(sc).graph is sc.model.graph

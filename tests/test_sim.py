@@ -161,6 +161,17 @@ def test_lyapunov_monotone(scenario_factory):
     assert v[after][-1] < 1e-3 * v[after][0]
 
 
+def test_lyapunov_column_does_not_depend_on_chunk_size():
+    """simulate evaluates V a chunk of samples at a time; each sample's value
+    must equal the one a single whole-trajectory call gives."""
+    sc = build_scenario(gen_scenario(RandomScenarioSpec(
+        bus_count=200, t_end=10.0, seed=7, scheme_kind=EXTENDED_PRIMAL_DUAL)))
+    traj = simulate(sc)
+    whole, _ = lyapunov_value(sc.model, sc.devices, sc.comm, sc.scheme, traj.equilibrium,
+                              traj.eta, traj.omega, traj.x, traj.p_c, traj.psi)
+    np.testing.assert_array_equal(traj.lyapunov, whole)
+
+
 def test_lyapunov_absent_for_bus_level_scheme(scenario_factory):
     traj = simulate(scenario_factory(PRIMAL_DUAL, t_end=2.0))
     assert traj.lyapunov is None
