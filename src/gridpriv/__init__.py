@@ -31,4 +31,4 @@ from .sim import (
     steady_state_metrics,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

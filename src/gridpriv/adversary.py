@@ -35,8 +35,9 @@ class KnowledgeSet:
     observed_channels: object = "all"
 
     def observed_mask(self, n_units):
+        ch = self.observed_channels
         mask = np.zeros(n_units, dtype=bool)
-        mask[slice(None) if self.observed_channels == "all" else list(self.observed_channels)] = True
+        mask[slice(None) if isinstance(ch, str) and ch == "all" else list(ch)] = True
         return mask
 
 

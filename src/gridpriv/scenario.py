@@ -21,6 +21,7 @@ from .schemes import PrivacyParams, SchemeConfig, max_feasible_beta
 from .sim import Disturbance, Scenario
 
 KIND_ALIASES = {"generator": True, "load": False}
+DISTURBANCE_TIME = 1.0  # s, when a generated scenario's load step acts
 
 
 def _check_keys(obj, path, required, optional=()):
@@ -206,11 +207,9 @@ class RandomScenarioSpec:
     comm_style: str = "tree"  # "tree" or "random"
     edge_prob: float = 0.1
     disturbance_magnitude: float = 0.2
-    disturbance_time: float = 1.0
     scheme_kind: str = schemes.PRIVACY_PRESERVING
     t_end: float = 60.0
     dt: float = 0.01
-    record_stride: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -313,9 +312,8 @@ def gen_scenario(spec):
                 "safety": 0.999,
             },
         },
-        "sim": {"t_end": spec.t_end, "dt": spec.dt, "seed": spec.seed,
-                "record_stride": spec.record_stride},
-        "disturbances": [{"t": spec.disturbance_time, "unit": disturbed,
+        "sim": {"t_end": spec.t_end, "dt": spec.dt, "seed": spec.seed, "record_stride": 1},
+        "disturbances": [{"t": DISTURBANCE_TIME, "unit": disturbed,
                           "delta": spec.disturbance_magnitude}],
     }
     build_scenario(doc)  # generated documents must always validate

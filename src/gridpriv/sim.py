@@ -9,10 +9,10 @@ and the consensus graph (the communication graph, or the lines again for
 primal_dual). `swing_rhs`, `device_outputs`, `device_rhs` and
 `scheme_rhs` are its per-stage reference. Privacy signals are refreshed
 once per step and held constant across the four internal stages; they are
-inputs, not integrated states. Disturbances are step changes of the
-uncontrollable load, snapped to step boundaries. Device outputs and the
-Lyapunov column are computed from the recorded states after the loop, a
-chunk of samples at a time.
+inputs, not integrated states. Load steps act from the step that
+`Scenario.load_steps` gives them. The run records the state, pc_dot, the
+privacy draws and the prosumption s_tilde; s_tilde and the Lyapunov column
+are computed after the loop, a chunk of samples at a time.
 """
 
 import os
@@ -113,12 +113,22 @@ class Scenario:
         # the order they act in; stable, so same-time steps keep file order
         self.disturbances = tuple(sorted(self.disturbances, key=lambda d: d.time))
 
+    def load_steps(self):
+        """{first step k: uncontrollable load per unit from k on}, in step order.
+        A disturbance acts from the first k with k*dt + 1e-12 >= its time;
+        disturbances on one step merge into one entry."""
+        grid = np.arange(int(round(self.t_end / self.dt)) + 1) * self.dt + 1e-12
+        first = np.searchsorted(grid, [d.time for d in self.disturbances])
+        p_load = self.devices.p_load.copy()
+        steps = {0: p_load.copy()}
+        for d, k in zip(self.disturbances, first.tolist()):
+            p_load[d.unit] += d.delta
+            steps[k] = p_load.copy()
+        return steps
+
     def final_load(self):
         """Uncontrollable load per unit after every disturbance."""
-        p_load = self.devices.p_load.copy()
-        for d in self.disturbances:
-            p_load[d.unit] += d.delta
-        return p_load
+        return list(self.load_steps().values())[-1]
 
 
 @dataclass
@@ -126,7 +136,8 @@ class Trajectory:
     """Time-indexed record of all plant, controller and privacy signals.
 
     The fields `simulate` returns are views into one buffer; outside the
-    privacy scheme xi, n_f and n_d are read-only zero views.
+    privacy scheme xi and n_f are read-only zero views. p_M and d_c are not
+    stored; `marginal_costs` derives them with `unit_outputs`.
     """
 
     times: np.ndarray
@@ -137,11 +148,7 @@ class Trajectory:
     psi: np.ndarray  # (T, n_comm_edges)
     xi: np.ndarray  # (T, n_units)
     n_f: np.ndarray  # (T, n_units)
-    n_d: np.ndarray  # (T, n_units)
     s_tilde: np.ndarray  # (T, n_units)
-    p_M: np.ndarray  # (T, n_gen)
-    d_c: np.ndarray  # (T, n_loads)
-    u: np.ndarray  # (T, n_units)
     pc_dot: np.ndarray  # (T, n_controllers)
     lyapunov: np.ndarray | None = None  # (T,) for unit-level consensus schemes
     scheme_kind: str = EXTENDED_PRIMAL_DUAL
@@ -177,7 +184,7 @@ class Trajectory:
         empty = np.zeros((len(data), 0))
         return cls(times=data[:, header.index("t")], lyapunov=lyap,
                    **{name: block(prefix) for prefix, name in TRACE_BLOCKS},
-                   **dict.fromkeys(("eta", "n_d", "p_M", "d_c", "u", "pc_dot"), empty))
+                   **dict.fromkeys(("eta", "pc_dot"), empty))
 
 
 @dataclass(frozen=True)
@@ -311,6 +318,12 @@ def closed_loop(scenario):
                       unit_level=unit_level, graph=graph)
 
 
+def _unit_outputs(kind, devices, x, p_c, omega, p_load):
+    """unit_outputs at commands p_c; a primal_dual unit's input is its bus's command."""
+    u = p_c[..., devices.bus] if kind == PRIMAL_DUAL else p_c
+    return unit_outputs(devices, x, u, omega, p_load)
+
+
 def _initial_state(scenario, kkt, graph):
     """Pre-disturbance equilibrium of the chosen scheme."""
     model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
@@ -351,10 +364,8 @@ def simulate(scenario):
     # Lyapunov reference: the equilibrium reached after all load steps
     eq_ref = None
     if op.unit_level:
-        p_load_final = scenario.final_load()
-        eq_ref = build_equilibrium(
-            model, devices, scenario.comm, solve_kkt(devices, p_load_final), p_load_final
-        )
+        final = scenario.final_load()
+        eq_ref = build_equilibrium(model, devices, scenario.comm, solve_kkt(devices, final), final)
 
     rng = np.random.default_rng(scenario.seed)
     xi = np.zeros(n_units)
@@ -372,43 +383,32 @@ def simulate(scenario):
     # Every recorded signal is a column block of one buffer. One large
     # allocation is mapped on its own and goes back to the system whole
     # when the trajectory is dropped; a dozen smaller ones fragment the heap.
-    # xi, n_f and n_d vary only under the privacy scheme; elsewhere they
-    # are one read-only zero view and take no columns.
-    n_gen, n_ctrl = devices.n_generators, op.pc.stop - op.pc.start
-    widths = [op.size, n_ctrl, n_units, n_gen, n_units - n_gen]
+    # xi and n_f vary only under the privacy scheme; elsewhere they are one
+    # read-only zero view and take no columns.
+    widths = [op.size, op.pc.stop - op.pc.start, n_units]
     if privacy:
-        widths += [n_units] * 3
+        widths += [n_units] * 2
     record = np.empty((n_samples, sum(widths)))
-    states, pc_dots, s_tilde, p_M, d_c, *noise = np.split(
-        record, np.cumsum(widths[:-1]), axis=1)
-    xis, n_fs, n_d = noise if privacy else [np.broadcast_to(0.0, (n_samples, n_units))] * 3
+    states, pc_dots, s_tilde, *noise = np.split(record, np.cumsum(widths[:-1]), axis=1)
+    xis, n_fs = noise if privacy else [np.broadcast_to(0.0, (n_samples, n_units))] * 2
 
-    p_load = devices.p_load.copy()
-    loads = []  # (first sample, load) of each load segment
-    pending = list(scenario.disturbances)
+    loads = scenario.load_steps()
     omega_rows = slice(op.offsets[1], op.offsets[2])
-    j = 0
     for k in range(n_steps + 1):
-        t = k * dt
-        new_load = k == 0
-        while pending and pending[0].time <= t + 1e-12:
-            d = pending.pop(0)
-            p_load[d.unit] += d.delta
-            new_load = True
-        if new_load:
-            loads.append((j, p_load.copy()))
+        if k in loads:
+            p_load = loads[k]
         if privacy:
             xi, n_f = refresh_privacy_signals(cfg.privacy, xi, devices.bus, y[omega_rows],
                                               dt, rng)
-        if new_load or privacy:
+        if k in loads or privacy:
             b, tau_c = op.inputs(p_load, xi, n_f)
         k1 = op.rhs(y, b, tau_c)
-        if k % stride == 0:
+        j, off = divmod(k, stride)
+        if off == 0:
             states[j] = y
             pc_dots[j] = k1[op.pc]
             if privacy:
                 xis[j], n_fs[j] = xi, n_f
-            j += 1
         if k == n_steps:
             break
         k2 = op.rhs(y + 0.5 * dt * k1, b, tau_c)
@@ -423,22 +423,21 @@ def simulate(scenario):
                 for i in range(j0, j1, OUTPUT_CHUNK_ROWS))
 
     eta, omega, x, p_c, psi = op.blocks(states)
-    u = p_c[:, devices.bus] if cfg.kind == PRIMAL_DUAL else p_c
-    for (j0, load), (j1, _) in zip(loads, loads[1:] + [(n_samples, None)]):
+    # a load acts from sample ceil(k / stride) on; a segment may be empty
+    bounds = [min(-(-k // stride), n_samples) for k in loads] + [n_samples]
+    for j0, j1, load in zip(bounds, bounds[1:], loads.values()):
         for c in chunks(j0, j1):
-            p_M[c], d_c[c], s_tilde[c] = unit_outputs(devices, x[c], u[c], omega[c], load)
-    lyap = np.empty(n_samples) if op.unit_level else None
-    for c in chunks(0, n_samples):
-        if op.unit_level:
+            s_tilde[c] = _unit_outputs(cfg.kind, devices, x[c], p_c[c], omega[c], load)[2]
+    lyap = None
+    if op.unit_level:
+        lyap = np.empty(n_samples)
+        for c in chunks(0, n_samples):
             lyap[c] = lyapunov_value(model, devices, scenario.comm, cfg, eq_ref,
                                      eta[c], omega[c], x[c], p_c[c], psi[c], xis[c])[0]
-        if privacy:
-            n_d[c] = -xis[c] * pc_dots[c]
     return Trajectory(
         times=steps * dt,
         omega=omega, eta=eta, x=x, p_c=p_c, psi=psi,
-        xi=xis, n_f=n_fs, n_d=n_d, s_tilde=s_tilde, p_M=p_M, d_c=d_c,
-        u=u, pc_dot=pc_dots,
+        xi=xis, n_f=n_fs, s_tilde=s_tilde, pc_dot=pc_dots,
         lyapunov=lyap, scheme_kind=cfg.kind, equilibrium=eq_ref,
     )
 
@@ -483,8 +482,9 @@ def steady_state_metrics(traj, window, devices=None):
 
 
 def marginal_costs(traj, devices):
-    """Per-sample, per-unit marginal cost q * |prosumption|."""
+    """Per-sample, per-unit marginal cost q * |prosumption|, from p_M and d_c."""
+    p_M, d_c, _ = _unit_outputs(traj.scheme_kind, devices, traj.x, traj.p_c, traj.omega, 0.0)
     out = np.empty((len(traj.times), devices.n_units))
-    out[:, devices.gen_index] = np.abs(traj.p_M) * devices.cost_q[devices.gen_index]
-    out[:, devices.load_index] = np.abs(traj.d_c) * devices.cost_q[devices.load_index]
+    out[:, devices.gen_index] = np.abs(p_M) * devices.cost_q[devices.gen_index]
+    out[:, devices.load_index] = np.abs(d_c) * devices.cost_q[devices.load_index]
     return out

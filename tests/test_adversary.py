@@ -99,6 +99,12 @@ def test_partial_knowledge_flags_warning(epd_run):
     assert report.rmse_transient >= full.rmse_transient
 
 
+def test_observed_mask_accepts_numpy_channels():
+    mask = KnowledgeSet(observed_channels=np.array([0, 2])).observed_mask(4)
+    np.testing.assert_array_equal(mask, [True, False, True, False])
+    assert KnowledgeSet().observed_mask(3).all()
+
+
 def reference_attack(traj, comm, cfg, mask, targets, deriv):
     """The observer written out with whole-array temporaries: (s_hat, rmse)."""
     dt, H = traj.dt, comm.incidence

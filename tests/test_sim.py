@@ -102,7 +102,6 @@ def test_recorded_reconstruction_identity(scenario_factory, comm4):
     lhs = (sc.scheme.gamma + traj.xi) * traj.pc_dot
     rhs = traj.s_tilde - traj.psi @ H.T + traj.n_f
     assert np.abs(lhs - rhs).max() < 1e-10
-    np.testing.assert_allclose(traj.n_d, -traj.xi * traj.pc_dot, atol=1e-12)
 
 
 def test_privacy_reduces_to_plain_scheme_bitwise(scenario_factory):
@@ -120,7 +119,7 @@ def test_privacy_reduces_to_plain_scheme_bitwise(scenario_factory):
 @pytest.mark.parametrize("kind", (INTEGRAL, PRIMAL_DUAL, EXTENDED_PRIMAL_DUAL))
 def test_plain_run_privacy_columns_are_a_read_only_zero_view(scenario_factory, kind):
     traj = simulate(scenario_factory(kind, t_end=2.0))
-    for name in ("xi", "n_f", "n_d"):
+    for name in ("xi", "n_f"):
         block = getattr(traj, name)
         assert block.shape == (len(traj.times), 4)
         assert block.strides == (0, 0)
@@ -130,8 +129,8 @@ def test_plain_run_privacy_columns_are_a_read_only_zero_view(scenario_factory, k
 
 
 def test_simulate_peak_memory_is_the_recording_buffer():
-    """One buffer holds every recorded signal, 8 x (state + n_ctrl + 2 n_units
-    + 3 n_units for privacy) bytes per sample; the post-loop outputs add
+    """One buffer holds every recorded signal, 8 x (state + n_ctrl + n_units
+    + 2 n_units for privacy) bytes per sample; the post-loop outputs add
     chunk-sized temporaries only."""
     sc = build_scenario(gen_scenario(RandomScenarioSpec(
         bus_count=30, t_end=5.0, seed=2, scheme_kind=PRIVACY_PRESERVING)))
@@ -143,10 +142,10 @@ def test_simulate_peak_memory_is_the_recording_buffer():
     finally:
         tracemalloc.stop()
     record = traj.omega.base
-    for name in ("eta", "x", "p_c", "psi", "pc_dot", "s_tilde", "p_M", "d_c",
-                 "xi", "n_f", "n_d"):
+    for name in ("eta", "x", "p_c", "psi", "pc_dot", "s_tilde", "xi", "n_f"):
         assert getattr(traj, name).base is record
-    assert record.nbytes == 8 * len(traj.times) * (state_size + n + 2 * n + 3 * n)
+    # state, pc_dot (n_ctrl = n_units here), s_tilde, then xi and n_f
+    assert record.nbytes == 8 * len(traj.times) * (state_size + n + n + 2 * n)
     assert peak <= 1.25 * record.nbytes
 
 
@@ -276,6 +275,29 @@ def test_record_stride(model3, devices4, comm4):
     np.testing.assert_array_equal(sparse.omega, dense.omega[::10])
 
 
+def test_load_steps_one_entry_per_first_step(model3, devices4, comm4):
+    """Same-time steps merge, an off-grid time acts from the next grid step,
+    and a step at t_end reaches the last sample."""
+    base = devices4.p_load
+    sc = make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL, t_end=2.0, dt=0.01,
+                       disturbances=((1.0, 0, 0.2), (1.0, 1, -0.1), (1.005, 2, 0.3),
+                                     (2.0, 3, 0.05)))
+    steps = sc.load_steps()
+    assert list(steps) == [0, 100, 101, 200]
+    np.testing.assert_array_equal(steps[0], base)
+    np.testing.assert_array_equal(steps[100], base + [0.2, -0.1, 0.0, 0.0])
+    np.testing.assert_array_equal(steps[101], base + [0.2, -0.1, 0.3, 0.0])
+    np.testing.assert_array_equal(steps[200], base + [0.2, -0.1, 0.3, 0.05])
+    np.testing.assert_array_equal(sc.final_load(), steps[200])
+
+    at_end = simulate(sc)
+    before = simulate(dataclasses.replace(sc, disturbances=sc.disturbances[:3]))
+    np.testing.assert_array_equal(at_end.p_c, before.p_c)
+    np.testing.assert_array_equal(at_end.s_tilde[:-1], before.s_tilde[:-1])
+    np.testing.assert_allclose(at_end.s_tilde[-1] - before.s_tilde[-1], [0.0, 0.0, 0.0, 0.05],
+                               rtol=0.0, atol=1e-15)
+
+
 def test_t_end_must_lie_on_the_sample_grid(model3, devices4, comm4):
     with pytest.raises(ConfigurationError, match="t_end"):
         make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL, t_end=10.05, dt=0.1)
@@ -351,8 +373,7 @@ def stacked_rhs(sc, op, y, p_load, xi, n_f):
     sr = scheme_rhs(cfg, op.graph, SchemeState(p_c, psi, xi, n_f), devices, s_tilde,
                     omega, zeta)
     dy = np.concatenate([eta_dot, omega_dot, x_dot, sr.pc_dot, sr.psi_dot])
-    return dy, {"p_M": p_M, "d_c": d_c, "s_tilde": s_tilde, "u": u,
-                "pc_dot": sr.pc_dot, "n_d": sr.n_d}
+    return dy, {"p_M": p_M, "d_c": d_c, "s_tilde": s_tilde, "pc_dot": sr.pc_dot}
 
 
 def assert_close(got, want):
@@ -398,8 +419,12 @@ def test_recorded_outputs_match_per_stage_functions(scenario_factory, system, ki
         _, outputs = stacked_rhs(sc, op, y, p_load, traj.xi[j], traj.n_f[j])
         for name, value in outputs.items():
             want.setdefault(name, []).append(value)
-    for name, value in want.items():
-        assert_close(getattr(traj, name), np.array(value))
+    for name in ("s_tilde", "pc_dot"):
+        assert_close(getattr(traj, name), np.array(want[name]))
+    q, gi, li = sc.devices.cost_q, sc.devices.gen_index, sc.devices.load_index
+    mc = marginal_costs(traj, sc.devices)
+    assert_close(mc[:, gi], q[gi] * np.abs(np.array(want["p_M"])))
+    assert_close(mc[:, li], q[li] * np.abs(np.array(want["d_c"])))
     if kind in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING):
         per_sample = [lyapunov_value(sc.model, sc.devices, sc.comm, sc.scheme,
                                      traj.equilibrium, traj.eta[j], traj.omega[j],
