@@ -158,21 +158,40 @@ def _expect(arr, length, name):
         raise ConfigurationError(f"{name} has shape {arr.shape}, expected ({length},)")
 
 
-def refresh_privacy_signals(params, xi, unit_bus, omega, dt, rng):
-    """Draw the next privacy-gain increment and noise sample.
+def draw_privacy_block(params, xi, dt, rng, rows):
+    """The privacy gain xi after each of the next `rows` steps, and each
+    step's n_f draw, from one call to rng.
 
-    xi takes a uniform step bounded by safety*beta_hat*dt and is clamped
-    to [0, xi_max]; n_f is uniform within safety*beta*|omega| at the
-    unit's bus. Both are held constant until the next refresh.
+    Row r of the draw holds step r's xi-increment draw and then its n_f
+    draw, the order per-step draws come in, so a seed gives the same
+    signals whatever the block length. xi takes a uniform step bounded by
+    safety*beta_hat*dt and is clamped to [0, xi_max]; the walk does not
+    read the state, so a whole block is advanced at once. Returns
+    (xi rows, n_f draws), each (rows, n); see `privacy_noise`.
     """
+    u = rng.uniform(-1.0, 1.0, (rows, 2, xi.shape[0]))
+    walk = u[:, 0] * (params.safety * params.beta_hat * dt)
+    for r in range(rows):
+        # clip's bits for the walk's finite, never -0.0 values, at less cost
+        xi = np.minimum(np.maximum(xi + walk[r], 0.0, out=walk[r]), params.xi_max, out=walk[r])
+    return walk, u[:, 1]
+
+
+def privacy_noise(params, u, omega_at_unit):
+    """n_f for draws u in [-1, 1): uniform within safety*beta*|omega| at
+    each unit's bus. It reads the state, so it is formed step by step."""
+    # + 0.0 normalizes -0.0 so degenerate runs match the plain scheme bit-for-bit
+    return u * (params.safety * params.beta * np.abs(omega_at_unit)) + 0.0
+
+
+def refresh_privacy_signals(params, xi, unit_bus, omega, dt, rng):
+    """Draw the next privacy-gain increment and noise sample: one step of
+    `draw_privacy_block`, with n_f at the bus frequencies omega. Both are
+    held constant until the next refresh."""
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    omega = np.asarray(omega, dtype=float)
-    n = xi.shape[0]
-    delta = rng.uniform(-1.0, 1.0, n) * (params.safety * params.beta_hat * dt)
-    xi_new = np.clip(xi + delta, 0.0, params.xi_max)
-    n_f = rng.uniform(-1.0, 1.0, n) * (params.safety * params.beta * np.abs(omega[unit_bus]))
-    return xi_new, n_f + 0.0  # normalizes -0.0 so degenerate runs match the plain scheme bit-for-bit
+    xi_rows, draws = draw_privacy_block(params, xi, dt, rng, 1)
+    return xi_rows[0], privacy_noise(params, draws[0], np.asarray(omega, dtype=float)[unit_bus])
 
 
 def check_design_condition(h, d_over_n, beta, beta_hat):

@@ -1,16 +1,20 @@
 """Closed-loop simulation: plant + devices + controller, fixed-step RK4.
 
 The stacked state is [eta, omega, x, p_c, psi]. The closed loop is one
-affine operator on it, dy = A y + B [p_load, n_f], with the command rows
-divided by the controller time constants (gamma + xi for the privacy
-scheme). `closed_loop` assembles A and B once per run from the index data
-of the units and the edge endpoints of two `Graph`s: the network's lines
-and the consensus graph (the communication graph, or the lines again for
-primal_dual). `swing_rhs`, `device_outputs`, `device_rhs` and
-`scheme_rhs` are its per-stage reference. Privacy signals are refreshed
-once per step and held constant across the four internal stages; they are
-inputs, not integrated states. Load steps act from the step that
-`Scenario.load_steps` gives them. The run records the state, pc_dot, the
+affine operator on it, dy = A y + B p_load, with n_f added onto the command
+rows and those rows divided by the controller time constants (gamma + xi
+for the privacy scheme). `closed_loop` assembles A and B once per run from
+the index data of the units and the edge endpoints of two `Graph`s: the
+network's lines and the consensus graph (the communication graph, or the
+lines again for primal_dual). `swing_rhs`, `device_outputs`, `device_rhs`
+and `scheme_rhs` are its per-stage reference. B p_load is formed once per
+load step; load steps act from the step that `Scenario.load_steps` gives
+them. Privacy signals are inputs, not integrated states, held constant
+across the four internal stages of a step. They are drawn DRAW_BLOCK_ROWS
+steps at a time (`draw_privacy_block`): the xi walk and gamma + xi for a
+whole block, then n_f step by step from omega, written onto the command
+rows of a preallocated input vector. A seed gives the same draws as
+drawing one step at a time. The run records the state, pc_dot, the
 privacy draws and the prosumption s_tilde; s_tilde and the Lyapunov column
 are computed after the loop, a chunk of samples at a time.
 """
@@ -33,13 +37,15 @@ from .schemes import (
     PRIVACY_PRESERVING,
     UNIT_CONSENSUS_KINDS,
     design_condition_report,
-    refresh_privacy_signals,
+    draw_privacy_block,
+    privacy_noise,
 )
 
 SETTLE_THRESHOLD = 2.0 * np.pi * 0.01  # 0.01 Hz in rad/s
 BLOCKS = ("eta", "omega", "x", "p_c", "psi")  # order of the stacked state
 CSV_CHUNK_ROWS = 256  # rows formatted per % call; bounds the transient text
 OUTPUT_CHUNK_ROWS = 64  # samples per post-loop output chunk; bounds its temporaries
+DRAW_BLOCK_ROWS = 64  # steps of privacy draws per rng call; bounds the block arrays
 # (column prefix, Trajectory field) of each trace block, in column order after t
 TRACE_BLOCKS = (("omega", "omega"), ("pc", "p_c"), ("psi", "psi"), ("x", "x"),
                 ("s_tilde", "s_tilde"), ("xi", "xi"), ("nf", "n_f"))
@@ -191,7 +197,8 @@ class Trajectory:
 class ClosedLoop:
     """The closed loop as one affine operator on the stacked state.
 
-    dy = A y + B [p_load, n_f], after which the p_c rows, which hold the
+    dy = A y + B p_load, with n_f added onto the command rows of the
+    unit-level schemes, after which the p_c rows, which hold the
     numerator of tau_c * pc_dot, are divided by the controller time
     constants: gamma + xi for the unit-level schemes, gamma for
     primal_dual and q / K for integral. A and B are COO triples, each
@@ -203,7 +210,7 @@ class ClosedLoop:
     cols: np.ndarray
     vals: np.ndarray
     in_rows: np.ndarray
-    in_cols: np.ndarray  # into the input vector [p_load, n_f]
+    in_cols: np.ndarray  # into p_load
     in_vals: np.ndarray
     tau_c: np.ndarray  # per controller, before xi
     unit_level: bool  # xi adds to tau_c and n_f enters the command rows
@@ -216,13 +223,25 @@ class ClosedLoop:
         object.__setattr__(self, "pc", slice(self.offsets[3], self.offsets[4]))
 
     def inputs(self, p_load, xi, n_f):
-        """The input term b = B [p_load, n_f] and the time constants tau_c."""
-        u = np.concatenate([p_load, n_f])
-        b = np.bincount(self.in_rows, self.in_vals * u[self.in_cols], minlength=self.size)
+        """The input term b (B p_load, plus n_f on the command rows of the
+        unit-level schemes) and the time constants tau_c."""
+        b = self.load_input(p_load)
+        if self.unit_level:
+            self.add_noise(b, n_f, out=b)
         return b, (self.tau_c + xi if self.unit_level else self.tau_c)
 
+    def load_input(self, p_load):
+        """B p_load; it changes only at a load step."""
+        return np.bincount(self.in_rows, self.in_vals * p_load[self.in_cols], minlength=self.size)
+
+    def add_noise(self, b_load, n_f, out):
+        """Set the command rows of out to those of b_load plus n_f, with
+        unit weight; its other rows are left as they are."""
+        np.add(b_load[self.pc], n_f, out=out[self.pc])
+
     def rhs(self, y, b, tau_c):
-        """dy at the stacked state y, for the inputs from `inputs`."""
+        """dy at the stacked state y, for an input term b and time constants
+        tau_c as `inputs` gives them."""
         dy = np.bincount(self.rows, self.vals * y[self.cols], minlength=self.size)
         dy += b
         dy[self.pc] /= tau_c
@@ -299,8 +318,6 @@ def closed_loop(scenario):
         add(entries, ctrl, ctrl, -h)
         add(entries, ctrl, W + bus, h)
         add(inputs, ctrl, unit, 1.0)
-        if unit_level:
-            add(inputs, ctrl, n_units + unit, 1.0)
         # gamma_psi psi_dot = H^T p_c
         a, c = graph.tail, graph.head
         edge = np.arange(graph.edge_count)
@@ -393,15 +410,23 @@ def simulate(scenario):
     xis, n_fs = noise if privacy else [np.broadcast_to(0.0, (n_samples, n_units))] * 2
 
     loads = scenario.load_steps()
-    omega_rows = slice(op.offsets[1], op.offsets[2])
+    omega_at_unit = op.offsets[1] + devices.bus  # each unit's bus frequency in y
     for k in range(n_steps + 1):
         if k in loads:
-            p_load = loads[k]
+            if privacy:
+                b_load = op.load_input(loads[k])
+                b = b_load.copy()  # its command rows are rewritten every step
+            else:
+                b, tau_c = op.inputs(loads[k], xi, n_f)
         if privacy:
-            xi, n_f = refresh_privacy_signals(cfg.privacy, xi, devices.bus, y[omega_rows],
-                                              dt, rng)
-        if k in loads or privacy:
-            b, tau_c = op.inputs(p_load, xi, n_f)
+            r = k % DRAW_BLOCK_ROWS
+            if r == 0:
+                xi_rows, draws = draw_privacy_block(
+                    priv, xi, dt, rng, min(DRAW_BLOCK_ROWS, n_steps + 1 - k))
+                tau_rows = op.tau_c + xi_rows
+            xi, tau_c = xi_rows[r], tau_rows[r]
+            n_f = privacy_noise(priv, draws[r], y[omega_at_unit])
+            op.add_noise(b_load, n_f, out=b)
         k1 = op.rhs(y, b, tau_c)
         j, off = divmod(k, stride)
         if off == 0:

@@ -12,7 +12,9 @@ from gridpriv.schemes import (
     PRIVACY_PRESERVING,
     SchemeState,
     check_design_condition,
+    draw_privacy_block,
     max_feasible_beta,
+    privacy_noise,
     refresh_privacy_signals,
     scheme_rhs,
 )
@@ -131,6 +133,38 @@ def test_refresh_privacy_deterministic():
     b = refresh_privacy_signals(*args, np.random.default_rng(42))
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("rows", (1, 5, 64))
+def test_block_draw_equals_stepwise_refreshes(rows):
+    """One block of draws gives, bit for bit, the xi and n_f that `rows`
+    refreshes on a generator with the same seed give."""
+    params = PrivacyParams(beta=np.array([0.01, 0.02, 0.0]),
+                           beta_hat=np.array([0.5, 0.0, 0.3]), xi_max=0.004)
+    bus, dt = np.array([0, 1, 1]), 0.01
+    omegas = np.random.default_rng(3).normal(scale=0.1, size=(rows, 2))
+    omegas[0, 0] = -0.0
+    xi0 = np.array([0.001, 0.0, 0.003])
+    rng = np.random.default_rng(9)
+    xi, stepwise = xi0, []
+    for omega in omegas:
+        xi, n_f = refresh_privacy_signals(params, xi, bus, omega, dt, rng)
+        stepwise.append((xi, n_f))
+    xi_rows, draws = draw_privacy_block(params, xi0, dt, np.random.default_rng(9), rows)
+    assert xi_rows.shape == draws.shape == (rows, 3)
+    for r, (xi, n_f) in enumerate(stepwise):
+        np.testing.assert_array_equal(xi_rows[r].view(np.uint64), xi.view(np.uint64))
+        block_n_f = privacy_noise(params, draws[r], omegas[r][bus])
+        np.testing.assert_array_equal(block_n_f.view(np.uint64), n_f.view(np.uint64))
+    if rows == 64:  # the walk reached both bounds
+        assert (xi_rows == 0.0).any() and (xi_rows == params.xi_max).any()
+    # each step takes its xi-increment draw, then its n_f draw
+    raw = np.random.default_rng(9)
+    u_xi, u_f = raw.uniform(-1.0, 1.0, 3), raw.uniform(-1.0, 1.0, 3)
+    xi = np.clip(xi0 + u_xi * (params.safety * params.beta_hat * dt), 0.0, params.xi_max)
+    n_f = u_f * (params.safety * params.beta * np.abs(omegas[0][bus])) + 0.0
+    np.testing.assert_array_equal(stepwise[0][0], xi)
+    np.testing.assert_array_equal(stepwise[0][1], n_f)
 
 
 def _design_matrix(h, d_over_n, beta, beta_hat):

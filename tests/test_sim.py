@@ -21,17 +21,22 @@ from gridpriv import (
     solve_kkt,
     swing_rhs,
 )
+import gridpriv.sim as sim_module
+from gridpriv.devices import unit_outputs
+from gridpriv.equilibrium import build_equilibrium
 from gridpriv.errors import ConfigurationError, DivergenceError
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
     INTEGRAL,
     PRIMAL_DUAL,
     PRIVACY_PRESERVING,
+    refresh_privacy_signals,
 )
 from gridpriv.sim import (
     SETTLE_THRESHOLD,
     Disturbance,
     Trajectory,
+    _initial_state,
     closed_loop,
     marginal_costs,
     steady_state_metrics,
@@ -327,6 +332,29 @@ def test_divergence_raises(model3, devices4, comm4):
         assert np.isfinite(simulate(sc).p_c).all()
 
 
+def test_divergence_under_privacy_names_the_state_and_keeps_the_prefix(model3, devices4, comm4):
+    """A privacy run that first goes non-finite in the second block of draws."""
+    sc = make_scenario(model3, devices4, comm4, PRIVACY_PRESERVING,
+                       t_end=1000.0, dt=0.5, disturbances=((0.0, 0, 0.5),))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        simulate(sc)
+    err = info.value
+    assert err.time / sc.dt > getattr(sim_module, "DRAW_BLOCK_ROWS", 64)
+    sizes = {"eta": 2, "omega": 3, "x": 2, "p_c": 4, "psi": 3}
+    assert err.block in sizes and 0 <= err.index < sizes[err.block]
+    assert f"{err.block}[{err.index}]" in str(err)
+    assert err.last_finite_time == pytest.approx(err.time - sc.dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # the Lyapunov column of the huge state
+        longer = simulate(dataclasses.replace(sc, t_end=err.last_finite_time))
+        shorter = simulate(dataclasses.replace(sc, t_end=20.0))
+    for name in ("omega", "eta", "x", "p_c", "psi", "pc_dot", "xi", "n_f"):
+        assert np.isfinite(getattr(longer, name)).all()
+    # a run cut short draws the same signals up to its end
+    for name in TRAJECTORY_ARRAYS:
+        np.testing.assert_array_equal(getattr(shorter, name),
+                                      getattr(longer, name)[:len(shorter.times)])
+
+
 def test_steady_state_metrics(scenario_factory, devices4):
     traj = simulate(scenario_factory(EXTENDED_PRIMAL_DUAL, t_end=30.0))
     m = steady_state_metrics(traj, window=3.0, devices=devices4)
@@ -431,3 +459,88 @@ def test_recorded_outputs_match_per_stage_functions(scenario_factory, system, ki
                                      traj.x[j], traj.p_c[j], traj.psi[j], traj.xi[j])[0]
                       for j in range(len(traj.times))]
         np.testing.assert_allclose(traj.lyapunov, per_sample, rtol=1e-12, atol=0.0)
+
+
+TRAJECTORY_ARRAYS = ("times", "omega", "eta", "x", "p_c", "psi", "xi", "n_f", "s_tilde",
+                     "pc_dot", "lyapunov")
+BLOCK = getattr(sim_module, "DRAW_BLOCK_ROWS", 64)
+
+
+def stepwise_privacy_run(sc):
+    """simulate's loop for the privacy scheme with its signals drawn a step
+    at a time: refresh_privacy_signals, op.inputs and op.rhs at every step."""
+    model, devices, cfg = sc.model, sc.devices, sc.scheme
+    op = closed_loop(sc)
+    eta0, x0, pc0, psi0 = _initial_state(sc, solve_kkt(devices), op.graph)
+    y = np.concatenate([eta0, np.zeros(model.bus_count), x0, pc0, psi0])
+    rng = np.random.default_rng(sc.seed)
+    xi = rng.uniform(0.0, cfg.privacy.xi_max / 10.0, devices.n_units)
+    xi[cfg.privacy.beta_hat == 0.0] = 0.0
+    loads, dt = sc.load_steps(), sc.dt
+    n_steps = int(round(sc.t_end / dt))
+    rec = {name: [] for name in ("y", "pc_dot", "xi", "n_f", "p_load")}
+    for k in range(n_steps + 1):
+        if k in loads:
+            p_load = loads[k]
+        xi, n_f = refresh_privacy_signals(cfg.privacy, xi, devices.bus,
+                                          y[op.offsets[1]:op.offsets[2]], dt, rng)
+        b, tau_c = op.inputs(p_load, xi, n_f)
+        k1 = op.rhs(y, b, tau_c)
+        if k % sc.record_stride == 0:
+            for name, value in zip(rec, (y, k1[op.pc], xi, n_f, p_load)):
+                rec[name].append(value)
+        if k == n_steps:
+            break
+        k2 = op.rhs(y + 0.5 * dt * k1, b, tau_c)
+        k3 = op.rhs(y + 0.5 * dt * k2, b, tau_c)
+        k4 = op.rhs(y + dt * k3, b, tau_c)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rec = {name: np.array(v) for name, v in rec.items()}
+    eta, omega, x, p_c, psi = op.blocks(rec["y"])
+    final = sc.final_load()
+    eq = build_equilibrium(model, devices, sc.comm, solve_kkt(devices, final), final)
+    lyap, _ = lyapunov_value(model, devices, sc.comm, cfg, eq, eta, omega, x, p_c, psi, rec["xi"])
+    return {"times": np.arange(0, n_steps + 1, sc.record_stride) * dt,
+            "omega": omega, "eta": eta, "x": x, "p_c": p_c, "psi": psi,
+            "xi": rec["xi"], "n_f": rec["n_f"], "pc_dot": rec["pc_dot"], "lyapunov": lyap,
+            "s_tilde": unit_outputs(devices, x, p_c, omega, rec["p_load"])[2]}
+
+
+def assert_matches_stepwise(sc):
+    traj, want = simulate(sc), stepwise_privacy_run(sc)
+    for name in TRAJECTORY_ARRAYS:
+        np.testing.assert_array_equal(getattr(traj, name), want[name], err_msg=name)
+    return traj
+
+
+def privacy_steps_scenario(scenario_factory, n_steps, stride=1, **kw):
+    """n_steps of 10 ms (rounded up to the sample grid), a load step in the
+    middle of the first block of draws and unit 1 with beta_hat = 0."""
+    n_steps = -(-n_steps // stride) * stride
+    sc = scenario_factory(PRIVACY_PRESERVING, t_end=n_steps * 0.01, dt=0.01,
+                          disturbances=((0.3, 0, 0.2),),
+                          beta_hat=np.array([0.002, 0.0, 0.002, 0.002]), **kw)
+    return dataclasses.replace(sc, record_stride=stride)
+
+
+@pytest.mark.parametrize("stride", (1, 3))
+@pytest.mark.parametrize("n_steps", (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1))
+def test_block_draws_match_stepwise_draws(scenario_factory, n_steps, stride):
+    traj = assert_matches_stepwise(privacy_steps_scenario(scenario_factory, n_steps, stride))
+    assert np.all(traj.xi[:, 1] == 0.0) and np.any(traj.xi[:, 0] != traj.xi[0, 0])
+
+
+def test_block_draws_match_stepwise_draws_when_xi_clamps(scenario_factory):
+    xi_max = 1e-4  # the walk's steps, up to 2e-5, reach both bounds
+    traj = assert_matches_stepwise(privacy_steps_scenario(
+        scenario_factory, 2 * BLOCK + 1, xi_max=xi_max, seed=1))
+    live = traj.xi[:, [0, 2, 3]]
+    assert (live == 0.0).any() and (live == xi_max).any()
+
+
+@pytest.mark.parametrize("block", (1, 7))
+def test_block_draws_match_stepwise_draws_for_any_block_length(
+        monkeypatch, scenario_factory, block):
+    monkeypatch.setattr(sim_module, "DRAW_BLOCK_ROWS", block, raising=False)
+    for stride in (1, 3):
+        assert_matches_stepwise(privacy_steps_scenario(scenario_factory, 45, stride))
