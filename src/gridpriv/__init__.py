@@ -10,10 +10,9 @@ from .adversary import (
 from .devices import DeviceSet, DeviceState, design_optimal_gains, device_outputs, device_rhs
 from .equilibrium import EquilibriumSolution, build_equilibrium, lyapunov_value, solve_kkt
 from .errors import ConfigurationError, DivergenceError, GridPrivError, InfeasibilityError
-from .network import Graph, NetworkModel, PlantState, dc_power_flow, line_flows, swing_rhs
+from .network import Graph, NetworkModel, PlantState, dc_power_flow, swing_rhs
 from .scenario import RandomScenarioSpec, build_scenario, gen_scenario, load_scenario
 from .schemes import (
-    CommGraph,
     PrivacyParams,
     SchemeConfig,
     SchemeState,

@@ -27,17 +27,22 @@ ORIGIN_WINDOW = 2.0  # s after the disturbance that origin detection looks at
 class KnowledgeSet:
     """What the adversary observes.
 
-    observed_channels: "all" or a list of unit indices whose power command
-    signal is intercepted. The adversary knows the dynamics: the true
-    gamma, gamma_psi and communication graph.
+    observed_channels: "all" or a list of unit indices in [0, n_units)
+    whose power command signal is intercepted. The adversary knows the
+    dynamics: the true gamma, gamma_psi and communication graph.
     """
 
     observed_channels: object = "all"
 
     def observed_mask(self, n_units):
         ch = self.observed_channels
+        if isinstance(ch, str) and ch == "all":
+            return np.ones(n_units, dtype=bool)
         mask = np.zeros(n_units, dtype=bool)
-        mask[slice(None) if isinstance(ch, str) and ch == "all" else list(ch)] = True
+        for c in ch:
+            if not 0 <= c < n_units:
+                raise ConfigurationError(f"channel {c} is not a unit index in [0, {n_units})")
+            mask[c] = True
         return mask
 
 
@@ -60,15 +65,14 @@ class AttackReport:
         }
 
 
-def naive_readout(traj, scheme_kind=None):
+def naive_readout(traj):
     """Prosumption values visible to an eavesdropper without model knowledge.
 
     The bus-level scheme requires the units to transmit their prosumption
     toward the bus controller, so the full per-unit profile leaks. The
     unit-level schemes only put power commands on the wire.
     """
-    kind = scheme_kind or traj.scheme_kind
-    if kind == PRIMAL_DUAL:
+    if traj.scheme_kind == PRIMAL_DUAL:
         return traj.s_tilde
     return None
 

@@ -37,10 +37,8 @@ class DeviceSet:
 
     def __post_init__(self):
         for name in ("bus", "is_generator", "tau", "droop_m", "damping_h", "cost_q", "p_load"):
-            arr = np.asarray(getattr(self, name))
-            object.__setattr__(self, name, arr if name in ("bus", "is_generator") else arr.astype(float))
-        object.__setattr__(self, "bus", self.bus.astype(int))
-        object.__setattr__(self, "is_generator", self.is_generator.astype(bool))
+            dtype = {"bus": int, "is_generator": bool}.get(name, float)
+            object.__setattr__(self, name, np.asarray(getattr(self, name)).astype(dtype))
         n = self.bus.shape[0]
         if n == 0:
             raise ConfigurationError("at least one unit is required")
@@ -49,10 +47,10 @@ class DeviceSet:
                 raise ConfigurationError(f"{name} length must match unit count {n}")
         if np.any(self.bus < 0) or np.any(self.bus >= self.bus_count):
             raise ConfigurationError("unit bus index out of range")
-        if np.any(self.damping_h <= 0) or np.any(self.cost_q <= 0):
+        if not (np.all(self.damping_h > 0) and np.all(self.cost_q > 0)):
             raise ConfigurationError("damping_h and cost_q must be strictly positive")
         gens = self.is_generator
-        if np.any(self.tau[gens] <= 0) or np.any(self.droop_m[gens] <= 0):
+        if not (np.all(self.tau[gens] > 0) and np.all(self.droop_m[gens] > 0)):
             raise ConfigurationError("tau and droop_m must be strictly positive for generators")
         object.__setattr__(self, "gen_index", np.flatnonzero(gens))
         object.__setattr__(self, "load_index", np.flatnonzero(~gens))
@@ -71,9 +69,7 @@ class DeviceSet:
 
     def bus_sum(self, per_unit):
         """Sum a per-unit quantity over the units at each bus."""
-        out = np.zeros(self.bus_count)
-        np.add.at(out, self.bus, per_unit)
-        return out
+        return np.bincount(self.bus, per_unit, self.bus_count)
 
 
 @dataclass
@@ -124,12 +120,11 @@ def prosumption(devices, p_M, d_c, p_load):
 
 
 def bus_injection(devices, p_M, d_c, p_load):
-    """Per-bus net injection: generation minus controllable and uncontrollable demand."""
-    injection = np.zeros(devices.bus_count)
-    np.add.at(injection, devices.bus[devices.gen_index], p_M)
-    np.add.at(injection, devices.bus[devices.load_index], -d_c)
-    np.add.at(injection, devices.bus, -p_load)
-    return injection
+    """Per-bus net injection: generation minus controllable and uncontrollable demand,
+    added per bus in that order."""
+    bus = np.concatenate([devices.bus[devices.gen_index], devices.bus[devices.load_index],
+                          devices.bus])
+    return np.bincount(bus, np.concatenate([p_M, -d_c, -p_load]), devices.bus_count)
 
 
 def device_rhs(devices, dstate, u, omega):

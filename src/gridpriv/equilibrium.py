@@ -101,7 +101,8 @@ def lyapunov_value(model, devices, comm, cfg, eq, eta, omega, x, p_c, psi, xi=No
     Returns (total, components). Defined for the unit-level consensus
     schemes only; the privacy scheme uses the xi-augmented command term.
     The state arguments may carry a leading sample axis; total and the
-    components are then arrays over the samples.
+    components are then arrays over the samples, and numpy scalars for a
+    single state.
     """
     if cfg.kind not in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING):
         raise ConfigurationError(f"no Lyapunov certificate for scheme kind {cfg.kind!r}")
@@ -126,6 +127,4 @@ def lyapunov_value(model, devices, comm, cfg, eq, eta, omega, x, p_c, psi, xi=No
     v_m = np.einsum("...i,i->...", d_x**2, devices.tau[gi] / (2.0 * devices.droop_m[gi]))
     total = v_f + v_p + v_c + v_psi + v_m
     components = {"V_F": v_f, "V_P": v_p, "V_C": v_c, "V_psi": v_psi, "V_M": v_m}
-    if np.ndim(total):
-        return total, components
-    return float(total), {k: float(v) for k, v in components.items()}
+    return total, components

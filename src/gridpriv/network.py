@@ -124,7 +124,7 @@ class NetworkModel:
             raise ConfigurationError("susceptance length must match line count")
         if self.inertia.shape != (n,) or self.damping.shape != (n,):
             raise ConfigurationError("inertia/damping length must match bus_count")
-        if np.any(self.susceptance <= 0) or np.any(self.inertia <= 0) or np.any(self.damping <= 0):
+        if not all(np.all(v > 0) for v in (self.susceptance, self.inertia, self.damping)):
             raise ConfigurationError("susceptance, inertia and damping must be strictly positive")
         if len({frozenset(line) for line in self.lines}) < e:
             raise ConfigurationError("two lines join the same pair of buses")
@@ -163,12 +163,6 @@ def _check_dims(model, state):
         )
 
 
-def line_flows(model, state):
-    """Per-line power transfer, product of susceptance and angle difference."""
-    _check_dims(model, state)
-    return model.susceptance * state.eta
-
-
 def swing_rhs(model, state, net_injection):
     """Time derivatives of the plant state.
 
@@ -181,7 +175,7 @@ def swing_rhs(model, state, net_injection):
         raise ConfigurationError("net_injection length must match bus_count")
     A = model.incidence
     eta_dot = A.T @ state.omega
-    p = line_flows(model, state)
+    p = model.susceptance * state.eta  # line flows
     omega_dot = (net_injection - model.damping * state.omega - A @ p) / model.inertia
     return eta_dot, omega_dot
 

@@ -15,7 +15,7 @@ Four controllers are supported:
 n_d = -xi * pc_dot makes the command derivative implicit; it is resolved
 exactly by folding xi into the left-hand side time constant, so
 (gamma + xi) * pc_dot = s_tilde - H psi + n_f, where H is the incidence
-of the communication `Graph` (`CommGraph` is the same class).
+of the communication `Graph`.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibilityError
-from .network import Graph
 
 INTEGRAL = "integral"
 PRIMAL_DUAL = "primal_dual"
@@ -34,8 +33,6 @@ SCHEME_KINDS = (INTEGRAL, PRIMAL_DUAL, EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING)
 
 # Controllers that keep one state per unit and communicate power commands.
 UNIT_CONSENSUS_KINDS = (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING)
-
-CommGraph = Graph  # a controllers' communication graph is a plain Graph
 
 
 @dataclass(frozen=True)
@@ -56,11 +53,11 @@ class PrivacyParams:
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "beta_hat", np.asarray(self.beta_hat, dtype=float))
-        if np.any(self.beta < 0) or np.any(self.beta_hat < 0):
+        if not (np.all(self.beta >= 0) and np.all(self.beta_hat >= 0)):
             raise ConfigurationError("beta and beta_hat must be non-negative")
         if not 0.0 < self.safety < 1.0:
             raise ConfigurationError("safety must lie in (0, 1)")
-        if self.xi_max < 0:
+        if not self.xi_max >= 0:
             raise ConfigurationError("xi_max must be non-negative")
 
 
@@ -83,9 +80,9 @@ class SchemeConfig:
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
         object.__setattr__(self, "gamma_psi", np.asarray(self.gamma_psi, dtype=float))
-        if np.any(self.gamma <= 0) or np.any(self.gamma_psi <= 0):
+        if not (np.all(self.gamma > 0) and np.all(self.gamma_psi > 0)):
             raise ConfigurationError("time constants must be strictly positive")
-        if self.kind == INTEGRAL and self.integral_gain <= 0:
+        if self.kind == INTEGRAL and not self.integral_gain > 0:
             raise ConfigurationError("integral_gain must be strictly positive")
         if self.kind == PRIVACY_PRESERVING and self.privacy is None:
             raise ConfigurationError("privacy_preserving scheme requires privacy parameters")

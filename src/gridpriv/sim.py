@@ -7,16 +7,16 @@ for the privacy scheme). `closed_loop` assembles A and B once per run from
 the index data of the units and the edge endpoints of two `Graph`s: the
 network's lines and the consensus graph (the communication graph, or the
 lines again for primal_dual). `swing_rhs`, `device_outputs`, `device_rhs`
-and `scheme_rhs` are its per-stage reference. B p_load is formed once per
-load step; load steps act from the step that `Scenario.load_steps` gives
-them. Privacy signals are inputs, not integrated states, held constant
-across the four internal stages of a step. They are drawn DRAW_BLOCK_ROWS
-steps at a time (`draw_privacy_block`): the xi walk and gamma + xi for a
-whole block, then n_f step by step from omega, written onto the command
-rows of a preallocated input vector. A seed gives the same draws as
-drawing one step at a time. The run records the state, pc_dot, the
-privacy draws and the prosumption s_tilde; s_tilde and the Lyapunov column
-are computed after the loop, a chunk of samples at a time.
+and `scheme_rhs` are its per-stage reference. Every scheme forms B p_load
+once per load step, from the step `Scenario.load_steps` gives it, and
+holds it with the time constants until the next; only the privacy scheme
+modulates it. Its signals are inputs, not integrated states, held over a
+step's four stages and drawn DRAW_BLOCK_ROWS steps at a time: the xi walk
+and gamma + xi for a whole block (`draw_privacy_block`), then n_f step by
+step from omega, onto the command rows of a copy of B p_load. A seed gives
+the same draws as drawing one step at a time. The run records the state,
+pc_dot, the privacy draws and the prosumption s_tilde; s_tilde and the
+Lyapunov column are computed after the loop, a chunk of samples at a time.
 """
 
 import os
@@ -227,17 +227,12 @@ class ClosedLoop:
         unit-level schemes) and the time constants tau_c."""
         b = self.load_input(p_load)
         if self.unit_level:
-            self.add_noise(b, n_f, out=b)
+            b[self.pc] += n_f
         return b, (self.tau_c + xi if self.unit_level else self.tau_c)
 
     def load_input(self, p_load):
         """B p_load; it changes only at a load step."""
         return np.bincount(self.in_rows, self.in_vals * p_load[self.in_cols], minlength=self.size)
-
-    def add_noise(self, b_load, n_f, out):
-        """Set the command rows of out to those of b_load plus n_f, with
-        unit weight; its other rows are left as they are."""
-        np.add(b_load[self.pc], n_f, out=out[self.pc])
 
     def rhs(self, y, b, tau_c):
         """dy at the stacked state y, for an input term b and time constants
@@ -384,10 +379,8 @@ def simulate(scenario):
         final = scenario.final_load()
         eq_ref = build_equilibrium(model, devices, scenario.comm, solve_kkt(devices, final), final)
 
-    rng = np.random.default_rng(scenario.seed)
-    xi = np.zeros(n_units)
-    n_f = np.zeros(n_units)
     if privacy:
+        rng = np.random.default_rng(scenario.seed)
         priv = cfg.privacy
         xi = rng.uniform(0.0, priv.xi_max / 10.0, n_units)
         xi[priv.beta_hat == 0.0] = 0.0  # degenerate units stay at the plain scheme
@@ -411,13 +404,11 @@ def simulate(scenario):
 
     loads = scenario.load_steps()
     omega_at_unit = op.offsets[1] + devices.bus  # each unit's bus frequency in y
+    tau_c = op.tau_c
     for k in range(n_steps + 1):
         if k in loads:
-            if privacy:
-                b_load = op.load_input(loads[k])
-                b = b_load.copy()  # its command rows are rewritten every step
-            else:
-                b, tau_c = op.inputs(loads[k], xi, n_f)
+            b_load = op.load_input(loads[k])
+            b = b_load.copy()  # under privacy its command rows are rewritten every step
         if privacy:
             r = k % DRAW_BLOCK_ROWS
             if r == 0:
@@ -426,7 +417,7 @@ def simulate(scenario):
                 tau_rows = op.tau_c + xi_rows
             xi, tau_c = xi_rows[r], tau_rows[r]
             n_f = privacy_noise(priv, draws[r], y[omega_at_unit])
-            op.add_noise(b_load, n_f, out=b)
+            np.add(b_load[op.pc], n_f, out=b[op.pc])
         k1 = op.rhs(y, b, tau_c)
         j, off = divmod(k, stride)
         if off == 0:

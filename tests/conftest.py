@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gridpriv import (
-    CommGraph,
     DeviceSet,
+    Graph,
     NetworkModel,
     PrivacyParams,
     Scenario,
@@ -57,7 +57,7 @@ def devices4():
 
 @pytest.fixture
 def comm4():
-    return CommGraph(4, ((0, 1), (1, 2), (2, 3)))
+    return Graph(4, ((0, 1), (1, 2), (2, 3)))
 
 
 def make_scheme(kind, n_units, n_edges, beta=None, beta_hat=None,

@@ -105,6 +105,12 @@ def test_observed_mask_accepts_numpy_channels():
     assert KnowledgeSet().observed_mask(3).all()
 
 
+@pytest.mark.parametrize("channel", [-1, 4, 10])
+def test_observed_mask_rejects_channels_outside_the_units(channel):
+    with pytest.raises(ConfigurationError, match=rf"channel {channel} is not a unit index"):
+        KnowledgeSet(observed_channels=[0, channel]).observed_mask(4)
+
+
 def reference_attack(traj, comm, cfg, mask, targets, deriv):
     """The observer written out with whole-array temporaries: (s_hat, rmse)."""
     dt, H = traj.dt, comm.incidence

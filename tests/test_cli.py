@@ -100,6 +100,16 @@ def test_run_disturbance_after_t_end_exits_2(runner, tmp_path):
     assert "$.disturbances[0].t" in result.output
 
 
+def test_run_nan_xi_max_exits_2(runner, tmp_path):
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    doc["scheme"]["privacy"]["xi_max"] = float("nan")
+    scen.write_text(json.dumps(doc))  # written as the JSON extension NaN
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "$.scheme.privacy" in result.output
+
+
 def test_run_off_grid_t_end_exits_2(runner, tmp_path):
     """A step at t=10.04 under t_end=10.05, dt=0.1 would never be applied."""
     scen = gen(runner, tmp_path)

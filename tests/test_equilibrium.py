@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gridpriv import (
-    CommGraph,
     DeviceSet,
+    Graph,
     NetworkModel,
     build_equilibrium,
     design_optimal_gains,
@@ -113,12 +113,12 @@ def test_edge_flows_match_min_norm_lstsq(model3, devices4):
             bus_count=buses, comm_style=style, edge_prob=0.3, t_end=5.0, seed=buses)))
         cases.append((sc.model, sc.devices, sc.comm))
     assert cases[-1][2].edge_count > 2 * cases[-1][2].node_count  # meshed
-    cases.append((model3, devices4, CommGraph(4, ((0, 1), (1, 0), (1, 2), (3, 2)))))
+    cases.append((model3, devices4, Graph(4, ((0, 1), (1, 0), (1, 2), (3, 2)))))
     one_bus = NetworkModel(1, (), np.zeros(0), np.array([2.0]), np.array([1.0]))
     m, h = design_optimal_gains(np.array([100.0]), np.array([True]))
     one_unit = DeviceSet(np.array([0]), np.array([True]), np.ones(1), m, h,
                          np.array([100.0]), np.array([0.3]), bus_count=1)
-    cases.append((one_bus, one_unit, CommGraph(1, ())))
+    cases.append((one_bus, one_unit, Graph(1, ())))
 
     rng = np.random.default_rng(5)
     for model, devices, comm in cases:

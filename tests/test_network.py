@@ -11,7 +11,6 @@ from gridpriv import (
     build_scenario,
     dc_power_flow,
     gen_scenario,
-    line_flows,
     swing_rhs,
 )
 from gridpriv.errors import ConfigurationError, InfeasibilityError, ScenarioError
@@ -39,11 +38,6 @@ def test_laplacian_structure(model3):
     np.testing.assert_allclose(L, L.T)
     np.testing.assert_allclose(L @ np.ones(3), 0.0, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(L) > -1e-12)
-
-
-def test_line_flows_hand_values(model3):
-    state = PlantState(eta=np.array([0.1, -0.2]), omega=np.zeros(3))
-    np.testing.assert_allclose(line_flows(model3, state), [0.5, -1.6])
 
 
 def test_swing_rhs_hand_values(model3):

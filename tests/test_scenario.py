@@ -164,6 +164,37 @@ def test_dt_override_checked_against_t_end(small_doc):
     assert build_scenario(small_doc, dt=0.025).dt == 0.025
 
 
+# (keys from the document root to a positive-only leaf, scheme kind, path of the error)
+NAN_FIELDS = {
+    "xi_max": (("scheme", "privacy", "xi_max"), "privacy_preserving", "$.scheme.privacy"),
+    "beta": (("scheme", "privacy", "beta", 0), "privacy_preserving", "$.scheme.privacy"),
+    "beta_hat": (("scheme", "privacy", "beta_hat", 0), "privacy_preserving",
+                 "$.scheme.privacy"),
+    "gamma": (("scheme", "gamma", 0), "privacy_preserving", "$.scheme"),
+    "gamma_psi": (("comm", "gamma_psi", 0), "privacy_preserving", "$.scheme"),
+    "integral_gain": (("scheme", "integral_gain"), "integral", "$.scheme"),
+    "q": (("devices", 0, "q"), "privacy_preserving", "$.devices"),
+    "tau": (("devices", 0, "tau"), "privacy_preserving", "$.devices"),  # unit 0 is a generator
+    "inertia": (("network", "inertia", 0), "privacy_preserving", "$.network"),
+    "damping": (("network", "damping", 0), "privacy_preserving", "$.network"),
+    "b": (("network", "lines", 0, "b"), "privacy_preserving", "$.network"),
+}
+
+
+@pytest.mark.parametrize("field", NAN_FIELDS)
+def test_nan_in_a_positive_field_is_rejected_with_its_path(field):
+    keys, kind, path = NAN_FIELDS[field]
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, t_end=10.0, seed=21))
+    doc["scheme"]["kind"] = kind
+    leaf = doc
+    for key in keys[:-1]:
+        leaf = leaf[key]
+    leaf[keys[-1]] = float("nan")
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(doc)
+    assert exc.value.path == path
+
+
 def test_gains_follow_cost_coefficients(small_doc):
     sc = build_scenario(small_doc)
     lhs = sc.devices.cost_q * (sc.devices.droop_m + sc.devices.damping_h)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpriv import CommGraph, PrivacyParams, SchemeConfig
+from gridpriv import Graph, PrivacyParams, SchemeConfig
 from gridpriv.errors import ConfigurationError, InfeasibilityError
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
@@ -22,16 +22,16 @@ from tests.conftest import make_scheme
 
 
 def test_comm_graph_incidence():
-    g = CommGraph(3, ((0, 1), (1, 2)))
+    g = Graph(3, ((0, 1), (1, 2)))
     np.testing.assert_array_equal(g.incidence, [[1, 0], [-1, 1], [0, -1]])
     assert g.edge_count == 2
 
 
 def test_comm_graph_rejects_disconnected():
     with pytest.raises(ConfigurationError, match="not connected"):
-        CommGraph(4, ((0, 1), (2, 3)))
+        Graph(4, ((0, 1), (2, 3)))
     with pytest.raises(ConfigurationError):
-        CommGraph(2, ((0, 0),))
+        Graph(2, ((0, 0),))
 
 
 def test_integral_rhs_hand_values(devices4):
@@ -47,7 +47,7 @@ def test_integral_rhs_hand_values(devices4):
 
 
 def test_primal_dual_rhs_hand_values(devices4):
-    graph = CommGraph(3, ((0, 1), (1, 2)))
+    graph = Graph(3, ((0, 1), (1, 2)))
     cfg = SchemeConfig(PRIMAL_DUAL, np.full(3, 0.04), np.full(2, 0.03))
     p_c = np.array([1.0, 2.0, 3.0])
     psi = np.array([0.5, -0.5])
@@ -61,7 +61,7 @@ def test_primal_dual_rhs_hand_values(devices4):
 
 
 def test_primal_dual_requires_zeta(devices4):
-    graph = CommGraph(3, ((0, 1), (1, 2)))
+    graph = Graph(3, ((0, 1), (1, 2)))
     cfg = SchemeConfig(PRIMAL_DUAL, np.full(3, 0.04), np.full(2, 0.03))
     state = SchemeState(np.zeros(3), np.zeros(2), np.zeros(4), np.zeros(4))
     with pytest.raises(ConfigurationError, match="zeta"):
