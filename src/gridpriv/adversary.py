@@ -40,7 +40,7 @@ class KnowledgeSet:
             return np.ones(n_units, dtype=bool)
         mask = np.zeros(n_units, dtype=bool)
         for c in ch:
-            if not 0 <= c < n_units:
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < n_units:
                 raise ConfigurationError(f"channel {c} is not a unit index in [0, {n_units})")
             mask[c] = True
         return mask

@@ -131,26 +131,28 @@ def gen_scenario_cmd(out_path, buses, units_min, units_max, q_min, q_max, comm_s
 def attack_cmd(trajectory_path, scenario_path, knowledge_path, baseline_path, out_path):
     """Run the observer attack and origin detection on a recorded trace."""
     scenario = load_scenario(scenario_path)
-    traj = Trajectory.from_csv(trajectory_path)
     n_units = scenario.devices.n_units
-    if traj.p_c.shape[1] != n_units or traj.s_tilde.shape[1] != n_units:
-        raise ConfigurationError(
-            "trajectory columns do not match the scenario's unit count "
-            f"(got {traj.p_c.shape[1]} pc / {traj.s_tilde.shape[1]} s_tilde columns)"
-        )
     knowledge, deriv = load_knowledge(knowledge_path, n_units)
 
+    def attack(path, disturbance_time):
+        """Read, check and attack one trace; a mismatch names the file."""
+        traj = Trajectory.from_csv(path)
+        if traj.p_c.shape[1] != n_units or traj.s_tilde.shape[1] != n_units:
+            raise ConfigurationError(
+                f"{path}: trajectory columns do not match the scenario's unit count {n_units} "
+                f"(got {traj.p_c.shape[1]} pc / {traj.s_tilde.shape[1]} s_tilde columns)"
+            )
+        return observer_attack(traj, scenario.comm, scenario.scheme, knowledge,
+                               deriv=deriv, disturbance_time=disturbance_time)
+
     dist_time = scenario.disturbances[0].time if scenario.disturbances else None
-    report = observer_attack(traj, scenario.comm, scenario.scheme, knowledge,
-                             deriv=deriv, disturbance_time=dist_time)
+    report = attack(trajectory_path, dist_time)
     doc = report.to_dict()
     doc["scenario"] = str(scenario_path)
     if dist_time is not None:
         doc["disturbed_units"] = [d.unit for d in scenario.disturbances]
     if baseline_path:
-        base = Trajectory.from_csv(baseline_path)
-        base_report = observer_attack(base, scenario.comm, scenario.scheme, knowledge,
-                                      deriv=deriv)
+        base_report = attack(baseline_path, None)
         doc["baseline_rmse_transient"] = base_report.rmse_transient
         doc["rmse_ratio_vs_baseline"] = (
             report.rmse_transient / base_report.rmse_transient

@@ -49,6 +49,8 @@ class DeviceSet:
             raise ConfigurationError("unit bus index out of range")
         if not (np.all(self.damping_h > 0) and np.all(self.cost_q > 0)):
             raise ConfigurationError("damping_h and cost_q must be strictly positive")
+        if not np.all(np.isfinite(self.p_load)):
+            raise ConfigurationError("p_load must be finite")
         gens = self.is_generator
         if not (np.all(self.tau[gens] > 0) and np.all(self.droop_m[gens] > 0)):
             raise ConfigurationError("tau and droop_m must be strictly positive for generators")
@@ -148,7 +150,7 @@ def design_optimal_gains(cost_q, is_generator, droop_split=0.5):
     cost_q = np.asarray(cost_q, dtype=float)
     is_generator = np.asarray(is_generator, dtype=bool)
     droop_split = np.asarray(droop_split, dtype=float)
-    if np.any(droop_split <= 0.0) or np.any(droop_split >= 1.0):
+    if not (np.all(droop_split > 0.0) and np.all(droop_split < 1.0)):
         raise ConfigurationError("droop_split must lie in (0, 1)")
     h = np.where(is_generator, droop_split / cost_q, 1.0 / cost_q)
     m = np.where(is_generator, (1.0 - droop_split) / cost_q, 0.0)

@@ -28,7 +28,7 @@ class EquilibriumSolution:
     p_M_star: np.ndarray  # per generator
     d_c_star: np.ndarray  # per load
     total_cost: float
-    p_c_star: np.ndarray | None = None  # per unit, common value -lam
+    p_c_star: np.ndarray | None = None  # per unit (per controller at rest), common value -lam
     x_star: np.ndarray | None = None  # per generator
     eta_star: np.ndarray | None = None  # per line
     psi_star: np.ndarray | None = None  # per communication edge
@@ -82,10 +82,7 @@ def build_equilibrium(model, devices, comm, kkt, p_load=None):
     if comm is not None:
         if comm.node_count != n_units:
             raise ConfigurationError("communication graph must have one node per unit")
-        psi_star = comm.edge_diff(comm.potentials(1.0, s_tilde_star))
-        residual = np.abs(comm.node_sum(psi_star) - s_tilde_star).max()
-        if residual > RESIDUAL_TOL:
-            raise InfeasibilityError(f"consensus equilibrium residual {residual:.3e}")
+        psi_star = consensus_flows(comm, s_tilde_star)
     else:
         psi_star = None
     return EquilibriumSolution(
@@ -93,6 +90,16 @@ def build_equilibrium(model, devices, comm, kkt, p_load=None):
         total_cost=kkt.total_cost, p_c_star=p_c_star, x_star=x_star,
         eta_star=eta_star, psi_star=psi_star, s_tilde_star=s_tilde_star,
     )
+
+
+def consensus_flows(graph, s):
+    """Minimum-norm consensus states psi = Hᵀz with H psi = s, for a zero-sum s;
+    z are the unit-weight Laplacian potentials of s. The residual is checked."""
+    psi = graph.edge_diff(graph.potentials(1.0, s))
+    residual = np.abs(graph.node_sum(psi) - s).max()
+    if residual > RESIDUAL_TOL:
+        raise InfeasibilityError(f"consensus equilibrium residual {residual:.3e}")
+    return psi
 
 
 def lyapunov_value(model, devices, comm, cfg, eq, eta, omega, x, p_c, psi, xi=None):

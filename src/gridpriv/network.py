@@ -133,13 +133,9 @@ class NetworkModel:
     def line_count(self):
         return self.graph.edge_count
 
-    @property
-    def incidence(self):
-        return self.graph.incidence
-
     def laplacian(self):
         """Susceptance-weighted graph Laplacian."""
-        A = self.incidence
+        A = self.graph.incidence
         return A @ (self.susceptance[:, None] * A.T)
 
 
@@ -173,7 +169,7 @@ def swing_rhs(model, state, net_injection):
     net_injection = np.asarray(net_injection, dtype=float)
     if net_injection.shape != (model.bus_count,):
         raise ConfigurationError("net_injection length must match bus_count")
-    A = model.incidence
+    A = model.graph.incidence
     eta_dot = A.T @ state.omega
     p = model.susceptance * state.eta  # line flows
     omega_dot = (net_injection - model.damping * state.omega - A @ p) / model.inertia

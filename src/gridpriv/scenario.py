@@ -8,6 +8,7 @@ are rejected so that typos fail loudly.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .devices import DeviceSet, design_optimal_gains
 from .errors import ConfigurationError, InfeasibilityError, ScenarioError
 from .network import Graph, NetworkModel
 from .schemes import PrivacyParams, SchemeConfig, max_feasible_beta
-from .sim import Disturbance, Scenario
+from .sim import Disturbance, Scenario, atomic_open
 
 KIND_ALIASES = {"generator": True, "load": False}
 DISTURBANCE_TIME = 1.0  # s, when a generated scenario's load step acts
@@ -42,6 +43,15 @@ def _floats(value, length, path):
     if arr.shape != (length,):
         raise ScenarioError(path, f"expected scalar or list of length {length}")
     return arr
+
+
+@contextmanager
+def _at(path):
+    """Re-raise a ConfigurationError from the block as a ScenarioError at path."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ScenarioError(path, str(exc)) from exc
 
 
 def load_json(path):
@@ -87,10 +97,8 @@ def build_scenario(doc, seed=None, dt=None):
         b.append(float(line["b"]))
     inertia = _floats(net["inertia"], n_bus, "$.network.inertia")
     damping = _floats(net["damping"], n_bus, "$.network.damping")
-    try:
+    with _at("$.network"):
         model = NetworkModel(n_bus, tuple(lines), np.array(b), inertia, damping)
-    except ConfigurationError as exc:
-        raise ScenarioError("$.network", str(exc)) from exc
 
     units = doc["devices"]
     if not isinstance(units, list) or not units:
@@ -112,12 +120,10 @@ def build_scenario(doc, seed=None, dt=None):
         split.append(float(unit.get("droop_split", 0.5)))
     q = np.array(q)
     is_gen = np.array(is_gen)
-    try:
+    with _at("$.devices"):
         m, h = design_optimal_gains(q, is_gen, np.array(split))
         devices = DeviceSet(np.array(bus), is_gen, np.array(tau), m,
                             h, q, np.array(p_l), bus_count=n_bus)
-    except ConfigurationError as exc:
-        raise ScenarioError("$.devices", str(exc)) from exc
     n_units = devices.n_units
 
     comm_doc = doc["comm"]
@@ -127,10 +133,8 @@ def build_scenario(doc, seed=None, dt=None):
         if not (isinstance(e, list) and len(e) == 2):
             raise ScenarioError(f"$.comm.edges[{k}]", "expected [from, to]")
         edges.append((int(e[0]), int(e[1])))
-    try:
+    with _at("$.comm"):
         comm = Graph(n_units, tuple(edges))
-    except ConfigurationError as exc:
-        raise ScenarioError("$.comm", str(exc)) from exc
     gamma_psi = _floats(comm_doc["gamma_psi"], comm.edge_count, "$.comm.gamma_psi")
 
     sch = doc["scheme"]
@@ -146,14 +150,12 @@ def build_scenario(doc, seed=None, dt=None):
         _check_keys(pv, "$.scheme.privacy", ("beta", "beta_hat"), ("xi_max", "safety"))
         beta = _floats(pv["beta"], n_units, "$.scheme.privacy.beta")
         beta_hat = _floats(pv["beta_hat"], n_units, "$.scheme.privacy.beta_hat")
-        try:
+        with _at("$.scheme.privacy"):
             privacy = PrivacyParams(
                 beta=beta, beta_hat=beta_hat,
                 xi_max=float(pv.get("xi_max", 10.0 * float(np.max(gamma)))),
                 safety=float(pv.get("safety", 0.999)),
             )
-        except ConfigurationError as exc:
-            raise ScenarioError("$.scheme.privacy", str(exc)) from exc
     elif kind == schemes.PRIVACY_PRESERVING:
         raise ScenarioError("$.scheme.privacy", "required for the privacy_preserving scheme")
 
@@ -166,12 +168,10 @@ def build_scenario(doc, seed=None, dt=None):
                                 "no units; the bus-level primal_dual scheme needs one per bus")
         gamma = devices.bus_sum(gamma) / per_bus
         gamma_psi = np.full(model.line_count, float(np.mean(gamma_psi)))
-    try:
+    with _at("$.scheme"):
         scheme = SchemeConfig(kind=kind, gamma=gamma, gamma_psi=gamma_psi,
                               integral_gain=float(sch.get("integral_gain", 1.0)),
                               privacy=privacy)
-    except ConfigurationError as exc:
-        raise ScenarioError("$.scheme", str(exc)) from exc
 
     sim_doc = doc["sim"]
     _check_keys(sim_doc, "$.sim", ("t_end", "dt", "seed"), ("record_stride",))
@@ -191,8 +191,8 @@ def load_scenario(path, seed=None, dt=None):
 
 
 def save_scenario(doc, path):
-    """Canonical, byte-stable serialization."""
-    with open(path, "w") as fh:
+    """Canonical, byte-stable serialization, written atomically (see atomic_open)."""
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

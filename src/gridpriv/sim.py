@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import build_equilibrium, lyapunov_value, solve_kkt
+from .equilibrium import build_equilibrium, consensus_flows, lyapunov_value, solve_kkt
 from .devices import unit_outputs
 from .errors import ConfigurationError, DivergenceError, ScenarioError
 from .network import Graph
@@ -116,6 +116,8 @@ class Scenario:
             if not 0 <= d.unit < self.devices.n_units:
                 raise ScenarioError(f"$.disturbances[{k}].unit",
                                     f"must lie in [0, {self.devices.n_units})")
+            if not np.isfinite(d.delta):
+                raise ScenarioError(f"$.disturbances[{k}].delta", "must be finite")
         # the order they act in; stable, so same-time steps keep file order
         self.disturbances = tuple(sorted(self.disturbances, key=lambda d: d.time))
 
@@ -336,19 +338,16 @@ def _unit_outputs(kind, devices, x, p_c, omega, p_load):
     return unit_outputs(devices, x, u, omega, p_load)
 
 
-def _initial_state(scenario, kkt, graph):
-    """Pre-disturbance equilibrium of the chosen scheme."""
-    model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
-    if cfg.kind in UNIT_CONSENSUS_KINDS:
-        eq = build_equilibrium(model, devices, graph, kkt)
-        return eq.eta_star, eq.x_star, eq.p_c_star, eq.psi_star
-    eq = build_equilibrium(model, devices, None, kkt)
-    if cfg.kind == INTEGRAL:
-        return eq.eta_star, eq.x_star, eq.p_c_star, np.zeros(0)
-    # primal_dual: bus-level commands and consensus states
-    zeta_star = devices.bus_sum(eq.s_tilde_star)
-    psi0 = graph.edge_diff(graph.potentials(1.0, zeta_star))
-    return eq.eta_star, eq.x_star, np.full(model.bus_count, -kkt.lam), psi0
+def _rest_state(scenario, op, p_load):
+    """The closed loop's rest state at load p_load, for every scheme: frequency
+    restored, every command at -lambda and the consensus states balancing the
+    prosumption each controller sums, B's command rows applied to s_tilde*."""
+    devices = scenario.devices
+    eq = build_equilibrium(scenario.model, devices, None, solve_kkt(devices, p_load), p_load)
+    zeta = op.load_input(eq.s_tilde_star)[op.pc]
+    eq.p_c_star = np.full(zeta.shape, -eq.lam)
+    eq.psi_star = np.zeros(0) if op.graph is None else consensus_flows(op.graph, zeta)
+    return eq
 
 
 def _divergence(op, y, k, dt):
@@ -370,14 +369,12 @@ def simulate(scenario):
             bad = np.flatnonzero(~feasible).tolist()
             raise ConfigurationError(f"design condition violated for units {bad}")
 
-    eta0, x0, pc0, psi0 = _initial_state(scenario, solve_kkt(devices), op.graph)
-    y = np.concatenate([eta0, np.zeros(model.bus_count), x0, pc0, psi0])
+    eq = _rest_state(scenario, op, devices.p_load)
+    y = np.concatenate([eq.eta_star, np.zeros(model.bus_count), eq.x_star, eq.p_c_star,
+                        eq.psi_star])
 
-    # Lyapunov reference: the equilibrium reached after all load steps
-    eq_ref = None
-    if op.unit_level:
-        final = scenario.final_load()
-        eq_ref = build_equilibrium(model, devices, scenario.comm, solve_kkt(devices, final), final)
+    # Lyapunov reference: the rest state after all load steps
+    eq_ref = _rest_state(scenario, op, scenario.final_load()) if op.unit_level else None
 
     if privacy:
         rng = np.random.default_rng(scenario.seed)
@@ -498,9 +495,6 @@ def steady_state_metrics(traj, window, devices=None):
 
 
 def marginal_costs(traj, devices):
-    """Per-sample, per-unit marginal cost q * |prosumption|, from p_M and d_c."""
-    p_M, d_c, _ = _unit_outputs(traj.scheme_kind, devices, traj.x, traj.p_c, traj.omega, 0.0)
-    out = np.empty((len(traj.times), devices.n_units))
-    out[:, devices.gen_index] = np.abs(p_M) * devices.cost_q[devices.gen_index]
-    out[:, devices.load_index] = np.abs(d_c) * devices.cost_q[devices.load_index]
-    return out
+    """Per-sample, per-unit marginal cost q * |prosumption at zero load|: q|p_M| or q|d_c|."""
+    s = _unit_outputs(traj.scheme_kind, devices, traj.x, traj.p_c, traj.omega, 0.0)[2]
+    return np.abs(s) * devices.cost_q

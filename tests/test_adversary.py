@@ -111,6 +111,13 @@ def test_observed_mask_rejects_channels_outside_the_units(channel):
         KnowledgeSet(observed_channels=[0, channel]).observed_mask(4)
 
 
+@pytest.mark.parametrize("channel", [1.5, True, np.float64(2.0), np.bool_(True)])
+def test_observed_mask_rejects_channels_that_are_not_integers(channel):
+    """A bool would index the whole mask and a float would raise numpy's IndexError."""
+    with pytest.raises(ConfigurationError, match=rf"channel {channel} is not a unit index"):
+        KnowledgeSet(observed_channels=[0, channel]).observed_mask(4)
+
+
 def reference_attack(traj, comm, cfg, mask, targets, deriv):
     """The observer written out with whole-array temporaries: (s_hat, rmse)."""
     dt, H = traj.dt, comm.incidence

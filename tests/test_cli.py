@@ -110,6 +110,21 @@ def test_run_nan_xi_max_exits_2(runner, tmp_path):
     assert "$.scheme.privacy" in result.output
 
 
+@pytest.mark.parametrize("field, error", [
+    ("p_l", "$.devices: p_load"), ("delta", "$.disturbances[0].delta: must be finite"),
+    ("droop_split", "$.devices: droop_split"),
+])
+def test_run_nan_load_delta_or_droop_split_exits_2(runner, tmp_path, field, error):
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    leaf = doc["disturbances"][0] if field == "delta" else doc["devices"][0]
+    leaf[field] = float("nan")
+    scen.write_text(json.dumps(doc))  # written as the JSON extension NaN
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert error in result.output
+
+
 def test_run_off_grid_t_end_exits_2(runner, tmp_path):
     """A step at t=10.04 under t_end=10.05, dt=0.1 would never be applied."""
     scen = gen(runner, tmp_path)
@@ -161,6 +176,31 @@ def test_attack_command(runner, tmp_path):
     assert report["rmse_transient"] > 0
     assert report["rmse_ratio_vs_baseline"] > 1.0
     assert report["origin_ranking"][0] in range(len(doc["devices"]))
+
+
+@pytest.mark.parametrize("baseline", ["primal_dual", "other scenario"])
+def test_attack_mismatched_baseline_exits_2(runner, tmp_path, baseline):
+    """The baseline trace is checked like the attacked one: a bus-level trace has
+    a pc column per bus, another scenario's trace another unit count."""
+    scen = gen(runner, tmp_path)
+    if baseline == "primal_dual":
+        doc = json.loads(scen.read_text())
+        doc["scheme"]["kind"] = "primal_dual"
+        base_scen = tmp_path / "base.json"
+        base_scen.write_text(json.dumps(doc))
+    else:
+        base_scen = gen(runner, tmp_path, name="base.json", units_min=3, units_max=3)
+    for label, path in (("main", scen), ("base", base_scen)):
+        result = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / label)])
+        assert result.exit_code == 0, result.output
+    base_trace = tmp_path / "base" / "trajectory.csv"
+    result = runner.invoke(main, [
+        "attack", str(tmp_path / "main" / "trajectory.csv"), "--scenario", str(scen),
+        "--baseline", str(base_trace), "--out", str(tmp_path / "report.json"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"error: {base_trace}: trajectory columns do not match" in result.output
+    assert not (tmp_path / "report.json").exists()
 
 
 def run_and_attack(runner, tmp_path, scen):

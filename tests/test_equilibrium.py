@@ -138,7 +138,7 @@ def test_edge_flows_match_min_norm_lstsq(model3, devices4):
         np.testing.assert_array_equal(eta_dc, eq.eta_star)
         tol = 1e-12 * (1.0 + np.abs(injection).max())
         assert np.abs(theta_dc - theta).max() <= tol
-        assert np.abs(eta_dc - model.incidence.T @ theta).max(initial=0.0) <= tol
+        assert np.abs(eta_dc - model.graph.incidence.T @ theta).max(initial=0.0) <= tol
 
 
 def test_equilibrium_warns_on_suboptimal_gains(model3, comm4, devices4):

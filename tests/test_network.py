@@ -27,12 +27,12 @@ def test_incidence_matrix(model3):
         [-1.0, 1.0],
         [0.0, -1.0],
     ])
-    np.testing.assert_array_equal(model3.incidence, expected)
+    np.testing.assert_array_equal(model3.graph.incidence, expected)
 
 
 def test_laplacian_structure(model3):
     L = model3.laplacian()
-    A = model3.incidence
+    A = model3.graph.incidence
     np.testing.assert_allclose(L, A @ np.diag(model3.susceptance) @ A.T)
     # weighted graph Laplacian: symmetric, zero row sums, PSD
     np.testing.assert_allclose(L, L.T)
@@ -48,7 +48,7 @@ def test_swing_rhs_hand_values(model3):
     np.testing.assert_allclose(eta_dot, [0.3 - (-0.1), -0.1 - 0.2])
     p = np.array([0.5, -1.6])
     expect = (inj - model3.damping * state.omega
-              - model3.incidence @ p) / model3.inertia
+              - model3.graph.incidence @ p) / model3.inertia
     np.testing.assert_allclose(omega_dot, expect)
 
 
@@ -65,8 +65,8 @@ def test_dc_power_flow_balances(model3):
     assert theta[0] == 0.0
     # flows reproduce the injection at every bus
     p = model3.susceptance * eta
-    np.testing.assert_allclose(model3.incidence @ p, inj, atol=1e-12)
-    np.testing.assert_allclose(model3.incidence.T @ theta, eta)
+    np.testing.assert_allclose(model3.graph.incidence @ p, inj, atol=1e-12)
+    np.testing.assert_allclose(model3.graph.incidence.T @ theta, eta)
 
 
 def test_dc_power_flow_rejects_imbalance(model3):
@@ -156,7 +156,6 @@ def test_graph_potential_flow_is_min_norm_solution():
 def test_network_lines_are_its_graph(model3):
     assert model3.graph.node_count == model3.bus_count
     assert model3.graph.edges == model3.lines
-    assert model3.incidence is model3.graph.incidence
 
 
 BAD_EDGES = {

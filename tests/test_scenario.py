@@ -54,6 +54,15 @@ def test_save_load_round_trip(tmp_path, small_doc):
     assert (tmp_path / "scenario.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 
 
+def test_failed_scenario_write_leaves_no_file(tmp_path, small_doc):
+    doc = dict(small_doc, zz=object())  # not serialisable; sorted last, after the rest
+    path = tmp_path / "scenario.json"
+    with pytest.raises(TypeError):
+        save_scenario(doc, path)
+    assert not path.exists()
+    assert not (tmp_path / "scenario.json.tmp").exists()
+
+
 def test_seed_and_dt_overrides(tmp_path, small_doc):
     path = tmp_path / "scenario.json"
     save_scenario(small_doc, path)
@@ -191,6 +200,32 @@ def test_nan_in_a_positive_field_is_rejected_with_its_path(field):
         leaf = leaf[key]
     leaf[keys[-1]] = float("nan")
     with pytest.raises(ScenarioError) as exc:
+        build_scenario(doc)
+    assert exc.value.path == path
+
+
+# (keys from the document root to a leaf that must be finite, path of the error,
+# what the message names)
+FINITE_FIELDS = {
+    "p_l": (("devices", 0, "p_l"), "$.devices", "p_load"),
+    "delta": (("disturbances", 0, "delta"), "$.disturbances[0].delta", "finite"),
+    "droop_split": (("devices", 0, "droop_split"), "$.devices", "droop_split"),
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p_l", float("nan")), ("p_l", float("inf")), ("p_l", -float("inf")),
+    ("delta", float("nan")), ("delta", float("inf")), ("delta", -float("inf")),
+    ("droop_split", float("nan")),
+])
+def test_non_finite_load_delta_or_droop_split_is_rejected_at_its_path(field, value):
+    keys, path, named = FINITE_FIELDS[field]
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, t_end=10.0, seed=21))
+    leaf = doc
+    for key in keys[:-1]:
+        leaf = leaf[key]
+    leaf[keys[-1]] = value
+    with pytest.raises(ScenarioError, match=named) as exc:
         build_scenario(doc)
     assert exc.value.path == path
 

@@ -24,7 +24,8 @@ from gridpriv import (
 import gridpriv.sim as sim_module
 from gridpriv.devices import unit_outputs
 from gridpriv.equilibrium import build_equilibrium
-from gridpriv.errors import ConfigurationError, DivergenceError
+from gridpriv.errors import ConfigurationError, DivergenceError, InfeasibilityError
+from gridpriv.network import Graph
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
     INTEGRAL,
@@ -36,7 +37,7 @@ from gridpriv.sim import (
     SETTLE_THRESHOLD,
     Disturbance,
     Trajectory,
-    _initial_state,
+    _rest_state,
     closed_loop,
     marginal_costs,
     steady_state_metrics,
@@ -62,6 +63,15 @@ def test_starts_at_equilibrium_before_disturbance(scenario_factory):
         assert np.abs(traj.p_c[pre] - traj.p_c[0]).max() < 1e-10
         assert np.abs(traj.psi[pre] - traj.psi[0]).max() < 1e-10
         assert np.abs(traj.p_c[-1] - traj.p_c[0]).max() > 1e-3
+
+
+def test_primal_dual_start_checks_the_consensus_residual(scenario_factory, monkeypatch):
+    """Every scheme's rest state checks H psi* = zeta*, the bus-level one too."""
+    solve = Graph.potentials
+    monkeypatch.setattr(Graph, "potentials",
+                        lambda self, w, s: solve(self, w, s) + np.arange(self.node_count))
+    with pytest.raises(InfeasibilityError, match="consensus equilibrium residual"):
+        simulate(scenario_factory(PRIMAL_DUAL, t_end=1.0))
 
 
 @pytest.mark.parametrize("kind", [EXTENDED_PRIMAL_DUAL, PRIMAL_DUAL])
@@ -471,8 +481,8 @@ def stepwise_privacy_run(sc):
     at a time: refresh_privacy_signals, op.inputs and op.rhs at every step."""
     model, devices, cfg = sc.model, sc.devices, sc.scheme
     op = closed_loop(sc)
-    eta0, x0, pc0, psi0 = _initial_state(sc, solve_kkt(devices), op.graph)
-    y = np.concatenate([eta0, np.zeros(model.bus_count), x0, pc0, psi0])
+    eq0 = _rest_state(sc, op, devices.p_load)
+    y = np.concatenate([eq0.eta_star, np.zeros(model.bus_count), eq0.x_star, eq0.p_c_star, eq0.psi_star])
     rng = np.random.default_rng(sc.seed)
     xi = rng.uniform(0.0, cfg.privacy.xi_max / 10.0, devices.n_units)
     xi[cfg.privacy.beta_hat == 0.0] = 0.0
