@@ -131,17 +131,12 @@ def gen_scenario_cmd(out_path, buses, units_min, units_max, q_min, q_max, comm_s
 def attack_cmd(trajectory_path, scenario_path, knowledge_path, baseline_path, out_path):
     """Run the observer attack and origin detection on a recorded trace."""
     scenario = load_scenario(scenario_path)
-    n_units = scenario.devices.n_units
-    knowledge, deriv = load_knowledge(knowledge_path, n_units)
+    knowledge, deriv = load_knowledge(knowledge_path, scenario.devices.n_units)
 
     def attack(path, disturbance_time):
         """Read, check and attack one trace; a mismatch names the file."""
-        traj = Trajectory.from_csv(path)
-        if traj.p_c.shape[1] != n_units or traj.s_tilde.shape[1] != n_units:
-            raise ConfigurationError(
-                f"{path}: trajectory columns do not match the scenario's unit count {n_units} "
-                f"(got {traj.p_c.shape[1]} pc / {traj.s_tilde.shape[1]} s_tilde columns)"
-            )
+        # scenario by keyword: perfbench's trace hook takes the file from the last positional
+        traj = Trajectory.from_csv(path, scenario=scenario)
         return observer_attack(traj, scenario.comm, scenario.scheme, knowledge,
                                deriv=deriv, disturbance_time=disturbance_time)
 

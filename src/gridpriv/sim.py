@@ -17,6 +17,12 @@ step from omega, onto the command rows of a copy of B p_load. A seed gives
 the same draws as drawing one step at a time. The run records the state,
 pc_dot, the privacy draws and the prosumption s_tilde; s_tilde and the
 Lyapunov column are computed after the loop, a chunk of samples at a time.
+
+A trace file holds what a run integrates, draws or sends: every state
+block but eta, the Lyapunov column, xi and n_f when they hold a non-zero
+value, and s_tilde only under primal_dual, where it is on the wire.
+`Trajectory.from_csv` given the scenario rebuilds s_tilde with the same
+function as `simulate`, bit for bit.
 """
 
 import os
@@ -121,18 +127,30 @@ class Scenario:
         # the order they act in; stable, so same-time steps keep file order
         self.disturbances = tuple(sorted(self.disturbances, key=lambda d: d.time))
 
-    def load_steps(self):
-        """{first step k: uncontrollable load per unit from k on}, in step order.
-        A disturbance acts from the first k with k*dt + 1e-12 >= its time;
-        disturbances on one step merge into one entry."""
-        grid = np.arange(int(round(self.t_end / self.dt)) + 1) * self.dt + 1e-12
-        first = np.searchsorted(grid, [d.time for d in self.disturbances])
+    @property
+    def controller_count(self):
+        """One controller per bus under primal_dual, one per unit otherwise."""
+        if self.scheme.kind == PRIMAL_DUAL:
+            return self.model.bus_count
+        return self.devices.n_units
+
+    def load_segments(self, times):
+        """{first index j: uncontrollable load per unit from times[j] on}, in
+        index order. A disturbance acts from the first j with
+        times[j] + 1e-12 >= its time; disturbances at one index merge into one
+        entry, and one after the last time has the index len(times)."""
+        first = np.searchsorted(np.asarray(times) + 1e-12, [d.time for d in self.disturbances])
         p_load = self.devices.p_load.copy()
-        steps = {0: p_load.copy()}
-        for d, k in zip(self.disturbances, first.tolist()):
+        segments = {0: p_load.copy()}
+        for d, j in zip(self.disturbances, first.tolist()):
             p_load[d.unit] += d.delta
-            steps[k] = p_load.copy()
-        return steps
+            segments[j] = p_load.copy()
+        return segments
+
+    def load_steps(self):
+        """{first step k: uncontrollable load per unit from k on}: the load
+        segments of the step times k*dt."""
+        return self.load_segments(np.arange(int(round(self.t_end / self.dt)) + 1) * self.dt)
 
     def final_load(self):
         """Uncontrollable load per unit after every disturbance."""
@@ -145,7 +163,9 @@ class Trajectory:
 
     The fields `simulate` returns are views into one buffer; outside the
     privacy scheme xi and n_f are read-only zero views. p_M and d_c are not
-    stored; `marginal_costs` derives them with `unit_outputs`.
+    stored; `marginal_costs` derives them with `unit_outputs`. A trace file
+    holds what a run integrates, draws or sends (see `to_csv`); `from_csv`
+    given the scenario rebuilds the rest but eta and pc_dot.
     """
 
     times: np.ndarray
@@ -167,16 +187,28 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
     def to_csv(self, path):
-        """Wide CSV trace, one row per recorded sample (see write_csv)."""
+        """Wide CSV trace, one row per recorded sample (see write_csv): t, omega,
+        pc, psi and x; s_tilde only under primal_dual, where it is the wire
+        signal; xi and nf each only when it holds a non-zero value; lyapunov
+        for the unit-level schemes."""
+        written = {"s_tilde": self.scheme_kind == PRIMAL_DUAL,
+                   "xi": np.any(self.xi), "n_f": np.any(self.n_f)}
         columns = [("t", self.times)]
-        columns += [(prefix, getattr(self, name)) for prefix, name in TRACE_BLOCKS]
+        columns += [(prefix, getattr(self, name)) for prefix, name in TRACE_BLOCKS
+                    if written.get(name, True)]
         if self.lyapunov is not None:
             columns.append(("lyapunov", self.lyapunov))
         write_csv(path, columns)
 
     @classmethod
-    def from_csv(cls, path):
-        """Rebuild the recorded signals available in a CSV trace."""
+    def from_csv(cls, path, scenario=None):
+        """Read a CSV trace; its columns give the scheme kind (`_trace_kind`).
+
+        Given the scenario that ran it, the omega, x and pc widths are checked
+        against it, s_tilde is rebuilt when the file has none and xi and n_f
+        are read-only zero views when it has none. Without one, blocks the
+        file does not hold, and always eta and pc_dot, are zero-width.
+        """
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
             try:
@@ -190,9 +222,39 @@ class Trajectory:
             return data[:, idx]
         lyap = data[:, header.index("lyapunov")] if "lyapunov" in header else None
         empty = np.zeros((len(data), 0))
-        return cls(times=data[:, header.index("t")], lyapunov=lyap,
+        traj = cls(times=data[:, header.index("t")], lyapunov=lyap,
                    **{name: block(prefix) for prefix, name in TRACE_BLOCKS},
                    **dict.fromkeys(("eta", "pc_dot"), empty))
+        traj.scheme_kind = _trace_kind(traj)
+        if scenario is None:
+            return traj
+        want = (scenario.model.bus_count, scenario.devices.n_generators,
+                scenario.controller_count)
+        got = (traj.omega.shape[1], traj.x.shape[1], traj.p_c.shape[1])
+        if got != want:
+            raise ConfigurationError(
+                f"{path}: trajectory columns do not match the scenario: {got} omega / x / pc "
+                f"columns, expected {want}")
+        zeros = np.broadcast_to(0.0, (len(data), scenario.devices.n_units))
+        for name in ("xi", "n_f"):
+            if getattr(traj, name).shape[1] == 0:
+                setattr(traj, name, zeros)
+        if traj.s_tilde.shape[1] == 0:
+            traj.s_tilde = _record_s_tilde(scenario, traj.scheme_kind, traj.times, traj.x,
+                                           traj.p_c, traj.omega, np.empty(zeros.shape))
+        return traj
+
+
+def _trace_kind(traj):
+    """The scheme kind a trace's signals show: privacy_preserving if xi or n_f
+    holds a non-zero value, else extended_primal_dual if it has a Lyapunov
+    column, else primal_dual if it has consensus states, else integral. A
+    one-bus primal_dual trace has no consensus states and shows integral."""
+    if np.any(traj.xi) or np.any(traj.n_f):
+        return PRIVACY_PRESERVING
+    if traj.lyapunov is not None:
+        return EXTENDED_PRIMAL_DUAL
+    return PRIMAL_DUAL if traj.psi.shape[1] else INTEGRAL
 
 
 @dataclass(frozen=True)
@@ -266,8 +328,7 @@ def closed_loop(scenario):
         graph = model.graph  # bus-level consensus over the electrical lines
     else:
         graph = None
-    n_ctrl = model.bus_count if cfg.kind == PRIMAL_DUAL else n_units
-    sizes = [model.line_count, model.bus_count, devices.n_generators, n_ctrl,
+    sizes = [model.line_count, model.bus_count, devices.n_generators, scenario.controller_count,
              graph.edge_count if graph is not None else 0]
     offsets = np.cumsum([0] + sizes)
     E, W, X, C, P = offsets[:-1]
@@ -357,6 +418,22 @@ def _divergence(op, y, k, dt):
     return DivergenceError((k + 1) * dt, BLOCKS[block], first - int(op.offsets[block]), k * dt)
 
 
+def _chunks(j0, j1):
+    """Slices of at most OUTPUT_CHUNK_ROWS samples covering [j0, j1)."""
+    return (slice(i, min(i + OUTPUT_CHUNK_ROWS, j1)) for i in range(j0, j1, OUTPUT_CHUNK_ROWS))
+
+
+def _record_s_tilde(scenario, kind, times, x, p_c, omega, out):
+    """Fill out with the prosumption s_tilde at each sample, under the load that
+    `Scenario.load_segments` places at the sample times; return out."""
+    segments = scenario.load_segments(times)
+    bounds = list(segments) + [len(times)]
+    for j0, j1, load in zip(bounds, bounds[1:], segments.values()):
+        for c in _chunks(j0, j1):
+            out[c] = _unit_outputs(kind, scenario.devices, x[c], p_c[c], omega[c], load)[2]
+    return out
+
+
 def simulate(scenario):
     """Integrate the closed loop and record a full trajectory."""
     model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
@@ -431,24 +508,17 @@ def simulate(scenario):
         if not np.isfinite(y).all():
             raise _divergence(op, y, k, dt)
 
-    def chunks(j0, j1):
-        return (slice(i, min(i + OUTPUT_CHUNK_ROWS, j1))
-                for i in range(j0, j1, OUTPUT_CHUNK_ROWS))
-
     eta, omega, x, p_c, psi = op.blocks(states)
-    # a load acts from sample ceil(k / stride) on; a segment may be empty
-    bounds = [min(-(-k // stride), n_samples) for k in loads] + [n_samples]
-    for j0, j1, load in zip(bounds, bounds[1:], loads.values()):
-        for c in chunks(j0, j1):
-            s_tilde[c] = _unit_outputs(cfg.kind, devices, x[c], p_c[c], omega[c], load)[2]
+    times = steps * dt
+    _record_s_tilde(scenario, cfg.kind, times, x, p_c, omega, s_tilde)
     lyap = None
     if op.unit_level:
         lyap = np.empty(n_samples)
-        for c in chunks(0, n_samples):
+        for c in _chunks(0, n_samples):
             lyap[c] = lyapunov_value(model, devices, scenario.comm, cfg, eq_ref,
                                      eta[c], omega[c], x[c], p_c[c], psi[c], xis[c])[0]
     return Trajectory(
-        times=steps * dt,
+        times=times,
         omega=omega, eta=eta, x=x, p_c=p_c, psi=psi,
         xi=xis, n_f=n_fs, s_tilde=s_tilde, pc_dot=pc_dots,
         lyapunov=lyap, scheme_kind=cfg.kind, equilibrium=eq_ref,

@@ -59,8 +59,9 @@ def test_run_outputs(runner, tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header[0] == "t"
-    for prefix in ("omega_0", "pc_0", "psi_0", "x_0", "s_tilde_0", "xi_0", "nf_0"):
+    for prefix in ("omega_0", "pc_0", "psi_0", "x_0", "xi_0", "nf_0"):
         assert prefix in header
+    assert "s_tilde_0" not in header  # not on the wire under privacy_preserving
     assert "lyapunov" in header
     data = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
     assert np.isfinite(data).all()
@@ -176,6 +177,32 @@ def test_attack_command(runner, tmp_path):
     assert report["rmse_transient"] > 0
     assert report["rmse_ratio_vs_baseline"] > 1.0
     assert report["origin_ranking"][0] in range(len(doc["devices"]))
+
+
+def test_attack_on_compare_dt_traces_gives_the_in_memory_ratio(runner, tmp_path):
+    """attack loads the scenario's own dt, but s_tilde is rebuilt on the times of
+    the traces compare --dt wrote, so the ratio is that of the in-memory runs."""
+    scen = gen(runner, tmp_path)
+    out = tmp_path / "cmp"
+    kinds = (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING)
+    result = runner.invoke(main, ["compare", str(scen), "--out", str(out), "--dt", "0.005",
+                                  "--schemes", ",".join(kinds)])
+    assert result.exit_code == 0, result.output
+    report_path = tmp_path / "report.json"
+    result = runner.invoke(main, [
+        "attack", str(out / PRIVACY_PRESERVING / "trajectory.csv"), "--scenario", str(scen),
+        "--baseline", str(out / EXTENDED_PRIMAL_DUAL / "trajectory.csv"),
+        "--out", str(report_path)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(scen.read_text())
+    sc = build_scenario(doc)  # what attack attacks with
+    rmse = {}
+    for kind in kinds:
+        doc["scheme"]["kind"] = kind
+        traj = simulate(build_scenario(doc, dt=0.005))
+        rmse[kind] = observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet()).rmse_transient
+    ratio = json.loads(report_path.read_text())["rmse_ratio_vs_baseline"]
+    assert ratio == rmse[PRIVACY_PRESERVING] / rmse[EXTENDED_PRIMAL_DUAL]
 
 
 @pytest.mark.parametrize("baseline", ["primal_dual", "other scenario"])
@@ -384,7 +411,7 @@ def test_compare_files_match_in_memory_runs(runner, tmp_path, kinds):
     np.testing.assert_array_equal(data, np.column_stack(
         [times] + [runs[k][1].omega[:, bus] / (2.0 * np.pi) for k in kinds]))
     for kind, (sc, traj) in runs.items():
-        back = Trajectory.from_csv(out / kind / "trajectory.csv")
+        back = Trajectory.from_csv(out / kind / "trajectory.csv", scenario=sc)
         for name in ("times", "omega", "p_c", "psi", "x", "s_tilde", "xi", "n_f"):
             np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
         header, data = read_csv(out / f"fig_marginal_costs_{kind}.csv")

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from gridpriv import (
     swing_rhs,
 )
 import gridpriv.sim as sim_module
+from gridpriv.adversary import KnowledgeSet, naive_readout, observer_attack
 from gridpriv.devices import unit_outputs
 from gridpriv.equilibrium import build_equilibrium
 from gridpriv.errors import ConfigurationError, DivergenceError, InfeasibilityError
@@ -205,17 +207,18 @@ def test_privacy_signal_columns_within_bounds(scenario_factory):
 
 
 def test_csv_round_trip(tmp_path, scenario_factory):
-    traj = simulate(scenario_factory(PRIVACY_PRESERVING, t_end=2.0))
+    sc = scenario_factory(PRIVACY_PRESERVING, t_end=2.0)
+    traj = simulate(sc)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
-    back = Trajectory.from_csv(path)
+    back = Trajectory.from_csv(path, scenario=sc)
     np.testing.assert_array_equal(back.times, traj.times)
     for name in ("omega", "p_c", "psi", "x", "s_tilde", "xi", "n_f", "lyapunov"):
         np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
     header = path.read_text().splitlines()[0].split(",")
     assert header[0] == "t"
     assert "omega_0" in header and "pc_0" in header and "psi_0" in header
-    assert "x_0" in header and "s_tilde_0" in header
+    assert "x_0" in header and "s_tilde_0" not in header
     assert "xi_0" in header and "nf_0" in header and "lyapunov" in header
 
 
@@ -231,7 +234,8 @@ def test_csv_round_trip_is_bit_exact_for_edge_values(tmp_path):
 
 
 def test_csv_one_row_zero_width_block_and_line_endings(tmp_path, scenario_factory):
-    traj = simulate(scenario_factory(INTEGRAL, t_end=0.02, disturbances=((0.0, 0, 0.2),)))
+    sc = scenario_factory(INTEGRAL, t_end=0.02, disturbances=((0.0, 0, 0.2),))
+    traj = simulate(sc)
     assert traj.psi.shape[1] == 0 and traj.lyapunov is None  # integral has no psi
     one = dataclasses.replace(traj, **{name: getattr(traj, name)[:1] for name in (
         "times", "omega", "p_c", "psi", "x", "s_tilde", "xi", "n_f")})
@@ -239,7 +243,7 @@ def test_csv_one_row_zero_width_block_and_line_endings(tmp_path, scenario_factor
     one.to_csv(path)
     raw = path.read_bytes()
     assert b"\r" not in raw and raw.count(b"\n") == 2 and raw.endswith(b"\n")
-    back = Trajectory.from_csv(path)
+    back = Trajectory.from_csv(path, scenario=sc)
     assert back.times.shape == (1,) and back.psi.shape == (1, 0)
     for name in ("times", "omega", "p_c", "x", "s_tilde", "xi", "n_f"):
         np.testing.assert_array_equal(getattr(back, name), getattr(one, name))
@@ -263,8 +267,10 @@ def test_failed_csv_write_leaves_no_partial_target(tmp_path):
 def test_from_csv_reads_the_old_trace_format(tmp_path, scenario_factory):
     """CRLF line ends and repr cells, as csv.writer wrote traces before."""
     traj = simulate(scenario_factory(PRIVACY_PRESERVING, t_end=1.0))
-    traj.to_csv(tmp_path / "new.csv")
-    header, _ = read_csv(tmp_path / "new.csv")
+    header = ["t"] + [f"{prefix}_{k}" for prefix, block in (
+        ("omega", traj.omega), ("pc", traj.p_c), ("psi", traj.psi), ("x", traj.x),
+        ("s_tilde", traj.s_tilde), ("xi", traj.xi), ("nf", traj.n_f))
+        for k in range(block.shape[1])] + ["lyapunov"]
     data = np.hstack([traj.times[:, None], traj.omega, traj.p_c, traj.psi, traj.x,
                       traj.s_tilde, traj.xi, traj.n_f, traj.lyapunov[:, None]])
     path = tmp_path / "old.csv"
@@ -277,6 +283,95 @@ def test_from_csv_reads_the_old_trace_format(tmp_path, scenario_factory):
     back = Trajectory.from_csv(path)
     for name in ("times", "omega", "p_c", "psi", "x", "s_tilde", "xi", "n_f", "lyapunov"):
         np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
+    assert back.scheme_kind == PRIVACY_PRESERVING
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_from_csv_rebuilds_every_recorded_field(tmp_path, scenario_factory, kind, stride):
+    """Given the scenario, a trace read back equals the run in every field but
+    eta and pc_dot; s_tilde, dropped from the file, is rebuilt bit for bit under
+    loads at t = 0, on one step, off the grid and at t_end."""
+    t_end = 3.03
+    sc = scenario_factory(kind, t_end=t_end, disturbances=(
+        (0.0, 0, 0.2), (1.0, 1, -0.1), (1.0, 2, 0.1), (3.004, 3, 0.3), (t_end, 0, 0.05)))
+    sc.record_stride = stride
+    traj = simulate(sc)
+    full = tmp_path / "full.csv"
+    traj.to_csv(full)
+    header, data = read_csv(full)
+    path = tmp_path / "no_s_tilde.csv"
+    write_csv(path, [(name, data[:, k]) for k, name in enumerate(header)
+                     if not name.startswith("s_tilde_")])
+    back = Trajectory.from_csv(path, scenario=sc)
+    for name in ("times", "omega", "p_c", "psi", "x", "s_tilde", "xi", "n_f", "lyapunov"):
+        want, got = getattr(traj, name), getattr(back, name)
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert back.scheme_kind == kind
+    assert back.eta.shape[1] == back.pc_dot.shape[1] == 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_trace_columns_hold_what_the_run_sends_or_draws(tmp_path, scenario_factory, kind):
+    """Plain traces carry no xi_, nf_ columns, and only primal_dual writes s_tilde_;
+    the columns give the scheme kind back, with or without the scenario."""
+    sc = scenario_factory(kind, t_end=2.0)
+    traj = simulate(sc)
+    path = tmp_path / "trace.csv"
+    traj.to_csv(path)
+    header, _ = read_csv(path)
+    prefixes = {name.rsplit("_", 1)[0] for name in header if name[-1].isdigit()}
+    assert ("xi" in prefixes, "nf" in prefixes) == (kind == PRIVACY_PRESERVING,) * 2
+    assert ("s_tilde" in prefixes) == (kind == PRIMAL_DUAL)
+    for scenario in (None, sc):
+        back = Trajectory.from_csv(path, scenario=scenario)
+        assert back.scheme_kind == kind
+    if kind != PRIVACY_PRESERVING:
+        assert back.n_f.shape == (len(traj.times), 4) and not back.n_f.flags.writeable
+    if kind != PRIMAL_DUAL:
+        bare = Trajectory.from_csv(path)
+        assert bare.s_tilde.shape == (len(traj.times), 0)
+        with pytest.raises(ConfigurationError, match="no prosumption"):
+            observer_attack(bare, sc.comm, sc.scheme, KnowledgeSet())
+        return
+    readout = naive_readout(back)
+    np.testing.assert_array_equal(readout, naive_readout(traj))
+    np.testing.assert_array_equal(readout, traj.s_tilde)
+    np.testing.assert_array_equal(marginal_costs(back, sc.devices),
+                                  marginal_costs(traj, sc.devices))
+
+
+def test_zero_bound_privacy_trace_reads_back_as_the_plain_scheme(tmp_path, scenario_factory):
+    zero = np.zeros(4)
+    sc = scenario_factory(PRIVACY_PRESERVING, t_end=2.0, beta=zero, beta_hat=zero, xi_max=0.0)
+    traj = simulate(sc)
+    plain = tmp_path / "plain.csv"
+    simulate(scenario_factory(EXTENDED_PRIMAL_DUAL, t_end=2.0)).to_csv(plain)
+    path = tmp_path / "zero.csv"
+    traj.to_csv(path)
+    assert path.read_bytes() == plain.read_bytes()
+    back = Trajectory.from_csv(path, scenario=sc)
+    assert back.scheme_kind == EXTENDED_PRIMAL_DUAL
+    np.testing.assert_array_equal(back.xi, traj.xi)
+    np.testing.assert_array_equal(back.n_f, traj.n_f)
+
+
+@pytest.mark.parametrize("other", ["primal_dual", "three units"])
+def test_from_csv_checks_widths_before_the_rebuild(tmp_path, scenario_factory, other):
+    """A trace of another scenario is named, not broadcast against it."""
+    path = tmp_path / "trace.csv"
+    simulate(scenario_factory(EXTENDED_PRIMAL_DUAL, t_end=1.0)).to_csv(path)
+    if other == "primal_dual":
+        other = scenario_factory(PRIMAL_DUAL, t_end=1.0)
+    else:
+        other = build_scenario(gen_scenario(RandomScenarioSpec(
+            bus_count=3, units_per_bus=(1, 1), t_end=1.0, seed=0)))
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(path))}: trajectory "
+                                                 "columns do not match"):
+        Trajectory.from_csv(path, scenario=other)
 
 
 def test_record_stride(model3, devices4, comm4):
