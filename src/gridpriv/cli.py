@@ -130,13 +130,21 @@ def gen_scenario_cmd(out_path, buses, units_min, units_max, q_min, q_max, comm_s
 @_handle_errors
 def attack_cmd(trajectory_path, scenario_path, knowledge_path, baseline_path, out_path):
     """Run the observer attack and origin detection on a recorded trace."""
-    scenario = load_scenario(scenario_path)
+    doc = load_json(scenario_path)
+    scenario = build_scenario(doc)
+    if scenario.scheme.kind == schemes.PRIMAL_DUAL:
+        # its gains are per bus; the attacked unit-level traces ran on the per-unit ones
+        scenario = _build_as(doc, schemes.EXTENDED_PRIMAL_DUAL)
     knowledge, deriv = load_knowledge(knowledge_path, scenario.devices.n_units)
 
     def attack(path, disturbance_time):
         """Read, check and attack one trace; a mismatch names the file."""
         # scenario by keyword: perfbench's trace hook takes the file from the last positional
         traj = Trajectory.from_csv(path, scenario=scenario)
+        if traj.scheme_kind == schemes.PRIMAL_DUAL:
+            raise ConfigurationError(
+                f"{path}: trajectory columns do not match the attack: a primal_dual trace "
+                f"has one pc column per bus, the attack needs one per unit")
         return observer_attack(traj, scenario.comm, scenario.scheme, knowledge,
                                deriv=deriv, disturbance_time=disturbance_time)
 
@@ -179,9 +187,7 @@ def compare_cmd(scenario_path, scheme_list, out_dir, seed, dt):
 
     all_metrics, freq, inferred = {}, {}, {}
     for kind in kinds:
-        variant = json.loads(json.dumps(doc))
-        variant["scheme"]["kind"] = kind
-        scenario = build_scenario(variant, seed=seed, dt=dt)
+        scenario = _build_as(doc, kind, seed=seed, dt=dt)
         dist = scenario.disturbances
         watch_bus = int(scenario.devices.bus[dist[0].unit]) if dist else 0
         times, freq[kind], inferred[kind], metrics = _compare_one(scenario, out_dir, watch_bus)
@@ -202,6 +208,13 @@ def compare_cmd(scenario_path, scheme_list, out_dir, seed, dt):
                       [("t", times), ("true", inferred[observed[0]][0])]
                       + [(f"inferred_{kind}", inferred[kind][1]) for kind in observed])
     click.echo(str(out_dir / "metrics.json"))
+
+
+def _build_as(doc, kind, seed=None, dt=None):
+    """The scenario of document doc under scheme kind."""
+    variant = json.loads(json.dumps(doc))
+    variant["scheme"]["kind"] = kind
+    return build_scenario(variant, seed=seed, dt=dt)
 
 
 def _compare_one(scenario, out_dir, watch_bus):

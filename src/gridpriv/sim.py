@@ -127,13 +127,6 @@ class Scenario:
         # the order they act in; stable, so same-time steps keep file order
         self.disturbances = tuple(sorted(self.disturbances, key=lambda d: d.time))
 
-    @property
-    def controller_count(self):
-        """One controller per bus under primal_dual, one per unit otherwise."""
-        if self.scheme.kind == PRIMAL_DUAL:
-            return self.model.bus_count
-        return self.devices.n_units
-
     def load_segments(self, times):
         """{first index j: uncontrollable load per unit from times[j] on}, in
         index order. A disturbance acts from the first j with
@@ -204,10 +197,12 @@ class Trajectory:
     def from_csv(cls, path, scenario=None):
         """Read a CSV trace; its columns give the scheme kind (`_trace_kind`).
 
-        Given the scenario that ran it, the omega, x and pc widths are checked
-        against it, s_tilde is rebuilt when the file has none and xi and n_f
-        are read-only zero views when it has none. Without one, blocks the
-        file does not hold, and always eta and pc_dot, are zero-width.
+        Given the scenario that ran it, a one-bus primal_dual trace is told
+        from an integral one by its pc count, the omega, x and pc widths are
+        checked against the scenario for the trace's kind, s_tilde is rebuilt
+        when the file has none and xi and n_f are read-only zero views when it
+        has none. Without one, blocks the file does not hold, and always eta
+        and pc_dot, are zero-width.
         """
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
@@ -228,14 +223,18 @@ class Trajectory:
         traj.scheme_kind = _trace_kind(traj)
         if scenario is None:
             return traj
-        want = (scenario.model.bus_count, scenario.devices.n_generators,
-                scenario.controller_count)
+        model, devices = scenario.model, scenario.devices
+        if (traj.scheme_kind == INTEGRAL and model.line_count == 0
+                and traj.p_c.shape[1] != devices.n_units):
+            traj.scheme_kind = PRIMAL_DUAL  # over no lines it has no psi; one pc per bus
+        want = (model.bus_count, devices.n_generators,
+                model.bus_count if traj.scheme_kind == PRIMAL_DUAL else devices.n_units)
         got = (traj.omega.shape[1], traj.x.shape[1], traj.p_c.shape[1])
         if got != want:
             raise ConfigurationError(
                 f"{path}: trajectory columns do not match the scenario: {got} omega / x / pc "
                 f"columns, expected {want}")
-        zeros = np.broadcast_to(0.0, (len(data), scenario.devices.n_units))
+        zeros = np.broadcast_to(0.0, (len(data), devices.n_units))
         for name in ("xi", "n_f"):
             if getattr(traj, name).shape[1] == 0:
                 setattr(traj, name, zeros)
@@ -328,7 +327,8 @@ def closed_loop(scenario):
         graph = model.graph  # bus-level consensus over the electrical lines
     else:
         graph = None
-    sizes = [model.line_count, model.bus_count, devices.n_generators, scenario.controller_count,
+    n_ctrl = model.bus_count if cfg.kind == PRIMAL_DUAL else n_units
+    sizes = [model.line_count, model.bus_count, devices.n_generators, n_ctrl,
              graph.edge_count if graph is not None else 0]
     offsets = np.cumsum([0] + sizes)
     E, W, X, C, P = offsets[:-1]

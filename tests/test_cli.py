@@ -15,6 +15,7 @@ from gridpriv import (
 from gridpriv.cli import main
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
+    PRIMAL_DUAL,
     PRIVACY_PRESERVING,
     SCHEME_KINDS,
 )
@@ -228,6 +229,35 @@ def test_attack_mismatched_baseline_exits_2(runner, tmp_path, baseline):
     assert result.exit_code == 2, result.output
     assert f"error: {base_trace}: trajectory columns do not match" in result.output
     assert not (tmp_path / "report.json").exists()
+
+
+def test_attack_ignores_the_scenario_files_scheme_kind(runner, tmp_path):
+    """Under a primal_dual scenario file, compare's unit-level traces are attacked
+    as under any other kind, and its primal_dual trace exits 2 at its path."""
+    scen = gen(runner, tmp_path, scheme=PRIMAL_DUAL)
+    out = tmp_path / "cmp"
+    result = runner.invoke(main, ["compare", str(scen), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(scen.read_text())
+    doc["scheme"]["kind"] = PRIVACY_PRESERVING
+    pp_scen = tmp_path / "pp.json"
+    pp_scen.write_text(json.dumps(doc))
+    reports = []
+    for path in (scen, pp_scen):
+        report_path = tmp_path / f"{path.stem}_report.json"
+        result = runner.invoke(main, [
+            "attack", str(out / PRIVACY_PRESERVING / "trajectory.csv"), "--scenario", str(path),
+            "--baseline", str(out / EXTENDED_PRIMAL_DUAL / "trajectory.csv"),
+            "--out", str(report_path)])
+        assert result.exit_code == 0, result.output
+        reports.append(json.loads(report_path.read_text()))
+        del reports[-1]["scenario"]
+    assert reports[0] == reports[1]
+    trace = out / PRIMAL_DUAL / "trajectory.csv"
+    result = runner.invoke(main, ["attack", str(trace), "--scenario", str(scen),
+                                  "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {trace}: trajectory columns do not match" in result.output
 
 
 def run_and_attack(runner, tmp_path, scen):

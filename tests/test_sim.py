@@ -359,19 +359,44 @@ def test_zero_bound_privacy_trace_reads_back_as_the_plain_scheme(tmp_path, scena
     np.testing.assert_array_equal(back.n_f, traj.n_f)
 
 
-@pytest.mark.parametrize("other", ["primal_dual", "three units"])
-def test_from_csv_checks_widths_before_the_rebuild(tmp_path, scenario_factory, other):
+def test_from_csv_checks_widths_before_the_rebuild(tmp_path, scenario_factory):
     """A trace of another scenario is named, not broadcast against it."""
     path = tmp_path / "trace.csv"
     simulate(scenario_factory(EXTENDED_PRIMAL_DUAL, t_end=1.0)).to_csv(path)
-    if other == "primal_dual":
-        other = scenario_factory(PRIMAL_DUAL, t_end=1.0)
-    else:
-        other = build_scenario(gen_scenario(RandomScenarioSpec(
-            bus_count=3, units_per_bus=(1, 1), t_end=1.0, seed=0)))
+    other = build_scenario(gen_scenario(RandomScenarioSpec(
+        bus_count=3, units_per_bus=(1, 1), t_end=1.0, seed=0)))
     with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(path))}: trajectory "
                                                  "columns do not match"):
         Trajectory.from_csv(path, scenario=other)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_from_csv_takes_the_kind_from_the_trace_not_the_scenario(tmp_path, scenario_factory,
+                                                                 kind):
+    """The scenario's own scheme kind has no say: each trace is checked and
+    rebuilt under the kind its columns show."""
+    traj = simulate(scenario_factory(kind, t_end=1.0))
+    path = tmp_path / "trace.csv"
+    traj.to_csv(path)
+    for other in ALL_KINDS:
+        back = Trajectory.from_csv(path, scenario=scenario_factory(other, t_end=1.0))
+        assert back.scheme_kind == kind
+        np.testing.assert_array_equal(back.s_tilde, traj.s_tilde)
+
+
+def test_one_bus_primal_dual_trace_is_told_by_its_pc_count(tmp_path):
+    """Over no lines primal_dual has no psi; given the scenario, its one pc
+    column per bus tells it from integral."""
+    sc = build_scenario(gen_scenario(RandomScenarioSpec(
+        bus_count=1, units_per_bus=(2, 2), scheme_kind=PRIMAL_DUAL, t_end=1.0)))
+    traj = simulate(sc)
+    path = tmp_path / "trace.csv"
+    traj.to_csv(path)
+    assert Trajectory.from_csv(path).scheme_kind == INTEGRAL
+    back = Trajectory.from_csv(path, scenario=sc)
+    assert back.scheme_kind == PRIMAL_DUAL
+    for name in ("p_c", "s_tilde"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
 
 
 def test_record_stride(model3, devices4, comm4):
