@@ -97,6 +97,9 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units
     dt = traj.dt
     p_c = traj.p_c
     n_units = p_c.shape[1]
+    if len(times) < 2:
+        raise ConfigurationError("trajectory has fewer than two samples; the attack needs "
+                                 "dt and one command difference")
     if traj.s_tilde.shape[1] == 0:
         raise ConfigurationError("trajectory carries no prosumption s_tilde; a trace file "
                                  "holds it only under primal_dual, read it with its scenario")

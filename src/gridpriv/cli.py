@@ -32,11 +32,6 @@ from .sim import Trajectory, marginal_costs, simulate, steady_state_metrics
 log = logging.getLogger("gridpriv")
 
 
-def _write_json(path, obj):
-    with sim.atomic_open(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -67,14 +62,14 @@ def _run_one(scenario, out_dir):
     metrics = steady_state_metrics(traj, window, devices=scenario.devices)
     metrics["lambda"] = kkt.lam
     metrics["scheme"] = scenario.scheme.kind
-    _write_json(out_dir / "metrics.json", metrics)
-    _write_json(out_dir / "equilibrium.json", {
+    save_scenario(metrics, out_dir / "metrics.json")
+    save_scenario({
         "lambda": kkt.lam,
         "p_c_star": -kkt.lam,
         "p_M_star": kkt.p_M_star.tolist(),
         "d_c_star": kkt.d_c_star.tolist(),
         "total_cost": kkt.total_cost,
-    })
+    }, out_dir / "equilibrium.json")
     return traj, metrics
 
 
@@ -145,8 +140,11 @@ def attack_cmd(trajectory_path, scenario_path, knowledge_path, baseline_path, ou
             raise ConfigurationError(
                 f"{path}: trajectory columns do not match the attack: a primal_dual trace "
                 f"has one pc column per bus, the attack needs one per unit")
-        return observer_attack(traj, scenario.comm, scenario.scheme, knowledge,
-                               deriv=deriv, disturbance_time=disturbance_time)
+        try:
+            return observer_attack(traj, scenario.comm, scenario.scheme, knowledge,
+                                   deriv=deriv, disturbance_time=disturbance_time)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
 
     dist_time = scenario.disturbances[0].time if scenario.disturbances else None
     report = attack(trajectory_path, dist_time)
@@ -161,7 +159,7 @@ def attack_cmd(trajectory_path, scenario_path, knowledge_path, baseline_path, ou
             report.rmse_transient / base_report.rmse_transient
             if base_report.rmse_transient > 0 else None
         )
-    _write_json(out_path, doc)
+    save_scenario(doc, out_path)
     click.echo(json.dumps({"rmse_transient": doc["rmse_transient"],
                            "rmse_steady": doc["rmse_steady"]}, sort_keys=True))
 
@@ -199,7 +197,7 @@ def compare_cmd(scenario_path, scheme_list, out_dir, seed, dt):
     all_metrics["settle_time_ordering"] = sorted(
         (k for k in kinds if settle[k] is not None), key=lambda k: settle[k]
     )
-    _write_json(out_dir / "metrics.json", all_metrics)
+    save_scenario(all_metrics, out_dir / "metrics.json")
     sim.write_csv(out_dir / "fig_frequency.csv", [("t", times)] + [
         (f"freq_hz_bus{watch_bus}_{kind}", freq[kind]) for kind in kinds])
     observed = [k for k in schemes.UNIT_CONSENSUS_KINDS if k in kinds]
@@ -211,10 +209,11 @@ def compare_cmd(scenario_path, scheme_list, out_dir, seed, dt):
 
 
 def _build_as(doc, kind, seed=None, dt=None):
-    """The scenario of document doc under scheme kind."""
-    variant = json.loads(json.dumps(doc))
-    variant["scheme"]["kind"] = kind
-    return build_scenario(variant, seed=seed, dt=dt)
+    """The scenario of document doc under scheme kind, sharing doc's parts; a doc or
+    scheme that is not an object goes to build_scenario as it is, which names its path."""
+    if isinstance(doc, dict) and isinstance(doc.get("scheme"), dict):
+        doc = {**doc, "scheme": {**doc["scheme"], "kind": kind}}
+    return build_scenario(doc, seed=seed, dt=dt)
 
 
 def _compare_one(scenario, out_dir, watch_bus):
@@ -253,7 +252,7 @@ def check_design_cmd(scenario_path, out_path):
         ],
     }
     if out_path:
-        _write_json(out_path, doc)
+        save_scenario(doc, out_path)
     click.echo(json.dumps({"all_feasible": doc["all_feasible"]}))
 
 

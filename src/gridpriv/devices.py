@@ -12,9 +12,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-GENERATOR = "generator"
-LOAD = "load"
-
 
 @dataclass(frozen=True)
 class DeviceSet:

@@ -15,7 +15,7 @@ import numpy as np
 from .devices import bus_injection, prosumption
 from .errors import ConfigurationError, InfeasibilityError
 from .network import dc_power_flow
-from .schemes import EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING
+from .schemes import PRIVACY_PRESERVING, UNIT_CONSENSUS_KINDS
 
 RESIDUAL_TOL = 1e-9  # power balance and consensus residual of an equilibrium
 
@@ -111,7 +111,7 @@ def lyapunov_value(model, devices, comm, cfg, eq, eta, omega, x, p_c, psi, xi=No
     components are then arrays over the samples, and numpy scalars for a
     single state.
     """
-    if cfg.kind not in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING):
+    if cfg.kind not in UNIT_CONSENSUS_KINDS:
         raise ConfigurationError(f"no Lyapunov certificate for scheme kind {cfg.kind!r}")
     if eq.p_c_star is None or eq.eta_star is None or eq.psi_star is None:
         raise ConfigurationError("equilibrium is incomplete")

@@ -167,7 +167,7 @@ def build_scenario(doc, seed=None, dt=None):
             raise ScenarioError("$.devices", f"bus {int(np.flatnonzero(per_bus == 0)[0])} has "
                                 "no units; the bus-level primal_dual scheme needs one per bus")
         gamma = devices.bus_sum(gamma) / per_bus
-        gamma_psi = np.full(model.line_count, float(np.mean(gamma_psi)))
+        gamma_psi = np.full(model.line_count, gamma_psi.mean() if model.line_count else 1.0)
     with _at("$.scheme"):
         scheme = SchemeConfig(kind=kind, gamma=gamma, gamma_psi=gamma_psi,
                               integral_gain=float(sch.get("integral_gain", 1.0)),
@@ -191,7 +191,7 @@ def load_scenario(path, seed=None, dt=None):
 
 
 def save_scenario(doc, path):
-    """Canonical, byte-stable serialization, written atomically (see atomic_open)."""
+    """Canonical, byte-stable JSON of a scenario or a CLI report, written atomically."""
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

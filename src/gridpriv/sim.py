@@ -20,9 +20,9 @@ Lyapunov column are computed after the loop, a chunk of samples at a time.
 
 A trace file holds what a run integrates, draws or sends: every state
 block but eta, the Lyapunov column, xi and n_f when they hold a non-zero
-value, and s_tilde only under primal_dual, where it is on the wire.
-`Trajectory.from_csv` given the scenario rebuilds s_tilde with the same
-function as `simulate`, bit for bit.
+value, and s_tilde only under primal_dual, where it is on the wire; its
+columns alone give the scheme kind (`_trace_kind`). `Trajectory.from_csv`
+given the scenario rebuilds s_tilde as `simulate` does, bit for bit.
 """
 
 import os
@@ -158,7 +158,8 @@ class Trajectory:
     privacy scheme xi and n_f are read-only zero views. p_M and d_c are not
     stored; `marginal_costs` derives them with `unit_outputs`. A trace file
     holds what a run integrates, draws or sends (see `to_csv`); `from_csv`
-    given the scenario rebuilds the rest but eta and pc_dot.
+    reads the scheme kind from its columns and, given the scenario, rebuilds
+    the rest but eta and pc_dot.
     """
 
     times: np.ndarray
@@ -197,12 +198,11 @@ class Trajectory:
     def from_csv(cls, path, scenario=None):
         """Read a CSV trace; its columns give the scheme kind (`_trace_kind`).
 
-        Given the scenario that ran it, a one-bus primal_dual trace is told
-        from an integral one by its pc count, the omega, x and pc widths are
-        checked against the scenario for the trace's kind, s_tilde is rebuilt
-        when the file has none and xi and n_f are read-only zero views when it
-        has none. Without one, blocks the file does not hold, and always eta
-        and pc_dot, are zero-width.
+        Given the scenario that ran it, the omega, x and pc widths are checked
+        against the scenario for the trace's kind, s_tilde is rebuilt when the
+        file has none and xi and n_f are read-only zero views when it has
+        none. Without one, blocks the file does not hold, and always eta and
+        pc_dot, are zero-width.
         """
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
@@ -224,9 +224,6 @@ class Trajectory:
         if scenario is None:
             return traj
         model, devices = scenario.model, scenario.devices
-        if (traj.scheme_kind == INTEGRAL and model.line_count == 0
-                and traj.p_c.shape[1] != devices.n_units):
-            traj.scheme_kind = PRIMAL_DUAL  # over no lines it has no psi; one pc per bus
         want = (model.bus_count, devices.n_generators,
                 model.bus_count if traj.scheme_kind == PRIMAL_DUAL else devices.n_units)
         got = (traj.omega.shape[1], traj.x.shape[1], traj.p_c.shape[1])
@@ -245,15 +242,18 @@ class Trajectory:
 
 
 def _trace_kind(traj):
-    """The scheme kind a trace's signals show: privacy_preserving if xi or n_f
+    """The scheme kind a trace's columns show: privacy_preserving if xi or n_f
     holds a non-zero value, else extended_primal_dual if it has a Lyapunov
-    column, else primal_dual if it has consensus states, else integral. A
-    one-bus primal_dual trace has no consensus states and shows integral."""
+    column, else primal_dual if it has psi columns, or s_tilde columns and no
+    xi columns, else integral. Only primal_dual writes s_tilde; the earlier
+    format wrote s_tilde and xi under every scheme, so there a one-bus
+    primal_dual trace, which has no psi, shows integral."""
     if np.any(traj.xi) or np.any(traj.n_f):
         return PRIVACY_PRESERVING
     if traj.lyapunov is not None:
         return EXTENDED_PRIMAL_DUAL
-    return PRIMAL_DUAL if traj.psi.shape[1] else INTEGRAL
+    sends_s_tilde = traj.s_tilde.shape[1] and not traj.xi.shape[1]
+    return PRIMAL_DUAL if traj.psi.shape[1] or sends_s_tilde else INTEGRAL
 
 
 @dataclass(frozen=True)

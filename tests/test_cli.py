@@ -6,18 +6,22 @@ from click.testing import CliRunner
 
 from gridpriv import (
     KnowledgeSet,
+    RandomScenarioSpec,
     Trajectory,
     build_scenario,
+    gen_scenario,
     observer_attack,
     origin_detection,
     simulate,
 )
 from gridpriv.cli import main
+from gridpriv.errors import ConfigurationError
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
     PRIMAL_DUAL,
     PRIVACY_PRESERVING,
     SCHEME_KINDS,
+    max_feasible_beta,
 )
 from gridpriv.sim import marginal_costs
 from tests.conftest import read_csv
@@ -322,6 +326,24 @@ def test_compare_watches_the_bus_of_the_earliest_disturbance(runner, tmp_path):
     assert header == ["t", "freq_hz_bus1_integral"]
 
 
+@pytest.mark.parametrize("rows, code", [(1, 2), (2, 0)])
+def test_attack_needs_two_samples(runner, tmp_path, rows, code):
+    """One sample gives no dt and no command difference: exit 2, naming the file."""
+    scen = gen(runner, tmp_path)
+    out = tmp_path / "cmp"
+    result = runner.invoke(main, ["compare", str(scen), "--out", str(out),
+                                  "--schemes", PRIVACY_PRESERVING])
+    assert result.exit_code == 0, result.output
+    trace = out / PRIVACY_PRESERVING / "trajectory.csv"
+    trace.write_text("".join(trace.read_text().splitlines(keepends=True)[:1 + rows]))
+    result = runner.invoke(main, ["attack", str(trace), "--scenario", str(scen),
+                                  "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == code, result.output
+    if code:
+        assert f"error: {trace}: trajectory has fewer than two samples" in result.output
+        assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("damage", ["truncated last row", "non-numeric cell"])
 def test_attack_malformed_trace_exits_2(runner, tmp_path, damage):
     scen = gen(runner, tmp_path)
@@ -476,6 +498,25 @@ def test_compare_bus_without_units_exits_2(runner, tmp_path):
     assert "$.devices" in result.output and "bus 2" in result.output
 
 
+@pytest.mark.parametrize("damage, path", [("no scheme", "$.scheme"),
+                                          ("scheme not an object", "$.scheme"),
+                                          ("document not an object", "$")])
+def test_compare_malformed_document_exits_2(runner, tmp_path, damage, path):
+    """compare hands a document it cannot vary to build_scenario, which names the path."""
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    if damage == "no scheme":
+        del doc["scheme"]
+    elif damage == "scheme not an object":
+        doc["scheme"] = "x"
+    else:
+        doc = [1, 2]
+    scen.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["compare", str(scen), "--out", str(tmp_path / "cmp")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {path}: " in result.output
+
+
 def test_compare_rejects_unknown_scheme(runner, tmp_path):
     scen = gen(runner, tmp_path)
     result = runner.invoke(main, ["compare", str(scen), "--schemes", "pid",
@@ -503,3 +544,28 @@ def test_check_design_requires_privacy_params(runner, tmp_path):
     plain.write_text(json.dumps(doc))
     result = runner.invoke(main, ["check-design", str(plain)])
     assert result.exit_code == 2
+
+
+def test_design_condition_gate(runner, tmp_path):
+    """A beta 1 % above unit 0's per-unit bound: simulate refuses the run, the
+    CLI exits 2, and check-design marks unit 0 infeasible."""
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, seed=21, t_end=2.0))
+    sc = build_scenario(doc)
+    bus = sc.devices.bus[0]
+    d_over_n = sc.model.damping[bus] / sc.devices.units_per_bus()[bus]
+    privacy = doc["scheme"]["privacy"]
+    privacy["beta"][0] = 1.01 * float(max_feasible_beta(
+        sc.devices.damping_h[0], d_over_n, privacy["beta_hat"][0]))
+    with pytest.raises(ConfigurationError, match=r"design condition violated for units \[0\]"):
+        simulate(build_scenario(doc))
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "design condition violated for units [0]" in result.output
+    out = tmp_path / "design.json"
+    result = runner.invoke(main, ["check-design", str(scen), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(out.read_text())
+    assert report["all_feasible"] is False
+    assert [u["unit"] for u in report["units"] if not u["feasible"]] == [0]

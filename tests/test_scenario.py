@@ -250,6 +250,17 @@ def test_bus_level_gamma_aggregation(small_doc):
     assert sc.scheme.gamma_psi.shape == (sc.model.line_count,)
 
 
+def test_one_bus_one_unit_primal_dual_document_runs():
+    """No lines and no communication edges: the bus-level gamma_psi is empty,
+    and no mean of an empty list is taken (a RuntimeWarning is an error here)."""
+    doc = gen_scenario(RandomScenarioSpec(bus_count=1, units_per_bus=(1, 1),
+                                          scheme_kind=PRIMAL_DUAL, t_end=1.0))
+    sc = build_scenario(doc)
+    assert sc.scheme.gamma_psi.shape == (0,)
+    traj = simulate(sc)
+    assert traj.psi.shape == (101, 0) and np.isfinite(traj.omega).all()
+
+
 @pytest.mark.parametrize("kind", SCHEME_KINDS)
 def test_one_document_runs_under_every_scheme(small_doc, kind):
     doc = copy.deepcopy(small_doc)

@@ -385,18 +385,64 @@ def test_from_csv_takes_the_kind_from_the_trace_not_the_scenario(tmp_path, scena
 
 
 def test_one_bus_primal_dual_trace_is_told_by_its_pc_count(tmp_path):
-    """Over no lines primal_dual has no psi; given the scenario, its one pc
-    column per bus tells it from integral."""
+    """Over no lines primal_dual has no psi; its s_tilde columns, which only
+    primal_dual writes, tell it from integral, with or without the scenario,
+    and given the scenario its one pc column per bus is checked."""
     sc = build_scenario(gen_scenario(RandomScenarioSpec(
         bus_count=1, units_per_bus=(2, 2), scheme_kind=PRIMAL_DUAL, t_end=1.0)))
     traj = simulate(sc)
     path = tmp_path / "trace.csv"
     traj.to_csv(path)
-    assert Trajectory.from_csv(path).scheme_kind == INTEGRAL
+    assert Trajectory.from_csv(path).scheme_kind == PRIMAL_DUAL
     back = Trajectory.from_csv(path, scenario=sc)
     assert back.scheme_kind == PRIMAL_DUAL
     for name in ("p_c", "s_tilde"):
         np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
+
+
+def write_earlier_format_trace(path, traj):
+    """A trace as csv.writer wrote it before 0.3.0: CRLF line ends, repr cells,
+    s_tilde, xi and nf under every scheme, lyapunov for the unit-level ones."""
+    blocks = [("omega", traj.omega), ("pc", traj.p_c), ("psi", traj.psi), ("x", traj.x),
+              ("s_tilde", traj.s_tilde), ("xi", traj.xi), ("nf", traj.n_f)]
+    header = ["t"] + [f"{prefix}_{k}" for prefix, block in blocks
+                      for k in range(block.shape[1])]
+    data = np.hstack([traj.times[:, None]] + [block for _, block in blocks])
+    if traj.lyapunov is not None:
+        header.append("lyapunov")
+        data = np.hstack([data, traj.lyapunov[:, None]])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in data)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_earlier_format_traces_read_back_as_their_own_kinds(tmp_path, scenario_factory, kind):
+    """Earlier-format traces hold xi columns under every scheme, so s_tilde alone
+    does not make them primal_dual: psi does, and integral stays integral."""
+    sc = scenario_factory(kind, t_end=1.0)
+    traj = simulate(sc)
+    path = tmp_path / "old.csv"
+    write_earlier_format_trace(path, traj)
+    assert b"\r\n" in path.read_bytes()
+    for scenario in (None, sc):
+        back = Trajectory.from_csv(path, scenario=scenario)
+        assert back.scheme_kind == kind
+        for name in ("p_c", "psi", "s_tilde"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
+
+
+def test_earlier_format_one_bus_primal_dual_trace_shows_integral(tmp_path):
+    """With no psi and xi columns beside s_tilde, an earlier-format one-bus
+    primal_dual trace shows integral; its scenario then rejects the pc count."""
+    sc = build_scenario(gen_scenario(RandomScenarioSpec(
+        bus_count=1, units_per_bus=(2, 2), scheme_kind=PRIMAL_DUAL, t_end=1.0)))
+    path = tmp_path / "old.csv"
+    write_earlier_format_trace(path, simulate(sc))
+    assert Trajectory.from_csv(path).scheme_kind == INTEGRAL
+    with pytest.raises(ConfigurationError, match="do not match the scenario"):
+        Trajectory.from_csv(path, scenario=sc)
 
 
 def test_record_stride(model3, devices4, comm4):
