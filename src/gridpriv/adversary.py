@@ -48,8 +48,7 @@ class KnowledgeSet:
 
 @dataclass
 class AttackReport:
-    s_hat: np.ndarray  # (T, n_targets) estimated prosumption
-    target_units: np.ndarray
+    s_hat: np.ndarray  # (T, n_units) estimated prosumption
     rmse_transient: float
     rmse_steady: float
     origin_ranking: list | None = None
@@ -57,7 +56,7 @@ class AttackReport:
 
     def to_dict(self):
         return {
-            "target_units": [int(u) for u in self.target_units],
+            "target_units": list(range(self.s_hat.shape[1])),
             "rmse_transient": self.rmse_transient,
             "rmse_steady": self.rmse_steady,
             "origin_ranking": self.origin_ranking,
@@ -77,16 +76,16 @@ def naive_readout(traj):
     return None
 
 
-def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units=None,
-                    disturbance_time=None):
-    """Reconstruct prosumption from power command trajectories.
+def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_time=None):
+    """Reconstruct every unit's prosumption from power command trajectories.
 
     deriv selects the command-derivative estimate: finite differences on
     the recorded samples, or the trajectory's stored derivatives for the
     idealized adversary. In the idealized case the consensus states are
-    taken as exactly integrated (the stored ones); otherwise they are
-    trapezoid-integrated from the first recorded consensus sample (the
-    trace starts at a known steady state). A trace without consensus
+    taken as exactly integrated (the stored ones), so every channel must be
+    observed; otherwise they are trapezoid-integrated from the first
+    recorded consensus sample (the trace starts at a known steady state),
+    and unobserved channels are zero-filled. A trace without consensus
     states starts the integration at zero, so the estimate carries a
     constant bias. The RMSE is over all samples. A disturbance_time adds
     the origin_detection ranking over the ORIGIN_WINDOW seconds after it,
@@ -109,6 +108,8 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units
     mask = knowledge.observed_mask(n_units)
     pc_obs = p_c
     if not mask.all():
+        if deriv == EXACT_DERIV:
+            raise ConfigurationError("the exact-derivative attack needs every channel observed")
         pc_obs = np.where(mask[None, :], p_c, 0.0)
         warnings_out.append(
             "partial knowledge: unobserved channels "
@@ -116,16 +117,7 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units
         )
     s_hat = _reconstruct(traj, pc_obs, H, cfg, deriv)
 
-    s_true = traj.s_tilde
-    if target_units is None:
-        targets = np.arange(n_units)
-    else:
-        targets = np.asarray(target_units, dtype=int)
-        touched = np.isin(comm.tail, targets) | np.isin(comm.head, targets)
-        if not mask[comm.tail[touched]].all() or not mask[comm.head[touched]].all():
-            warnings_out.append("channels incident to a target unit are unobserved")
-        s_hat, s_true = s_hat[:, targets], s_true[:, targets]
-    err = s_hat - s_true
+    err = s_hat - traj.s_tilde
     rmse_transient = float(np.sqrt(err.ravel() @ err.ravel() / err.size))
     tail = times >= times[-1] - max(dt, 0.05 * (times[-1] - times[0]))
     rmse_steady = float(np.sqrt(np.mean(err[tail].mean(axis=0) ** 2)))
@@ -138,8 +130,7 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, target_units
         else:
             window = min(ORIGIN_WINDOW, times[-1] - disturbance_time)
             ranking, _ = origin_detection(traj, disturbance_time, window)
-    return AttackReport(s_hat=s_hat, target_units=targets,
-                        rmse_transient=rmse_transient, rmse_steady=rmse_steady,
+    return AttackReport(s_hat=s_hat, rmse_transient=rmse_transient, rmse_steady=rmse_steady,
                         origin_ranking=ranking, warnings=warnings_out)
 
 

@@ -126,10 +126,8 @@ def gen_scenario_cmd(out_path, buses, units_min, units_max, q_min, q_max, comm_s
 def attack_cmd(trajectory_path, scenario_path, knowledge_path, baseline_path, out_path):
     """Run the observer attack and origin detection on a recorded trace."""
     doc = load_json(scenario_path)
-    scenario = build_scenario(doc)
-    if scenario.scheme.kind == schemes.PRIMAL_DUAL:
-        # its gains are per bus; the attacked unit-level traces ran on the per-unit ones
-        scenario = _build_as(doc, schemes.EXTENDED_PRIMAL_DUAL)
+    build_scenario(doc)  # the file as written must be valid; its scheme kind has no say
+    scenario = _build_as(doc, schemes.EXTENDED_PRIMAL_DUAL)
     knowledge, deriv = load_knowledge(knowledge_path, scenario.devices.n_units)
 
     def attack(path, disturbance_time):

@@ -206,7 +206,11 @@ class Trajectory:
         """
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
+            start = fh.tell()
             try:
+                if not fh.readline().strip():
+                    raise ValueError("no samples after the header")
+                fh.seek(start)
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
                 if "t" not in header or data.shape[1] != len(header):
                     raise ValueError(f"{data.shape[1]} columns under {len(header)} names")

@@ -93,10 +93,18 @@ def test_privacy_beta_sweep_degrades_attack(model3, devices4, comm4):
 def test_partial_knowledge_flags_warning(epd_run):
     sc, traj = epd_run
     k = KnowledgeSet(observed_channels=[0, 1])
-    report = observer_attack(traj, sc.comm, sc.scheme, k, target_units=[3])
+    report = observer_attack(traj, sc.comm, sc.scheme, k)
     assert any("unobserved" in w for w in report.warnings)
-    full = observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), target_units=[3])
+    full = observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet())
     assert report.rmse_transient >= full.rmse_transient
+
+
+def test_exact_observer_needs_every_channel(epd_run):
+    """The stored derivatives and consensus states hold every unit, so a partial
+    mask would be ignored; it is refused instead."""
+    sc, traj = epd_run
+    with pytest.raises(ConfigurationError, match="needs every channel observed"):
+        observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet([0]), deriv=EXACT_DERIV)
 
 
 def test_observed_mask_accepts_numpy_channels():
@@ -118,7 +126,7 @@ def test_observed_mask_rejects_channels_that_are_not_integers(channel):
         KnowledgeSet(observed_channels=[0, channel]).observed_mask(4)
 
 
-def reference_attack(traj, comm, cfg, mask, targets, deriv):
+def reference_attack(traj, comm, cfg, mask, deriv):
     """The observer written out with whole-array temporaries: (s_hat, rmse)."""
     dt, H = traj.dt, comm.incidence
     pc = np.where(mask[None, :], traj.p_c, 0.0)
@@ -131,20 +139,18 @@ def reference_attack(traj, comm, cfg, mask, targets, deriv):
     rhs = (pc @ H) / cfg.gamma_psi
     psi0 = traj.psi[0]
     psi = np.vstack([psi0, psi0 + np.cumsum(0.5 * dt * (rhs[1:] + rhs[:-1]), axis=0)])
-    s_hat = (cfg.gamma * pc_dot + psi @ H.T)[:, targets]
-    return s_hat, np.sqrt(np.mean((s_hat - traj.s_tilde[:, targets]) ** 2))
+    s_hat = cfg.gamma * pc_dot + psi @ H.T
+    return s_hat, np.sqrt(np.mean((s_hat - traj.s_tilde) ** 2))
 
 
 @pytest.mark.parametrize("deriv", [CENTRAL_DIFF, FORWARD_DIFF])
-@pytest.mark.parametrize("channels, targets", [("all", None), ([0, 1], [3]), ([0, 2, 3], [1, 2])])
-def test_observer_matches_whole_array_reference(pp_run, deriv, channels, targets):
+@pytest.mark.parametrize("channels", ["all", [0, 1], [0, 2, 3]])
+def test_observer_matches_whole_array_reference(pp_run, deriv, channels):
     sc, traj = pp_run
     knowledge = KnowledgeSet(observed_channels=channels)
-    report = observer_attack(traj, sc.comm, sc.scheme, knowledge, deriv=deriv,
-                             target_units=targets)
+    report = observer_attack(traj, sc.comm, sc.scheme, knowledge, deriv=deriv)
     mask = knowledge.observed_mask(4)
-    want = np.arange(4) if targets is None else targets
-    s_hat, rmse = reference_attack(traj, sc.comm, sc.scheme, mask, want, deriv)
+    s_hat, rmse = reference_attack(traj, sc.comm, sc.scheme, mask, deriv)
     np.testing.assert_array_equal(report.s_hat, s_hat)
     assert report.rmse_transient == pytest.approx(rmse, rel=1e-14)
 
@@ -160,10 +166,8 @@ def test_observer_without_targets_is_lean_and_equals_all_targets():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * traj.p_c.size * 8  # at most three (samples x units) arrays
-    listed = observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), target_units=np.arange(n))
-    np.testing.assert_array_equal(plain.s_hat, listed.s_hat)
-    assert plain.rmse_transient == pytest.approx(listed.rmse_transient, rel=1e-15, abs=0)
-    assert plain.rmse_steady == listed.rmse_steady
+    assert plain.s_hat.shape == traj.s_tilde.shape
+    assert plain.to_dict()["target_units"] == list(range(n))
 
 
 def test_origin_detection_finds_disturbed_unit(scenario_factory):

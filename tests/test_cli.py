@@ -18,6 +18,7 @@ from gridpriv.cli import main
 from gridpriv.errors import ConfigurationError
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
+    INTEGRAL,
     PRIMAL_DUAL,
     PRIVACY_PRESERVING,
     SCHEME_KINDS,
@@ -236,18 +237,20 @@ def test_attack_mismatched_baseline_exits_2(runner, tmp_path, baseline):
 
 
 def test_attack_ignores_the_scenario_files_scheme_kind(runner, tmp_path):
-    """Under a primal_dual scenario file, compare's unit-level traces are attacked
-    as under any other kind, and its primal_dual trace exits 2 at its path."""
+    """Under a primal_dual or integral scenario file, compare's unit-level traces are
+    attacked as under the privacy file, and its primal_dual trace exits 2 at its path."""
     scen = gen(runner, tmp_path, scheme=PRIMAL_DUAL)
     out = tmp_path / "cmp"
     result = runner.invoke(main, ["compare", str(scen), "--out", str(out)])
     assert result.exit_code == 0, result.output
     doc = json.loads(scen.read_text())
-    doc["scheme"]["kind"] = PRIVACY_PRESERVING
-    pp_scen = tmp_path / "pp.json"
-    pp_scen.write_text(json.dumps(doc))
+    paths = [scen]
+    for kind in (INTEGRAL, PRIVACY_PRESERVING):
+        doc["scheme"]["kind"] = kind
+        paths.append(tmp_path / f"{kind}.json")
+        paths[-1].write_text(json.dumps(doc))
     reports = []
-    for path in (scen, pp_scen):
+    for path in paths:
         report_path = tmp_path / f"{path.stem}_report.json"
         result = runner.invoke(main, [
             "attack", str(out / PRIVACY_PRESERVING / "trajectory.csv"), "--scenario", str(path),
@@ -256,7 +259,7 @@ def test_attack_ignores_the_scenario_files_scheme_kind(runner, tmp_path):
         assert result.exit_code == 0, result.output
         reports.append(json.loads(report_path.read_text()))
         del reports[-1]["scenario"]
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     trace = out / PRIMAL_DUAL / "trajectory.csv"
     result = runner.invoke(main, ["attack", str(trace), "--scenario", str(scen),
                                   "--out", str(tmp_path / "report.json")])
@@ -342,6 +345,22 @@ def test_attack_needs_two_samples(runner, tmp_path, rows, code):
     if code:
         assert f"error: {trace}: trajectory has fewer than two samples" in result.output
         assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_attack_header_only_trace_exits_2_without_a_warning(runner, tmp_path):
+    """A trace with no rows is malformed: exit 2 naming the file, and no numpy
+    warning, which warnings-as-errors would turn into a traceback."""
+    scen = gen(runner, tmp_path)
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    trace = tmp_path / "out" / "trajectory.csv"
+    trace.write_text(trace.read_text().splitlines(keepends=True)[0])
+    result = runner.invoke(main, ["attack", str(trace), "--scenario", str(scen),
+                                  "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 2, result.output
+    assert f"error: malformed trace {trace}: no samples after the header" in result.output
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("damage", ["truncated last row", "non-numeric cell"])
