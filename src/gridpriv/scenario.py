@@ -8,6 +8,7 @@ are rejected so that typos fail loudly.
 """
 
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -34,6 +35,18 @@ def _check_keys(obj, path, required, optional=()):
     for key in obj:
         if key not in required and key not in optional:
             raise ScenarioError(f"{path}.{key}", "unknown key")
+
+
+def _int(value, path, least=None):
+    """An integer field: a JSON integer, or a float that states one exactly
+    (an integral value no larger than 2^53 in magnitude)."""
+    if isinstance(value, float) and value.is_integer() and abs(value) <= 2**53:
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioError(path, "expected an integer")
+    if least is not None and value < least:
+        raise ScenarioError(path, f"expected an integer >= {least}")
+    return int(value)
 
 
 def _floats(value, length, path):
@@ -89,11 +102,12 @@ def build_scenario(doc, seed=None, dt=None):
 
     net = doc["network"]
     _check_keys(net, "$.network", ("buses", "lines", "inertia", "damping"))
-    n_bus = int(net["buses"])
+    n_bus = _int(net["buses"], "$.network.buses")
     lines, b = [], []
     for k, line in enumerate(net["lines"]):
-        _check_keys(line, f"$.network.lines[{k}]", ("from", "to", "b"))
-        lines.append((int(line["from"]), int(line["to"])))
+        lpath = f"$.network.lines[{k}]"
+        _check_keys(line, lpath, ("from", "to", "b"))
+        lines.append((_int(line["from"], f"{lpath}.from"), _int(line["to"], f"{lpath}.to")))
         b.append(float(line["b"]))
     inertia = _floats(net["inertia"], n_bus, "$.network.inertia")
     damping = _floats(net["damping"], n_bus, "$.network.damping")
@@ -112,7 +126,7 @@ def build_scenario(doc, seed=None, dt=None):
         gen = KIND_ALIASES[unit["kind"]]
         if gen and "tau" not in unit:
             raise ScenarioError(f"{upath}.tau", "required for generators")
-        bus.append(int(unit["bus"]))
+        bus.append(_int(unit["bus"], f"{upath}.bus"))
         is_gen.append(gen)
         tau.append(float(unit.get("tau", 1.0)))
         q.append(float(unit["q"]))
@@ -132,7 +146,7 @@ def build_scenario(doc, seed=None, dt=None):
     for k, e in enumerate(comm_doc["edges"]):
         if not (isinstance(e, list) and len(e) == 2):
             raise ScenarioError(f"$.comm.edges[{k}]", "expected [from, to]")
-        edges.append((int(e[0]), int(e[1])))
+        edges.append(tuple(_int(end, f"$.comm.edges[{k}][{j}]") for j, end in enumerate(e)))
     with _at("$.comm"):
         comm = Graph(n_units, tuple(edges))
     gamma_psi = _floats(comm_doc["gamma_psi"], comm.edge_count, "$.comm.gamma_psi")
@@ -178,12 +192,13 @@ def build_scenario(doc, seed=None, dt=None):
     disturbances = []
     for k, d in enumerate(doc.get("disturbances", [])):
         _check_keys(d, f"$.disturbances[{k}]", ("t", "unit", "delta"))
-        disturbances.append(Disturbance(float(d["t"]), int(d["unit"]), float(d["delta"])))
+        disturbances.append(Disturbance(float(d["t"]), _int(d["unit"], f"$.disturbances[{k}].unit"),
+                                        float(d["delta"])))
     return Scenario(model=model, devices=devices, comm=comm, scheme=scheme,
                     disturbances=tuple(disturbances), t_end=float(sim_doc["t_end"]),
                     dt=float(sim_doc["dt"] if dt is None else dt),
-                    seed=int(sim_doc["seed"] if seed is None else seed),
-                    record_stride=int(sim_doc.get("record_stride", 1)))
+                    seed=_int(sim_doc["seed"] if seed is None else seed, "$.sim.seed", least=0),
+                    record_stride=_int(sim_doc.get("record_stride", 1), "$.sim.record_stride"))
 
 
 def load_scenario(path, seed=None, dt=None):

@@ -23,6 +23,9 @@ block but eta, the Lyapunov column, xi and n_f when they hold a non-zero
 value, and s_tilde only under primal_dual, where it is on the wire; its
 columns alone give the scheme kind (`_trace_kind`). `Trajectory.from_csv`
 given the scenario rebuilds s_tilde as `simulate` does, bit for bit.
+`write_csv`, the writer of every CSV file, gives each cell the bytes of
+'%.17g'; it computes them for a float64 block at a time (`_cells.g17_rows`),
+which hands ties and cells out of its range to '%'.
 """
 
 import os
@@ -32,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._cells import g17_rows
 from .equilibrium import build_equilibrium, consensus_flows, lyapunov_value, solve_kkt
 from .devices import unit_outputs
 from .errors import ConfigurationError, DivergenceError, ScenarioError
@@ -49,7 +53,7 @@ from .schemes import (
 
 SETTLE_THRESHOLD = 2.0 * np.pi * 0.01  # 0.01 Hz in rad/s
 BLOCKS = ("eta", "omega", "x", "p_c", "psi")  # order of the stacked state
-CSV_CHUNK_ROWS = 256  # rows formatted per % call; bounds the transient text
+CSV_CHUNK_CELLS = 1 << 14  # cells formatted per call; bounds its temporaries (~300 B a cell)
 OUTPUT_CHUNK_ROWS = 64  # samples per post-loop output chunk; bounds its temporaries
 DRAW_BLOCK_ROWS = 64  # steps of privacy draws per rng call; bounds the block arrays
 # (column prefix, Trajectory field) of each trace block, in column order after t
@@ -74,16 +78,20 @@ def atomic_open(path):
 def write_csv(path, columns):
     """CSV of (name, block) column blocks, one row per sample. A 1-D block is the
     column `name`, a 2-D block the columns `name_0`, `name_1`, ... LF line ends,
-    %.17g cells (exact float64 round trip), formatted a chunk of rows at a time."""
+    %.17g cells (exact float64 round trip), formatted CSV_CHUNK_CELLS cells at a
+    time: a float64 chunk by `g17_rows`, which writes the same bytes, any other
+    chunk by %."""
     header = [name if b.ndim == 1 else f"{name}_{k}" for name, b in columns
               for k in range(1 if b.ndim == 1 else b.shape[1])]
     blocks = [b[:, None] if b.ndim == 1 else b for _, b in columns]
     row = ",".join(["%.17g"] * len(header)) + "\n"
+    step = max(1, CSV_CHUNK_CELLS // max(1, len(header)))
     with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, len(blocks[0]), CSV_CHUNK_ROWS):
-            chunk = np.hstack([b[i:i + CSV_CHUNK_ROWS] for b in blocks])
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for i in range(0, len(blocks[0]), step):
+            chunk = np.hstack([b[i:i + step] for b in blocks])
+            fh.write(g17_rows(chunk) if chunk.dtype == np.float64 and chunk.size else
+                     (row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 @dataclass(frozen=True)

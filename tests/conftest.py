@@ -99,6 +99,15 @@ def scenario_factory(model3, devices4, comm4):
     return factory
 
 
+def padded(rows):
+    """Rows of unequal length as a zero-padded 2-D array, and the mask of its entries."""
+    lengths = np.array([len(r) for r in rows])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    out = np.zeros(mask.shape, dtype=np.asarray(rows[0]).dtype)
+    out[mask] = np.concatenate(rows)
+    return out, mask
+
+
 def read_csv(path):
     """Header and float64 data of a CSV file, independently of from_csv."""
     with open(path) as fh:

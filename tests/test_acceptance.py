@@ -33,6 +33,7 @@ from gridpriv.schemes import (
     max_feasible_beta,
 )
 from gridpriv.sim import SETTLE_THRESHOLD, steady_state_metrics
+from tests.conftest import padded
 
 
 def report(criterion, ok, detail):
@@ -93,7 +94,7 @@ def test_criterion_1_kkt_oracle_equivalence():
     sets within 1e-6 relative, in under 10 seconds."""
     t0 = perf_counter()
     rng = np.random.default_rng(1)
-    worst = 0.0
+    cases = []
     for _ in range(100):
         n = int(rng.integers(2, 12))
         q = rng.uniform(50.0, 250.0, n)
@@ -103,20 +104,27 @@ def test_criterion_1_kkt_oracle_equivalence():
         m, h = design_optimal_gains(q, is_gen)
         devices = DeviceSet(np.zeros(n, dtype=int), is_gen, np.ones(n), m, h,
                             q, p_load, bus_count=1)
-        sol = solve_kkt(devices)
-        # projected gradient descent on the dispatch quadratic
-        a = np.where(is_gen, 1.0, -1.0)
-        r = p_load.sum()
-        z = a * r / n
-        step = 1.0 / q.max()
-        for _ in range(4000):
-            z = z - step * q * z
-            z = z + a * (r - a @ z) / n
-        lam_est = float(np.mean(np.where(is_gen, -q * z, q * z)))
+        cases.append((q, is_gen, p_load, solve_kkt(devices)))
+    # projected gradient descent on the dispatch quadratic, one case per row;
+    # a is 0 on the padding, where z stays 0
+    q, mask = padded([c[0] for c in cases])
+    is_gen, _ = padded([c[1] for c in cases])
+    n = mask.sum(axis=1)
+    a = np.where(mask, np.where(is_gen, 1.0, -1.0), 0.0)
+    r = np.array([c[2].sum() for c in cases])
+    z = a * (r / n)[:, None]
+    step = 1.0 / q.max(axis=1, keepdims=True)
+    for _ in range(4000):
+        z = z - step * q * z
+        z = z + a * ((r - (a * z).sum(axis=1)) / n)[:, None]
+    lam_est = np.where(is_gen, -q * z, q * z).sum(axis=1) / n
+    worst = 0.0
+    for k, (_, gen, _, sol) in enumerate(cases):
+        zk = z[k, mask[k]]
         scale = max(1e-9, abs(sol.lam))
-        err = abs(sol.lam - lam_est) / scale
-        err = max(err, np.max(np.abs(sol.p_M_star - z[is_gen]), initial=0.0) / scale)
-        err = max(err, np.max(np.abs(sol.d_c_star - z[~is_gen]), initial=0.0) / scale)
+        err = abs(sol.lam - lam_est[k]) / scale
+        err = max(err, np.max(np.abs(sol.p_M_star - zk[gen]), initial=0.0) / scale)
+        err = max(err, np.max(np.abs(sol.d_c_star - zk[~gen]), initial=0.0) / scale)
         worst = max(worst, err)
     elapsed = perf_counter() - t0
     report(1, worst < 1e-6 and elapsed < 10.0,

@@ -132,6 +132,25 @@ def test_run_nan_load_delta_or_droop_split_exits_2(runner, tmp_path, field, erro
     assert error in result.output
 
 
+@pytest.mark.parametrize("keys, value, path", [
+    (("devices", 0, "bus"), 0.7, "$.devices[0].bus"),
+    (("devices", 0, "bus"), float("nan"), "$.devices[0].bus"),
+    (("sim", "seed"), 1e300, "$.sim.seed"),
+    (("network", "buses"), float("inf"), "$.network.buses"),
+])
+def test_run_non_integer_integer_field_exits_2(runner, tmp_path, keys, value, path):
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    leaf = doc
+    for key in keys[:-1]:
+        leaf = leaf[key]
+    leaf[keys[-1]] = value
+    scen.write_text(json.dumps(doc))  # NaN and inf as the JSON extensions
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"{path}: expected an integer" in result.output
+
+
 def test_run_off_grid_t_end_exits_2(runner, tmp_path):
     """A step at t=10.04 under t_end=10.05, dt=0.1 would never be applied."""
     scen = gen(runner, tmp_path)

@@ -17,25 +17,28 @@ from gridpriv.errors import ConfigurationError
 from gridpriv.network import PlantState, dc_power_flow, swing_rhs
 from gridpriv.scenario import RandomScenarioSpec, build_scenario, gen_scenario
 from gridpriv.schemes import EXTENDED_PRIMAL_DUAL, SchemeState, scheme_rhs
-from tests.conftest import make_scheme
+from tests.conftest import make_scheme, padded
 
 
-def dispatch_oracle(q, is_gen, total_load, iters=4000):
-    """Projected gradient descent on the dispatch problem.
+def dispatch_oracle(q, is_gen, total_load, mask, iters=4000):
+    """Projected gradient descent on the dispatch problem, one case per row.
 
-    Minimizes 0.5 * sum q z^2 over per-unit outputs z subject to the balance
-    constraint a^T z = total_load with a = +1 for generators, -1 for loads.
-    Each iterate takes a gradient step and re-projects onto the constraint.
+    Row k minimizes 0.5 * sum q z^2 over the per-unit outputs z in mask[k]
+    subject to the balance constraint a^T z = total_load[k] with a = +1 for
+    generators, -1 for loads and 0 on the padding, where z stays 0. Each
+    iterate takes a gradient step and re-projects onto the constraint.
     """
-    n = len(q)
-    a = np.where(is_gen, 1.0, -1.0)
-    z = np.full(n, total_load / a.sum()) if abs(a.sum()) > 1e-12 else np.zeros(n)
-    z += a * (total_load - a @ z) / n
-    step = 1.0 / q.max()
+    n = mask.sum(axis=1)
+    a = np.where(mask, np.where(is_gen, 1.0, -1.0), 0.0)
+    a_sum = a.sum(axis=1)
+    start = np.divide(total_load, a_sum, out=np.zeros_like(a_sum), where=np.abs(a_sum) > 1e-12)
+    z = np.where(mask, start[:, None], 0.0)
+    z += a * ((total_load - (a * z).sum(axis=1)) / n)[:, None]
+    step = 1.0 / q.max(axis=1, keepdims=True)
     for _ in range(iters):
         z = z - step * q * z
-        z = z + a * (total_load - a @ z) / n
-    lam_est = float(np.mean(np.where(is_gen, -q * z, q * z)))
+        z = z + a * ((total_load - (a * z).sum(axis=1)) / n)[:, None]
+    lam_est = np.where(is_gen, -q * z, q * z).sum(axis=1) / n
     return z, lam_est
 
 
@@ -60,6 +63,7 @@ def test_kkt_marginal_costs_equalized(devices4):
 
 def test_kkt_against_gradient_oracle():
     rng = np.random.default_rng(2024)
+    cases = []
     for _ in range(100):
         n = int(rng.integers(2, 10))
         q = rng.uniform(50.0, 250.0, n)
@@ -69,12 +73,16 @@ def test_kkt_against_gradient_oracle():
         m, h = design_optimal_gains(q, is_gen)
         bus = np.zeros(n, dtype=int)
         devices = DeviceSet(bus, is_gen, np.ones(n), m, h, q, p_load, bus_count=1)
-        sol = solve_kkt(devices)
-        z, lam_est = dispatch_oracle(q, is_gen, p_load.sum())
+        cases.append((q, is_gen, p_load, solve_kkt(devices)))
+    q, mask = padded([c[0] for c in cases])
+    is_gen, _ = padded([c[1] for c in cases])
+    z, lam_est = dispatch_oracle(q, is_gen, np.array([c[2].sum() for c in cases]), mask)
+    for k, (_, gen, _, sol) in enumerate(cases):
+        zk = z[k, mask[k]]
         scale = 1.0 + abs(sol.lam)
-        assert abs(sol.lam - lam_est) < 1e-6 * scale
-        np.testing.assert_allclose(sol.p_M_star, z[is_gen], atol=1e-6 * scale)
-        np.testing.assert_allclose(sol.d_c_star, z[~is_gen], atol=1e-6 * scale)
+        assert abs(sol.lam - lam_est[k]) < 1e-6 * scale
+        np.testing.assert_allclose(sol.p_M_star, zk[gen], atol=1e-6 * scale)
+        np.testing.assert_allclose(sol.d_c_star, zk[~gen], atol=1e-6 * scale)
 
 
 def test_equilibrium_is_closed_loop_fixed_point(model3, devices4, comm4):

@@ -230,6 +230,59 @@ def test_non_finite_load_delta_or_droop_split_is_rejected_at_its_path(field, val
     assert exc.value.path == path
 
 
+# (keys from the document root to an integer leaf, path of the error)
+INT_FIELDS = {
+    "buses": (("network", "buses"), "$.network.buses"),
+    "line from": (("network", "lines", 0, "from"), "$.network.lines[0].from"),
+    "line to": (("network", "lines", 2, "to"), "$.network.lines[2].to"),
+    "unit bus": (("devices", 1, "bus"), "$.devices[1].bus"),
+    "edge end": (("comm", "edges", 2, 1), "$.comm.edges[2][1]"),
+    "seed": (("sim", "seed"), "$.sim.seed"),
+    "record_stride": (("sim", "record_stride"), "$.sim.record_stride"),
+    "disturbance unit": (("disturbances", 0, "unit"), "$.disturbances[0].unit"),
+}
+
+
+def _parent(doc, keys):
+    for key in keys[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("value", [0.7, -1.5, float("nan"), float("inf"), -float("inf"),
+                                   1e300, True, "2", None])
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_integer_field_rejects_a_non_integer_at_its_path(field, value):
+    keys, path = INT_FIELDS[field]
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, t_end=10.0, seed=21))
+    _parent(doc, keys)[keys[-1]] = value
+    with pytest.raises(ScenarioError, match="expected an integer") as exc:
+        build_scenario(doc)
+    assert exc.value.path == path
+
+
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_integer_field_takes_an_integral_float(field):
+    keys, _ = INT_FIELDS[field]
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, t_end=10.0, seed=21))
+    want = build_scenario(doc)
+    leaf = _parent(doc, keys)
+    leaf[keys[-1]] = float(leaf[keys[-1]])
+    got = build_scenario(doc)
+    assert got.seed == want.seed and got.record_stride == want.record_stride
+    assert got.model.graph.edges == want.model.graph.edges
+    assert got.comm.edges == want.comm.edges
+    np.testing.assert_array_equal(got.devices.bus, want.devices.bus)
+    assert got.disturbances == want.disturbances
+
+
+def test_negative_seed_is_rejected_at_its_path(small_doc):
+    small_doc["sim"]["seed"] = -1
+    with pytest.raises(ScenarioError, match=">= 0") as exc:
+        build_scenario(small_doc)
+    assert exc.value.path == "$.sim.seed"
+
+
 def test_gains_follow_cost_coefficients(small_doc):
     sc = build_scenario(small_doc)
     lhs = sc.devices.cost_q * (sc.devices.droop_m + sc.devices.damping_h)
