@@ -90,12 +90,20 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
     constant bias. The RMSE is over all samples. A disturbance_time adds
     the origin_detection ranking over the ORIGIN_WINDOW seconds after it,
     or as much of them as the trace holds; with fewer than three samples
-    after it the ranking is None and a warning says so.
+    after it the ranking is None and a warning says so. Every check runs
+    first; it refuses a primal_dual trajectory, with one command per bus.
     """
     times = traj.times
     dt = traj.dt
     p_c = traj.p_c
     n_units = p_c.shape[1]
+    if traj.scheme_kind == PRIMAL_DUAL or n_units != comm.node_count:
+        raise ConfigurationError("trajectory columns do not match the attack: a primal_dual "
+                                 "trace has one pc column per bus, the attack needs one per unit")
+    if deriv not in (FORWARD_DIFF, CENTRAL_DIFF, EXACT_DERIV):
+        raise ConfigurationError(f"unknown derivative estimator {deriv!r}")
+    if deriv == EXACT_DERIV and traj.pc_dot.shape[1] != n_units:
+        raise ConfigurationError("trajectory carries no stored derivatives")
     if len(times) < 2:
         raise ConfigurationError("trajectory has fewer than two samples; the attack needs "
                                  "dt and one command difference")
@@ -138,8 +146,6 @@ def _reconstruct(traj, pc_obs, H, cfg, deriv):
     """s_hat = gamma * pc_dot + H psi_hat for every unit, holding at most two
     (samples x units) arrays besides the trajectory and pc_obs."""
     if deriv == EXACT_DERIV:
-        if traj.pc_dot.shape[1] != pc_obs.shape[1]:
-            raise ConfigurationError("trajectory carries no stored derivatives")
         s_hat = traj.psi @ H.T
         s_hat += cfg.gamma * traj.pc_dot
         return s_hat
@@ -157,13 +163,11 @@ def _finite_difference(signal, dt, kind):
         np.subtract(signal[1:], signal[:-1], out=out[:-1])
         out[:-1] /= dt
         out[-1] = out[-2]
-    elif kind == CENTRAL_DIFF:
+    else:
         np.subtract(signal[2:], signal[:-2], out=out[1:-1])
         out[1:-1] /= 2.0 * dt
         out[0] = (signal[1] - signal[0]) / dt
         out[-1] = (signal[-1] - signal[-2]) / dt
-    else:
-        raise ConfigurationError(f"unknown derivative estimator {kind!r}")
     return out
 
 

@@ -134,10 +134,6 @@ def attack_cmd(trajectory_path, scenario_path, knowledge_path, baseline_path, ou
         """Read, check and attack one trace; a mismatch names the file."""
         # scenario by keyword: perfbench's trace hook takes the file from the last positional
         traj = Trajectory.from_csv(path, scenario=scenario)
-        if traj.scheme_kind == schemes.PRIMAL_DUAL:
-            raise ConfigurationError(
-                f"{path}: trajectory columns do not match the attack: a primal_dual trace "
-                f"has one pc column per bus, the attack needs one per unit")
         try:
             return observer_attack(traj, scenario.comm, scenario.scheme, knowledge,
                                    deriv=deriv, disturbance_time=disturbance_time)
@@ -235,8 +231,6 @@ def _compare_one(scenario, out_dir, watch_bus):
 def check_design_cmd(scenario_path, out_path):
     """Evaluate the privacy design condition for every unit of a scenario."""
     scenario = load_scenario(scenario_path)
-    if scenario.scheme.privacy is None:
-        raise ConfigurationError("scenario has no privacy parameters")
     feasible, eigenvalues, d_over_n = schemes.design_condition_report(
         scenario.devices, scenario.model, scenario.scheme.privacy
     )

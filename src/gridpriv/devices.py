@@ -44,13 +44,13 @@ class DeviceSet:
                 raise ConfigurationError(f"{name} length must match unit count {n}")
         if np.any(self.bus < 0) or np.any(self.bus >= self.bus_count):
             raise ConfigurationError("unit bus index out of range")
-        if not (np.all(self.damping_h > 0) and np.all(self.cost_q > 0)):
-            raise ConfigurationError("damping_h and cost_q must be strictly positive")
+        if not all(np.all((v > 0) & (v < np.inf)) for v in (self.damping_h, self.cost_q)):
+            raise ConfigurationError("damping_h and cost_q must be positive and finite")
         if not np.all(np.isfinite(self.p_load)):
             raise ConfigurationError("p_load must be finite")
         gens = self.is_generator
-        if not (np.all(self.tau[gens] > 0) and np.all(self.droop_m[gens] > 0)):
-            raise ConfigurationError("tau and droop_m must be strictly positive for generators")
+        if not all(np.all((v > 0) & (v < np.inf)) for v in (self.tau[gens], self.droop_m[gens])):
+            raise ConfigurationError("tau and droop_m must be positive and finite for generators")
         object.__setattr__(self, "gen_index", np.flatnonzero(gens))
         object.__setattr__(self, "load_index", np.flatnonzero(~gens))
 
@@ -147,6 +147,8 @@ def design_optimal_gains(cost_q, is_generator, droop_split=0.5):
     cost_q = np.asarray(cost_q, dtype=float)
     is_generator = np.asarray(is_generator, dtype=bool)
     droop_split = np.asarray(droop_split, dtype=float)
+    if not np.all((cost_q > 0) & (cost_q < np.inf)):
+        raise ConfigurationError("cost_q must be positive and finite")
     if not (np.all(droop_split > 0.0) and np.all(droop_split < 1.0)):
         raise ConfigurationError("droop_split must lie in (0, 1)")
     h = np.where(is_generator, droop_split / cost_q, 1.0 / cost_q)

@@ -124,8 +124,9 @@ class NetworkModel:
             raise ConfigurationError("susceptance length must match line count")
         if self.inertia.shape != (n,) or self.damping.shape != (n,):
             raise ConfigurationError("inertia/damping length must match bus_count")
-        if not all(np.all(v > 0) for v in (self.susceptance, self.inertia, self.damping)):
-            raise ConfigurationError("susceptance, inertia and damping must be strictly positive")
+        if not all(np.all((v > 0) & (v < np.inf))
+                   for v in (self.susceptance, self.inertia, self.damping)):
+            raise ConfigurationError("susceptance, inertia and damping must be positive and finite")
         if len({frozenset(line) for line in self.lines}) < e:
             raise ConfigurationError("two lines join the same pair of buses")
 

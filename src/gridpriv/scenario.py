@@ -49,13 +49,31 @@ def _int(value, path, least=None):
     return int(value)
 
 
+def _float(value, path, key=None):
+    """A number field: a JSON number a float can hold, not a bool, string, null or
+    container. The error names path, or path.key for a key; it is formatted only
+    on failure."""
+    why = "expected a number"
+    if not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real)):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            why += " within the float range"
+    raise ScenarioError(path if key is None else f"{path}.{key}", why)
+
+
 def _floats(value, length, path):
-    if np.isscalar(value):
-        return np.full(length, float(value))
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (length,):
+    """A number for every entry, or a list of length numbers (errors at path[k])."""
+    if not isinstance(value, list):
+        return np.full(length, _float(value, path))
+    if len(value) != length:
         raise ScenarioError(path, f"expected scalar or list of length {length}")
-    return arr
+    if {float, int}.issuperset(map(type, value)):
+        try:
+            return np.array(value, dtype=float)
+        except OverflowError:
+            pass
+    return np.array([_float(v, f"{path}[{k}]") for k, v in enumerate(value)])
 
 
 @contextmanager
@@ -108,7 +126,7 @@ def build_scenario(doc, seed=None, dt=None):
         lpath = f"$.network.lines[{k}]"
         _check_keys(line, lpath, ("from", "to", "b"))
         lines.append((_int(line["from"], f"{lpath}.from"), _int(line["to"], f"{lpath}.to")))
-        b.append(float(line["b"]))
+        b.append(_float(line["b"], lpath, "b"))
     inertia = _floats(net["inertia"], n_bus, "$.network.inertia")
     damping = _floats(net["damping"], n_bus, "$.network.damping")
     with _at("$.network"):
@@ -128,10 +146,10 @@ def build_scenario(doc, seed=None, dt=None):
             raise ScenarioError(f"{upath}.tau", "required for generators")
         bus.append(_int(unit["bus"], f"{upath}.bus"))
         is_gen.append(gen)
-        tau.append(float(unit.get("tau", 1.0)))
-        q.append(float(unit["q"]))
-        p_l.append(float(unit["p_l"]))
-        split.append(float(unit.get("droop_split", 0.5)))
+        tau.append(_float(unit.get("tau", 1.0), upath, "tau"))
+        q.append(_float(unit["q"], upath, "q"))
+        p_l.append(_float(unit["p_l"], upath, "p_l"))
+        split.append(_float(unit.get("droop_split", 0.5), upath, "droop_split"))
     q = np.array(q)
     is_gen = np.array(is_gen)
     with _at("$.devices"):
@@ -164,12 +182,10 @@ def build_scenario(doc, seed=None, dt=None):
         _check_keys(pv, "$.scheme.privacy", ("beta", "beta_hat"), ("xi_max", "safety"))
         beta = _floats(pv["beta"], n_units, "$.scheme.privacy.beta")
         beta_hat = _floats(pv["beta_hat"], n_units, "$.scheme.privacy.beta_hat")
+        xi_max = _float(pv.get("xi_max", 10.0 * float(np.max(gamma))), "$.scheme.privacy.xi_max")
+        safety = _float(pv.get("safety", 0.999), "$.scheme.privacy.safety")
         with _at("$.scheme.privacy"):
-            privacy = PrivacyParams(
-                beta=beta, beta_hat=beta_hat,
-                xi_max=float(pv.get("xi_max", 10.0 * float(np.max(gamma)))),
-                safety=float(pv.get("safety", 0.999)),
-            )
+            privacy = PrivacyParams(beta=beta, beta_hat=beta_hat, xi_max=xi_max, safety=safety)
     elif kind == schemes.PRIVACY_PRESERVING:
         raise ScenarioError("$.scheme.privacy", "required for the privacy_preserving scheme")
 
@@ -182,21 +198,24 @@ def build_scenario(doc, seed=None, dt=None):
                                 "no units; the bus-level primal_dual scheme needs one per bus")
         gamma = devices.bus_sum(gamma) / per_bus
         gamma_psi = np.full(model.line_count, gamma_psi.mean() if model.line_count else 1.0)
+    integral_gain = _float(sch.get("integral_gain", 1.0), "$.scheme.integral_gain")
     with _at("$.scheme"):
         scheme = SchemeConfig(kind=kind, gamma=gamma, gamma_psi=gamma_psi,
-                              integral_gain=float(sch.get("integral_gain", 1.0)),
-                              privacy=privacy)
+                              integral_gain=integral_gain, privacy=privacy)
 
     sim_doc = doc["sim"]
     _check_keys(sim_doc, "$.sim", ("t_end", "dt", "seed"), ("record_stride",))
     disturbances = []
     for k, d in enumerate(doc.get("disturbances", [])):
-        _check_keys(d, f"$.disturbances[{k}]", ("t", "unit", "delta"))
-        disturbances.append(Disturbance(float(d["t"]), _int(d["unit"], f"$.disturbances[{k}].unit"),
-                                        float(d["delta"])))
+        dpath = f"$.disturbances[{k}]"
+        _check_keys(d, dpath, ("t", "unit", "delta"))
+        disturbances.append(Disturbance(_float(d["t"], dpath, "t"),
+                                        _int(d["unit"], f"{dpath}.unit"),
+                                        _float(d["delta"], dpath, "delta")))
     return Scenario(model=model, devices=devices, comm=comm, scheme=scheme,
-                    disturbances=tuple(disturbances), t_end=float(sim_doc["t_end"]),
-                    dt=float(sim_doc["dt"] if dt is None else dt),
+                    disturbances=tuple(disturbances),
+                    t_end=_float(sim_doc["t_end"], "$.sim.t_end"),
+                    dt=_float(sim_doc["dt"] if dt is None else dt, "$.sim.dt"),
                     seed=_int(sim_doc["seed"] if seed is None else seed, "$.sim.seed", least=0),
                     record_stride=_int(sim_doc.get("record_stride", 1), "$.sim.record_stride"))
 

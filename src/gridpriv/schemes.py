@@ -53,12 +53,12 @@ class PrivacyParams:
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "beta_hat", np.asarray(self.beta_hat, dtype=float))
-        if not (np.all(self.beta >= 0) and np.all(self.beta_hat >= 0)):
-            raise ConfigurationError("beta and beta_hat must be non-negative")
+        if not all(np.all((v >= 0) & (v < np.inf)) for v in (self.beta, self.beta_hat)):
+            raise ConfigurationError("beta and beta_hat must be non-negative and finite")
         if not 0.0 < self.safety < 1.0:
             raise ConfigurationError("safety must lie in (0, 1)")
-        if not self.xi_max >= 0:
-            raise ConfigurationError("xi_max must be non-negative")
+        if not 0 <= self.xi_max < np.inf:
+            raise ConfigurationError("xi_max must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,10 @@ class SchemeConfig:
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
         object.__setattr__(self, "gamma_psi", np.asarray(self.gamma_psi, dtype=float))
-        if not (np.all(self.gamma > 0) and np.all(self.gamma_psi > 0)):
-            raise ConfigurationError("time constants must be strictly positive")
-        if self.kind == INTEGRAL and not self.integral_gain > 0:
-            raise ConfigurationError("integral_gain must be strictly positive")
+        if not all(np.all((v > 0) & (v < np.inf)) for v in (self.gamma, self.gamma_psi)):
+            raise ConfigurationError("time constants must be positive and finite")
+        if self.kind == INTEGRAL and not 0 < self.integral_gain < np.inf:
+            raise ConfigurationError("integral_gain must be positive and finite")
         if self.kind == PRIVACY_PRESERVING and self.privacy is None:
             raise ConfigurationError("privacy_preserving scheme requires privacy parameters")
 
@@ -229,7 +229,9 @@ def max_feasible_beta(h, d_over_n, beta_hat):
 
 
 def design_condition_report(devices, model, privacy):
-    """Evaluate the design condition for every unit of a device set."""
+    """Evaluate the design condition for every unit under privacy, which must be given."""
+    if privacy is None:
+        raise ConfigurationError("scenario has no privacy parameters")
     per_bus = devices.units_per_bus()
     d_over_n = model.damping[devices.bus] / per_bus[devices.bus]
     feasible, eigenvalues = check_design_condition(

@@ -76,22 +76,21 @@ def atomic_open(path):
 
 
 def write_csv(path, columns):
-    """CSV of (name, block) column blocks, one row per sample. A 1-D block is the
-    column `name`, a 2-D block the columns `name_0`, `name_1`, ... LF line ends,
-    %.17g cells (exact float64 round trip), formatted CSV_CHUNK_CELLS cells at a
-    time: a float64 chunk by `g17_rows`, which writes the same bytes, any other
-    chunk by %."""
+    """CSV of (name, block) float64 column blocks, one row per sample. A 1-D block
+    is the column `name`, a 2-D block the columns `name_0`, `name_1`, ... LF line
+    ends, %.17g cells (exact float64 round trip), formatted by `g17_rows`
+    CSV_CHUNK_CELLS cells at a time. A block of another dtype raises TypeError
+    before the file is opened."""
     header = [name if b.ndim == 1 else f"{name}_{k}" for name, b in columns
               for k in range(1 if b.ndim == 1 else b.shape[1])]
     blocks = [b[:, None] if b.ndim == 1 else b for _, b in columns]
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    step = max(1, CSV_CHUNK_CELLS // max(1, len(header)))
+    if any(b.dtype != np.float64 for b in blocks):
+        raise TypeError("write_csv takes float64 blocks")
+    step = max(1, CSV_CHUNK_CELLS // len(header))
     with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(blocks[0]), step):
-            chunk = np.hstack([b[i:i + step] for b in blocks])
-            fh.write(g17_rows(chunk) if chunk.dtype == np.float64 and chunk.size else
-                     (row * len(chunk)) % tuple(chunk.ravel().tolist()))
+            fh.write(g17_rows(np.hstack([b[i:i + step] for b in blocks])))
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,13 @@ class Scenario:
 
     def __post_init__(self):
         """Check the run settings; errors name the scenario file's JSON path."""
-        if not self.dt > 0:
-            raise ScenarioError("$.sim.dt", "must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ScenarioError("$.sim.dt", "must be positive and finite")
         if self.record_stride < 1:
             raise ScenarioError("$.sim.record_stride", "must be >= 1")
+        if not self.t_end / self.dt < np.iinfo(np.intp).max:  # NaN and inf fail too
+            raise ScenarioError("$.sim.t_end",
+                                "must be finite, with a step count an array can index")
         spacing = self.dt * self.record_stride  # t_end: a positive multiple, rtol 1e-9
         n = np.round(self.t_end / spacing)
         if not (n >= 1 and abs(n * spacing - self.t_end) <= 1e-9 * self.t_end):

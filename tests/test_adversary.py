@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from gridpriv import (
     origin_detection,
     simulate,
 )
+import gridpriv.adversary as adversary_module
 from gridpriv.adversary import CENTRAL_DIFF, EXACT_DERIV, FORWARD_DIFF
 from gridpriv.errors import ConfigurationError
 from gridpriv.schemes import EXTENDED_PRIMAL_DUAL, PRIMAL_DUAL, PRIVACY_PRESERVING
@@ -105,6 +107,36 @@ def test_exact_observer_needs_every_channel(epd_run):
     sc, traj = epd_run
     with pytest.raises(ConfigurationError, match="needs every channel observed"):
         observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet([0]), deriv=EXACT_DERIV)
+
+
+@pytest.mark.parametrize("units_per_bus", [(2, 3), (1, 1)])
+def test_observer_refuses_a_primal_dual_run(units_per_bus):
+    """A primal_dual run has one command per bus, so there is nothing per unit to
+    invert: at 11 units the widths differ, and at one unit per bus, where they
+    agree, the run's kind alone refuses it."""
+    sc = build_scenario(gen_scenario(RandomScenarioSpec(
+        bus_count=4, units_per_bus=units_per_bus, t_end=2.0, seed=3, scheme_kind=PRIMAL_DUAL)))
+    traj = simulate(sc)
+    assert traj.p_c.shape[1] == 4 and sc.devices.n_units == (11 if units_per_bus[0] == 2 else 4)
+    for deriv in (CENTRAL_DIFF, EXACT_DERIV):
+        with pytest.raises(ConfigurationError, match="a primal_dual trace has one pc column "
+                                                     "per bus, the attack needs one per unit"):
+            observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), deriv=deriv)
+
+
+def test_observer_checks_its_derivative_before_any_work(epd_run, monkeypatch):
+    """An unknown estimator, or the exact one on a trace without stored
+    derivatives, fails before the consensus states are integrated."""
+    def no_work(*args):
+        raise AssertionError("the attack integrated psi before checking deriv")
+
+    monkeypatch.setattr(adversary_module, "_integrate_psi", no_work)
+    sc, traj = epd_run
+    with pytest.raises(ConfigurationError, match="unknown derivative estimator 'backward'"):
+        observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), deriv="backward")
+    stripped = dataclasses.replace(traj, pc_dot=np.zeros((len(traj.times), 0)))
+    with pytest.raises(ConfigurationError, match="no stored derivatives"):
+        observer_attack(stripped, sc.comm, sc.scheme, KnowledgeSet(), deriv=EXACT_DERIV)
 
 
 def test_observed_mask_accepts_numpy_channels():

@@ -151,6 +151,29 @@ def test_run_non_integer_integer_field_exits_2(runner, tmp_path, keys, value, pa
     assert f"{path}: expected an integer" in result.output
 
 
+@pytest.mark.parametrize("keys, value, error", [
+    (("devices", 0, "q"), "60", "$.devices[0].q: expected a number"),
+    (("network", "inertia"), [2.0, "3", 4.0], "$.network.inertia[1]: expected a number"),
+    (("scheme", "gamma"), {"a": 1}, "$.scheme.gamma: expected a number"),
+    (("network", "lines", 0, "b"), float("inf"), "$.network: susceptance"),
+    (("scheme", "privacy", "xi_max"), float("inf"), "$.scheme.privacy: xi_max"),
+    (("sim", "t_end"), 1e300, "$.sim.t_end: must be finite"),
+    (("devices", 0, "q"), 0, "$.devices: cost_q"),
+])
+def test_run_bad_number_field_exits_2(runner, tmp_path, keys, value, error):
+    """These ran, raised or diverged before the number reader and the finite checks."""
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    leaf = doc
+    for key in keys[:-1]:
+        leaf = leaf[key]
+    leaf[keys[-1]] = value
+    scen.write_text(json.dumps(doc))  # inf as the JSON extension Infinity
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {error}" in result.output
+
+
 def test_run_off_grid_t_end_exits_2(runner, tmp_path):
     """A step at t=10.04 under t_end=10.05, dt=0.1 would never be applied."""
     scen = gen(runner, tmp_path)

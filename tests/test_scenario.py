@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,71 @@ def test_negative_seed_is_rejected_at_its_path(small_doc):
     with pytest.raises(ScenarioError, match=">= 0") as exc:
         build_scenario(small_doc)
     assert exc.value.path == "$.sim.seed"
+
+
+@pytest.mark.parametrize("field", NAN_FIELDS)
+def test_infinity_in_a_positive_field_is_rejected_with_its_path(field):
+    """Each range check that rejects NaN rejects +inf at the same path."""
+    keys, kind, path = NAN_FIELDS[field]
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, t_end=10.0, seed=21))
+    doc["scheme"]["kind"] = kind
+    _parent(doc, keys)[keys[-1]] = float("inf")
+    with pytest.raises(ScenarioError, match="finite") as exc:
+        build_scenario(doc)
+    assert exc.value.path == path
+
+
+# (keys from the document root to a number leaf, path of the error)
+NUMBER_FIELDS = {
+    "q": (("devices", 0, "q"), "$.devices[0].q"),
+    "tau": (("devices", 0, "tau"), "$.devices[0].tau"),
+    "p_l": (("devices", 1, "p_l"), "$.devices[1].p_l"),
+    "droop_split": (("devices", 2, "droop_split"), "$.devices[2].droop_split"),
+    "b": (("network", "lines", 1, "b"), "$.network.lines[1].b"),
+    "inertia entry": (("network", "inertia", 1), "$.network.inertia[1]"),
+    "damping": (("network", "damping"), "$.network.damping"),
+    "gamma entry": (("scheme", "gamma", 0), "$.scheme.gamma[0]"),
+    "gamma_psi entry": (("comm", "gamma_psi", 2), "$.comm.gamma_psi[2]"),
+    "integral_gain": (("scheme", "integral_gain"), "$.scheme.integral_gain"),
+    "beta entry": (("scheme", "privacy", "beta", 3), "$.scheme.privacy.beta[3]"),
+    "beta_hat": (("scheme", "privacy", "beta_hat"), "$.scheme.privacy.beta_hat"),
+    "xi_max": (("scheme", "privacy", "xi_max"), "$.scheme.privacy.xi_max"),
+    "safety": (("scheme", "privacy", "safety"), "$.scheme.privacy.safety"),
+    "t_end": (("sim", "t_end"), "$.sim.t_end"),
+    "dt": (("sim", "dt"), "$.sim.dt"),
+    "disturbance t": (("disturbances", 0, "t"), "$.disturbances[0].t"),
+    "delta": (("disturbances", 0, "delta"), "$.disturbances[0].delta"),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None, {"a": 1}, 10**400])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_number_field_rejects_a_non_number_at_its_path(field, value):
+    keys, path = NUMBER_FIELDS[field]
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, t_end=10.0, seed=21))
+    _parent(doc, keys)[keys[-1]] = value
+    with pytest.raises(ScenarioError, match="expected a number") as exc:
+        build_scenario(doc)
+    assert exc.value.path == path
+
+
+def test_zero_cost_is_rejected_before_it_divides(small_doc):
+    small_doc["devices"][1]["q"] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="cost_q") as exc:
+            build_scenario(small_doc)
+    assert exc.value.path == "$.devices"
+
+
+@pytest.mark.parametrize("key, value", [("t_end", float("inf")), ("t_end", 1e300),
+                                        ("t_end", float("nan")), ("dt", float("inf"))])
+def test_unbounded_horizon_or_step_is_rejected_at_its_path(small_doc, key, value):
+    """1e300 s at dt = 0.01 would need 1e302 steps, more than an array can index."""
+    small_doc["sim"][key] = value
+    with pytest.raises(ScenarioError, match="finite") as exc:
+        build_scenario(small_doc)
+    assert exc.value.path == f"$.sim.{key}"
 
 
 def test_gains_follow_cost_coefficients(small_doc):

@@ -12,6 +12,7 @@ from gridpriv.schemes import (
     PRIVACY_PRESERVING,
     SchemeState,
     check_design_condition,
+    design_condition_report,
     draw_privacy_block,
     max_feasible_beta,
     privacy_noise,
@@ -172,6 +173,11 @@ def _design_matrix(h, d_over_n, beta, beta_hat):
         [-h - d_over_n, h + beta / 2.0],
         [h + beta / 2.0, -h + beta_hat / 2.0],
     ])
+
+
+def test_design_condition_report_needs_privacy_parameters(model3, devices4):
+    with pytest.raises(ConfigurationError, match="scenario has no privacy parameters"):
+        design_condition_report(devices4, model3, None)
 
 
 def test_design_condition_against_eigenvalue_oracle():

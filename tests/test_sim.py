@@ -264,6 +264,42 @@ def test_failed_csv_write_leaves_no_partial_target(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+def test_csv_write_failing_mid_file_leaves_no_partial_target(tmp_path, monkeypatch):
+    """The second chunk's formatter raises after the first chunk is written: the
+    existing target keeps its bytes, a new one does not appear, no .tmp is left."""
+    block = np.linspace(0.0, 1.0, sim_module.CSV_CHUNK_CELLS + 100)  # two chunks
+    format_chunk, calls = sim_module.g17_rows, []
+
+    class DiskFull(Exception):
+        pass
+
+    def failing_second_call(chunk):
+        calls.append(len(chunk))
+        if len(calls) == 2:
+            raise DiskFull
+        return format_chunk(chunk)
+
+    monkeypatch.setattr(sim_module, "g17_rows", failing_second_call)
+    kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+    kept.write_bytes(b"previous\n")
+    for path in (kept, absent):
+        calls.clear()
+        with pytest.raises(DiskFull):
+            write_csv(path, [("t", block)])
+        assert calls == [sim_module.CSV_CHUNK_CELLS, 100]
+    assert kept.read_bytes() == b"previous\n"
+    assert not absent.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_csv_write_refuses_a_block_that_is_not_float64(tmp_path, dtype):
+    path = tmp_path / "ints.csv"
+    with pytest.raises(TypeError, match="float64"):
+        write_csv(path, [("t", np.arange(3.0)), ("n", np.arange(3).astype(dtype))])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_from_csv_reads_the_old_trace_format(tmp_path, scenario_factory):
     """CRLF line ends and repr cells, as csv.writer wrote traces before."""
     traj = simulate(scenario_factory(PRIVACY_PRESERVING, t_end=1.0))
