@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridpriv import (
+    Graph,
     KnowledgeSet,
     RandomScenarioSpec,
     build_scenario,
@@ -122,6 +123,13 @@ def test_observer_refuses_a_primal_dual_run(units_per_bus):
         with pytest.raises(ConfigurationError, match="a primal_dual trace has one pc column "
                                                      "per bus, the attack needs one per unit"):
             observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), deriv=deriv)
+
+
+def test_observer_refuses_a_graph_of_another_width(epd_run):
+    """Four units' commands under a three-node consensus graph."""
+    sc, traj = epd_run
+    with pytest.raises(ConfigurationError, match="trajectory columns do not match the attack"):
+        observer_attack(traj, Graph(3, ((0, 1), (1, 2))), sc.scheme, KnowledgeSet())
 
 
 def test_observer_checks_its_derivative_before_any_work(epd_run, monkeypatch):
