@@ -91,15 +91,19 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
     the origin_detection ranking over the ORIGIN_WINDOW seconds after it,
     or as much of them as the trace holds; with fewer than three samples
     after it the ranking is None and a warning says so. Every check runs
-    first; it refuses a primal_dual trajectory, with one command per bus.
+    first; it refuses a primal_dual trajectory, with one command per bus, and
+    one whose command width is not the graph's node count.
     """
     times = traj.times
     dt = traj.dt
     p_c = traj.p_c
     n_units = p_c.shape[1]
-    if traj.scheme_kind == PRIMAL_DUAL or n_units != comm.node_count:
+    if traj.scheme_kind == PRIMAL_DUAL:
         raise ConfigurationError("trajectory columns do not match the attack: a primal_dual "
                                  "trace has one pc column per bus, the attack needs one per unit")
+    if n_units != comm.node_count:
+        raise ConfigurationError(f"trajectory columns do not match the attack: {n_units} pc "
+                                 f"columns, the graph has {comm.node_count} nodes")
     if deriv not in (FORWARD_DIFF, CENTRAL_DIFF, EXACT_DERIV):
         raise ConfigurationError(f"unknown derivative estimator {deriv!r}")
     if deriv == EXACT_DERIV and traj.pc_dot.shape[1] != n_units:

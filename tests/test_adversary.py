@@ -128,7 +128,8 @@ def test_observer_refuses_a_primal_dual_run(units_per_bus):
 def test_observer_refuses_a_graph_of_another_width(epd_run):
     """Four units' commands under a three-node consensus graph."""
     sc, traj = epd_run
-    with pytest.raises(ConfigurationError, match="trajectory columns do not match the attack"):
+    with pytest.raises(ConfigurationError, match="trajectory columns do not match the attack: "
+                                                 "4 pc columns, the graph has 3 nodes"):
         observer_attack(traj, Graph(3, ((0, 1), (1, 2))), sc.scheme, KnowledgeSet())
 
 
