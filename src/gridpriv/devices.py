@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _checked_array
 
 
 @dataclass(frozen=True)
@@ -33,24 +33,22 @@ class DeviceSet:
     load_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("bus", "is_generator", "tau", "droop_m", "damping_h", "cost_q", "p_load"):
-            dtype = {"bus": int, "is_generator": bool}.get(name, float)
-            object.__setattr__(self, name, np.asarray(getattr(self, name)).astype(dtype))
+        object.__setattr__(self, "bus", np.asarray(self.bus).astype(int))
+        object.__setattr__(self, "is_generator", np.asarray(self.is_generator).astype(bool))
         n = self.bus.shape[0]
         if n == 0:
             raise ConfigurationError("at least one unit is required")
-        for name in ("is_generator", "tau", "droop_m", "damping_h", "cost_q", "p_load"):
-            if getattr(self, name).shape != (n,):
-                raise ConfigurationError(f"{name} length must match unit count {n}")
+        if self.is_generator.shape != (n,):
+            raise ConfigurationError(f"is_generator has shape {self.is_generator.shape}, "
+                                     f"expected {(n,)}")
         if np.any(self.bus < 0) or np.any(self.bus >= self.bus_count):
             raise ConfigurationError("unit bus index out of range")
-        if not all(np.all((v > 0) & (v < np.inf)) for v in (self.damping_h, self.cost_q)):
-            raise ConfigurationError("damping_h and cost_q must be positive and finite")
-        if not np.all(np.isfinite(self.p_load)):
-            raise ConfigurationError("p_load must be finite")
+        for name, low in (("tau", None), ("droop_m", None), ("damping_h", 0.0),
+                          ("cost_q", 0.0), ("p_load", -np.inf)):
+            object.__setattr__(self, name, _checked_array(getattr(self, name), name, (n,), low))
         gens = self.is_generator
-        if not all(np.all((v > 0) & (v < np.inf)) for v in (self.tau[gens], self.droop_m[gens])):
-            raise ConfigurationError("tau and droop_m must be positive and finite for generators")
+        _checked_array(self.tau[gens], "generator tau", low=0.0)
+        _checked_array(self.droop_m[gens], "generator droop_m", low=0.0)
         object.__setattr__(self, "gen_index", np.flatnonzero(gens))
         object.__setattr__(self, "load_index", np.flatnonzero(~gens))
 
@@ -88,14 +86,11 @@ def device_outputs(devices, dstate, u, omega, p_load=None):
     net_injection per bus). p_load overrides the baseline uncontrollable
     demand when given (used for disturbances).
     """
-    u = np.asarray(u, dtype=float)
-    omega = np.asarray(omega, dtype=float)
+    u = _checked_array(u, "u", (devices.n_units,))
+    omega = _checked_array(omega, "omega", (devices.bus_count,))
     p_load = devices.p_load if p_load is None else np.asarray(p_load, dtype=float)
-    if u.shape != (devices.n_units,) or omega.shape != (devices.bus_count,):
-        raise ConfigurationError("u must be per unit and omega per bus")
-    if dstate.x.shape != (devices.n_generators,):
-        raise ConfigurationError("device state length must match generator count")
-    p_M, d_c, s_tilde = unit_outputs(devices, dstate.x, u, omega, p_load)
+    x = _checked_array(dstate.x, "x", (devices.n_generators,))
+    p_M, d_c, s_tilde = unit_outputs(devices, x, u, omega, p_load)
     return p_M, d_c, s_tilde, bus_injection(devices, p_M, d_c, p_load)
 
 
@@ -128,10 +123,8 @@ def bus_injection(devices, p_M, d_c, p_load):
 
 def device_rhs(devices, dstate, u, omega):
     """First-order lag dynamics of the generator internal states."""
-    u = np.asarray(u, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if u.shape != (devices.n_units,) or omega.shape != (devices.bus_count,):
-        raise ConfigurationError("u must be per unit and omega per bus")
+    u = _checked_array(u, "u", (devices.n_units,))
+    omega = _checked_array(omega, "omega", (devices.bus_count,))
     gi = devices.gen_index
     drive = u[gi] - omega[devices.bus[gi]]
     return (-dstate.x + devices.droop_m[gi] * drive) / devices.tau[gi]
@@ -144,11 +137,9 @@ def design_optimal_gains(cost_q, is_generator, droop_split=0.5):
     of the total gain set by droop_split. The split does not affect
     optimality, only the transient.
     """
-    cost_q = np.asarray(cost_q, dtype=float)
+    cost_q = _checked_array(cost_q, "cost_q", low=0.0)
     is_generator = np.asarray(is_generator, dtype=bool)
     droop_split = np.asarray(droop_split, dtype=float)
-    if not np.all((cost_q > 0) & (cost_q < np.inf)):
-        raise ConfigurationError("cost_q must be positive and finite")
     if not (np.all(droop_split > 0.0) and np.all(droop_split < 1.0)):
         raise ConfigurationError("droop_split must lie in (0, 1)")
     h = np.where(is_generator, droop_split / cost_q, 1.0 / cost_q)

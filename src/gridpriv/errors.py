@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checked reader of array arguments."""
+
+import numpy as np
 
 
 class GridPrivError(Exception):
@@ -15,6 +17,19 @@ class ScenarioError(ConfigurationError):
     def __init__(self, path, message):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def _checked_array(value, name, shape=None, low=None, closed=False):
+    """value as a float64 array. A ConfigurationError naming name refuses it unless
+    it has shape (when given) and, when low is given, every entry is finite and
+    > low (>= low when closed)."""
+    arr = np.asarray(value, dtype=float)
+    if shape is not None and arr.shape != shape:
+        raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
+    if low is not None and not np.all(((arr >= low) if closed else (arr > low)) & (arr < np.inf)):
+        bound = "" if low == -np.inf else f" and {'>=' if closed else '>'} {low:g}"
+        raise ConfigurationError(f"{name} must be finite{bound}")
+    return arr
 
 
 class InfeasibilityError(GridPrivError):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibilityError
+from .errors import ConfigurationError, InfeasibilityError, _checked_array
 
 
 @dataclass(frozen=True)
@@ -116,18 +116,10 @@ class NetworkModel:
         graph = Graph(self.bus_count, self.lines)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "lines", graph.edges)
-        object.__setattr__(self, "susceptance", np.asarray(self.susceptance, dtype=float))
-        object.__setattr__(self, "inertia", np.asarray(self.inertia, dtype=float))
-        object.__setattr__(self, "damping", np.asarray(self.damping, dtype=float))
-        n, e = self.bus_count, graph.edge_count
-        if self.susceptance.shape != (e,):
-            raise ConfigurationError("susceptance length must match line count")
-        if self.inertia.shape != (n,) or self.damping.shape != (n,):
-            raise ConfigurationError("inertia/damping length must match bus_count")
-        if not all(np.all((v > 0) & (v < np.inf))
-                   for v in (self.susceptance, self.inertia, self.damping)):
-            raise ConfigurationError("susceptance, inertia and damping must be positive and finite")
-        if len({frozenset(line) for line in self.lines}) < e:
+        for name, size in (("susceptance", graph.edge_count), ("inertia", self.bus_count),
+                           ("damping", self.bus_count)):
+            object.__setattr__(self, name, _checked_array(getattr(self, name), name, (size,), 0.0))
+        if len({frozenset(line) for line in self.lines}) < graph.edge_count:
             raise ConfigurationError("two lines join the same pair of buses")
 
     @property
@@ -152,28 +144,19 @@ class PlantState:
         self.omega = np.asarray(self.omega, dtype=float)
 
 
-def _check_dims(model, state):
-    if state.eta.shape != (model.line_count,) or state.omega.shape != (model.bus_count,):
-        raise ConfigurationError(
-            f"state dims (eta {state.eta.shape}, omega {state.omega.shape}) do not match "
-            f"model (|E|={model.line_count}, |N|={model.bus_count})"
-        )
-
-
 def swing_rhs(model, state, net_injection):
     """Time derivatives of the plant state.
 
     net_injection is the per-bus total of generation minus controllable and
     uncontrollable demand, supplied by the devices module.
     """
-    _check_dims(model, state)
-    net_injection = np.asarray(net_injection, dtype=float)
-    if net_injection.shape != (model.bus_count,):
-        raise ConfigurationError("net_injection length must match bus_count")
+    eta = _checked_array(state.eta, "eta", (model.line_count,))
+    omega = _checked_array(state.omega, "omega", (model.bus_count,))
+    net_injection = _checked_array(net_injection, "net_injection", (model.bus_count,))
     A = model.graph.incidence
-    eta_dot = A.T @ state.omega
-    p = model.susceptance * state.eta  # line flows
-    omega_dot = (net_injection - model.damping * state.omega - A @ p) / model.inertia
+    eta_dot = A.T @ omega
+    p = model.susceptance * eta  # line flows
+    omega_dot = (net_injection - model.damping * omega - A @ p) / model.inertia
     return eta_dot, omega_dot
 
 
@@ -183,9 +166,7 @@ def dc_power_flow(model, injection):
     Solves the susceptance-weighted Laplacian system with bus 0 as the
     angle reference. The injection must sum to zero within 1e-9.
     """
-    injection = np.asarray(injection, dtype=float)
-    if injection.shape != (model.bus_count,):
-        raise ConfigurationError("injection length must match bus_count")
+    injection = _checked_array(injection, "injection", (model.bus_count,))
     if abs(injection.sum()) > 1e-9:
         raise InfeasibilityError(f"injections sum to {injection.sum():.3e}, expected 0 within 1e-9")
     z = model.graph.potentials(model.susceptance, injection)

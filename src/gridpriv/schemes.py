@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibilityError
+from .errors import ConfigurationError, InfeasibilityError, _checked_array
 
 INTEGRAL = "integral"
 PRIMAL_DUAL = "primal_dual"
@@ -51,10 +51,9 @@ class PrivacyParams:
     safety: float = 0.999
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        object.__setattr__(self, "beta_hat", np.asarray(self.beta_hat, dtype=float))
-        if not all(np.all((v >= 0) & (v < np.inf)) for v in (self.beta, self.beta_hat)):
-            raise ConfigurationError("beta and beta_hat must be non-negative and finite")
+        for name in ("beta", "beta_hat"):
+            object.__setattr__(self, name, _checked_array(getattr(self, name), name, low=0.0,
+                                                          closed=True))
         if not 0.0 < self.safety < 1.0:
             raise ConfigurationError("safety must lie in (0, 1)")
         if not 0 <= self.xi_max < np.inf:
@@ -78,10 +77,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
-        object.__setattr__(self, "gamma_psi", np.asarray(self.gamma_psi, dtype=float))
-        if not all(np.all((v > 0) & (v < np.inf)) for v in (self.gamma, self.gamma_psi)):
-            raise ConfigurationError("time constants must be positive and finite")
+        for name in ("gamma", "gamma_psi"):
+            object.__setattr__(self, name, _checked_array(getattr(self, name), name, low=0.0))
         if self.kind == INTEGRAL and not 0 < self.integral_gain < np.inf:
             raise ConfigurationError("integral_gain must be positive and finite")
         if self.kind == PRIVACY_PRESERVING and self.privacy is None:
@@ -122,37 +119,31 @@ def scheme_rhs(cfg, graph, state, devices, s_tilde, omega, zeta=None):
     omega = np.asarray(omega, dtype=float)
     n_units = devices.n_units
     if cfg.kind == INTEGRAL:
-        _expect(state.p_c, n_units, "p_c")
+        p_c = _checked_array(state.p_c, "p_c", (n_units,))
         pc_dot = -(cfg.integral_gain / devices.cost_q) * omega[devices.bus]
-        return SchemeRhs(np.zeros(0), pc_dot, state.p_c, np.zeros(n_units))
+        return SchemeRhs(np.zeros(0), pc_dot, p_c, np.zeros(n_units))
     H = graph.incidence
+    psi = _checked_array(state.psi, "psi", (graph.edge_count,))
     if cfg.kind == PRIMAL_DUAL:
         if zeta is None:
             raise ConfigurationError("primal_dual scheme requires zeta")
-        _expect(state.p_c, graph.node_count, "p_c")
-        _expect(state.psi, graph.edge_count, "psi")
-        psi_dot = (H.T @ state.p_c) / cfg.gamma_psi
-        pc_dot = (np.asarray(zeta, dtype=float) - H @ state.psi) / cfg.gamma
-        return SchemeRhs(psi_dot, pc_dot, state.p_c[devices.bus], np.zeros(n_units))
+        p_c = _checked_array(state.p_c, "p_c", (graph.node_count,))
+        psi_dot = (H.T @ p_c) / cfg.gamma_psi
+        pc_dot = (np.asarray(zeta, dtype=float) - H @ psi) / cfg.gamma
+        return SchemeRhs(psi_dot, pc_dot, p_c[devices.bus], np.zeros(n_units))
     # unit-level consensus schemes share one code path; extended_primal_dual
     # is the xi = 0, n_f = 0 special case of privacy_preserving
     if graph.node_count != n_units:
         raise ConfigurationError("unit-level scheme needs a communication node per unit")
-    _expect(state.p_c, n_units, "p_c")
-    _expect(state.psi, graph.edge_count, "psi")
-    _expect(state.xi, n_units, "xi")
-    effective = cfg.gamma + state.xi
+    p_c = _checked_array(state.p_c, "p_c", (n_units,))
+    xi = _checked_array(state.xi, "xi", (n_units,))
+    effective = cfg.gamma + xi
     if np.any(effective <= 0):
         raise ConfigurationError("gamma + xi must stay strictly positive")
-    psi_dot = (H.T @ state.p_c) / cfg.gamma_psi
-    pc_dot = (np.asarray(s_tilde, dtype=float) - H @ state.psi + state.n_f_held) / effective
-    n_d = -state.xi * pc_dot
-    return SchemeRhs(psi_dot, pc_dot, state.p_c, n_d)
-
-
-def _expect(arr, length, name):
-    if arr.shape != (length,):
-        raise ConfigurationError(f"{name} has shape {arr.shape}, expected ({length},)")
+    psi_dot = (H.T @ p_c) / cfg.gamma_psi
+    pc_dot = (np.asarray(s_tilde, dtype=float) - H @ psi + state.n_f_held) / effective
+    n_d = -xi * pc_dot
+    return SchemeRhs(psi_dot, pc_dot, p_c, n_d)
 
 
 def draw_privacy_block(params, xi, dt, rng, rows):
