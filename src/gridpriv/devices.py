@@ -18,7 +18,9 @@ class DeviceSet:
     """Flat, ordered collection of prosumption units.
 
     Arrays are indexed by the global unit ordering. tau and droop_m are
-    meaningful for generators only (ignored entries for loads).
+    meaningful for generators only (ignored entries for loads). A float field
+    that is not one finite entry per unit (> 0 but for p_load; any value at a
+    load's tau and droop_m) raises a ConfigurationError naming it.
     """
 
     bus: np.ndarray  # bus index per unit
@@ -135,13 +137,15 @@ def design_optimal_gains(cost_q, is_generator, droop_split=0.5):
 
     For loads q*h = 1; for generators q*(m + h) = 1 with the droop share
     of the total gain set by droop_split. The split does not affect
-    optimality, only the transient.
+    optimality, only the transient. A subnormal cost_q gives inf gains
+    without a warning; DeviceSet refuses them.
     """
     cost_q = _checked_array(cost_q, "cost_q", low=0.0)
     is_generator = np.asarray(is_generator, dtype=bool)
     droop_split = np.asarray(droop_split, dtype=float)
     if not (np.all(droop_split > 0.0) and np.all(droop_split < 1.0)):
         raise ConfigurationError("droop_split must lie in (0, 1)")
-    h = np.where(is_generator, droop_split / cost_q, 1.0 / cost_q)
-    m = np.where(is_generator, (1.0 - droop_split) / cost_q, 0.0)
+    with np.errstate(over="ignore"):  # a subnormal cost_q gives inf gains; DeviceSet refuses them
+        h = np.where(is_generator, droop_split / cost_q, 1.0 / cost_q)
+        m = np.where(is_generator, (1.0 - droop_split) / cost_q, 0.0)
     return m, h

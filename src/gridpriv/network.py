@@ -103,6 +103,8 @@ class NetworkModel:
 
     lines are directed (i, j) pairs; direction is an arbitrary bookkeeping
     convention and does not affect the dynamics. `graph` is their Graph.
+    susceptance (per line), inertia and damping (per bus) must be finite and
+    > 0; a ConfigurationError names the field that is not, or has a wrong shape.
     """
 
     bus_count: int

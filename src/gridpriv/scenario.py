@@ -17,7 +17,7 @@ import numpy as np
 from . import schemes
 from .adversary import CENTRAL_DIFF, FORWARD_DIFF, KnowledgeSet
 from .devices import DeviceSet, design_optimal_gains
-from .errors import ConfigurationError, InfeasibilityError, ScenarioError
+from .errors import ConfigurationError, InfeasibilityError, ScenarioError, _checked_array
 from .network import Graph, NetworkModel
 from .schemes import PrivacyParams, SchemeConfig, max_feasible_beta
 from .sim import Disturbance, Scenario, atomic_open
@@ -179,6 +179,8 @@ def build_scenario(doc, seed=None, dt=None):
         raise ScenarioError("$.scheme.kind", f"must be one of {list(schemes.SCHEME_KINDS)}")
 
     gamma = _floats(sch["gamma"], n_units, "$.scheme.gamma")
+    with _at("$.scheme"):  # before xi_max's default is taken from it
+        _checked_array(gamma, "gamma", low=0.0)
     privacy = None
     if "privacy" in sch:
         pv = sch["privacy"]

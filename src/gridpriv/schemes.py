@@ -42,7 +42,9 @@ class PrivacyParams:
     beta bounds |n_f| relative to the local |omega|; beta_hat bounds the
     per-time rate of change of xi. safety < 1 keeps the sampled values
     strictly inside the open bounds. xi is capped at xi_max so the
-    effective time constants stay bounded.
+    effective time constants stay bounded. beta and beta_hat must be finite
+    and >= 0 (a ConfigurationError names the one that is not); xi_max = -0.0
+    is stored as +0.0.
     """
 
     beta: np.ndarray  # per unit, >= 0
@@ -58,6 +60,8 @@ class PrivacyParams:
             raise ConfigurationError("safety must lie in (0, 1)")
         if not 0 <= self.xi_max < np.inf:
             raise ConfigurationError("xi_max must be non-negative and finite")
+        # -0.0 passes the check but would make xi's initial draw range [0, -0.0) negative
+        object.__setattr__(self, "xi_max", self.xi_max + 0.0)
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,8 @@ class SchemeConfig:
     """Controller kind, time constants and optional privacy parameters.
 
     gamma is per controller (per unit, or per bus for the bus-level
-    scheme); gamma_psi is per communication edge.
+    scheme); gamma_psi is per communication edge. Both must be finite and
+    > 0; a ConfigurationError names the one that is not.
     """
 
     kind: str

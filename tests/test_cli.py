@@ -630,3 +630,57 @@ def test_design_condition_gate(runner, tmp_path):
     report = json.loads(out.read_text())
     assert report["all_feasible"] is False
     assert [u["unit"] for u in report["units"] if not u["feasible"]] == [0]
+
+
+def test_run_negative_zero_xi_max_exits_0(runner, tmp_path):
+    """-0.0 passes xi_max's >= 0 check and runs as xi_max = 0."""
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    doc["scheme"]["privacy"]["xi_max"] = -0.0
+    scen.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+
+
+def _duplicate_line(doc):
+    line = doc["network"]["lines"][0]
+    doc["network"]["lines"].append({"from": line["to"], "to": line["from"], "b": 1.0})
+
+
+@pytest.mark.parametrize("damage, error", [
+    (lambda doc: doc.update(devices=[]), "$.devices: expected a non-empty list"),
+    (lambda doc: doc["devices"][0].update(kind="battery"), "$.devices[0].kind: must be"),
+    (lambda doc: doc["comm"]["edges"][0].append(2), "$.comm.edges[0]: expected [from, to]"),
+    (lambda doc: doc["sim"].update(record_stride=0), "$.sim.record_stride: must be >= 1"),
+    (lambda doc: doc["scheme"]["privacy"].update(safety=1.0),
+     "$.scheme.privacy: safety must lie in (0, 1)"),
+    (lambda doc: doc["scheme"]["privacy"].update(safety=0),
+     "$.scheme.privacy: safety must lie in (0, 1)"),
+    (_duplicate_line, "$.network: two lines join the same pair of buses"),
+    (lambda doc: doc["devices"][0].update(q=1e-320), "$.devices: damping_h must be finite"),
+], ids=["no units", "unknown kind", "edge not a pair", "zero record_stride", "safety 1",
+        "safety 0", "repeated line", "subnormal q"])
+def test_run_refuses_a_bad_document_at_its_path(runner, tmp_path, damage, error):
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    damage(doc)
+    scen.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {error}" in result.output
+
+
+def test_attack_trace_with_a_column_fewer_than_its_header_exits_2(runner, tmp_path):
+    scen = gen(runner, tmp_path)
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    trace = tmp_path / "out" / "trajectory.csv"
+    header, *rows = trace.read_text().splitlines()
+    trace.write_text("\n".join([header] + [row.rsplit(",", 1)[0] for row in rows]) + "\n")
+    width = len(header.split(","))
+    result = runner.invoke(main, ["attack", str(trace), "--scenario", str(scen),
+                                  "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 2, result.output
+    assert (f"error: malformed trace {trace}: {width - 1} columns under {width} names"
+            in result.output)
+    assert not (tmp_path / "report.json").exists()

@@ -401,3 +401,54 @@ def test_invalid_json_reports_path(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ScenarioError, match="invalid JSON"):
         load_scenario(p)
+
+
+@pytest.mark.parametrize("q", [1e-320, 5e-324])
+def test_subnormal_cost_is_refused_at_its_gain_without_a_warning(small_doc, q):
+    """1/q overflows, so the gain h is inf: refused at $.devices, naming the gain."""
+    small_doc["devices"][1]["q"] = q
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="damping_h must be finite") as exc:
+            build_scenario(small_doc)
+    assert exc.value.path == "$.devices"
+
+
+@pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+def test_bad_gamma_is_refused_at_scheme_before_the_xi_max_default(small_doc, gamma):
+    """Without xi_max, its default 10 * max(gamma) must not be taken from a bad gamma."""
+    del small_doc["scheme"]["privacy"]["xi_max"]
+    small_doc["scheme"]["gamma"][0] = gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="gamma must be finite") as exc:
+            build_scenario(small_doc)
+    assert exc.value.path == "$.scheme"
+
+
+def test_zero_unit_gamma_is_refused_before_the_bus_mean(small_doc):
+    """primal_dual averages gamma over a bus's units; a zero entry is still refused."""
+    small_doc["scheme"]["kind"] = PRIMAL_DUAL
+    small_doc["scheme"]["gamma"][0] = 0
+    with pytest.raises(ScenarioError, match="gamma must be finite and > 0") as exc:
+        build_scenario(small_doc)
+    assert exc.value.path == "$.scheme"
+
+
+@pytest.mark.parametrize("change, named", [
+    (dict(q_range=(0.0, 1.0)), "q_range"), (dict(q_range=(-2.0, -1.0)), "q_range"),
+    (dict(q_range=(2.0, 1.0)), "q_range"), (dict(comm_style="ring"), "comm_style"),
+])
+def test_random_spec_refuses_bad_knobs(change, named):
+    with pytest.raises(errors.ConfigurationError, match=named):
+        RandomScenarioSpec(**change)
+
+
+def test_gen_scenario_halves_beta_hat_until_the_design_condition_holds():
+    """Cheap units (q about 0.01) have gains so large that beta_hat = h/2 leaves no
+    admissible beta; the generator halves beta_hat until one exists."""
+    doc = gen_scenario(RandomScenarioSpec(bus_count=3, q_range=(0.01, 0.02), seed=1))
+    sc = build_scenario(doc)
+    assert np.all(sc.scheme.privacy.beta_hat < 0.5 * sc.devices.damping_h)
+    feasible, _, _ = design_condition_report(sc.devices, sc.model, sc.scheme.privacy)
+    assert feasible.all()

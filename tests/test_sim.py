@@ -756,3 +756,19 @@ def test_block_draws_match_stepwise_draws_for_any_block_length(
     monkeypatch.setattr(sim_module, "DRAW_BLOCK_ROWS", block, raising=False)
     for stride in (1, 3):
         assert_matches_stepwise(privacy_steps_scenario(scenario_factory, 45, stride))
+
+
+def test_negative_zero_xi_max_runs_as_zero_bit_for_bit():
+    """-0.0 passes xi_max's >= 0 check; it must not reach xi's initial draw as a
+    negative range, and the run must equal the xi_max = 0 run."""
+    doc = gen_scenario(RandomScenarioSpec(bus_count=3, t_end=2.0, seed=1))
+    runs = []
+    for xi_max in (-0.0, 0):
+        doc["scheme"]["privacy"]["xi_max"] = xi_max
+        sc = build_scenario(doc)
+        assert not np.signbit(sc.scheme.privacy.xi_max)
+        runs.append(simulate(sc))
+    for field in dataclasses.fields(runs[0]):
+        a, b = (getattr(run, field.name) for run in runs)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), field.name
