@@ -145,7 +145,7 @@ def design_optimal_gains(cost_q, is_generator, droop_split=0.5):
     droop_split = np.asarray(droop_split, dtype=float)
     if not (np.all(droop_split > 0.0) and np.all(droop_split < 1.0)):
         raise ConfigurationError("droop_split must lie in (0, 1)")
-    with np.errstate(over="ignore"):  # a subnormal cost_q gives inf gains; DeviceSet refuses them
+    with np.errstate(over="ignore"):
         h = np.where(is_generator, droop_split / cost_q, 1.0 / cost_q)
         m = np.where(is_generator, (1.0 - droop_split) / cost_q, 0.0)
     return m, h

@@ -179,8 +179,9 @@ def build_scenario(doc, seed=None, dt=None):
         raise ScenarioError("$.scheme.kind", f"must be one of {list(schemes.SCHEME_KINDS)}")
 
     gamma = _floats(sch["gamma"], n_units, "$.scheme.gamma")
-    with _at("$.scheme"):  # before xi_max's default is taken from it
-        _checked_array(gamma, "gamma", low=0.0)
+    with _at("$.scheme"):  # before xi_max's default and primal_dual's means are formed
+        for name, value in (("gamma", gamma), ("gamma_psi", gamma_psi)):
+            _checked_array(value, name, low=0.0)
     privacy = None
     if "privacy" in sch:
         pv = sch["privacy"]

@@ -426,11 +426,13 @@ def test_bad_gamma_is_refused_at_scheme_before_the_xi_max_default(small_doc, gam
     assert exc.value.path == "$.scheme"
 
 
-def test_zero_unit_gamma_is_refused_before_the_bus_mean(small_doc):
-    """primal_dual averages gamma over a bus's units; a zero entry is still refused."""
+@pytest.mark.parametrize("keys", [("scheme", "gamma", 0), ("comm", "gamma_psi", 1)])
+def test_zero_time_constant_is_refused_before_primal_dual_averages_it(small_doc, keys):
+    """primal_dual takes per-bus means of gamma and one mean of gamma_psi; a zero
+    entry must not hide in a positive mean."""
     small_doc["scheme"]["kind"] = PRIMAL_DUAL
-    small_doc["scheme"]["gamma"][0] = 0
-    with pytest.raises(ScenarioError, match="gamma must be finite and > 0") as exc:
+    _parent(small_doc, keys)[keys[-1]] = 0
+    with pytest.raises(ScenarioError, match=f"{keys[1]} must be finite and > 0") as exc:
         build_scenario(small_doc)
     assert exc.value.path == "$.scheme"
 
