@@ -18,9 +18,26 @@ separator and two unused slots. A keep-mask row, picked by notation (fixed
 point for X in [-4, 16], else exponent with two or three digits), number of
 significant digits and sign, zeroes the slots '%.17g' does not print, and
 deleting the zero bytes compacts the block.
+
+`read_rows` reads such text back bit for bit as `np.loadtxt` does, a block
+of whole rows at a time (Clinger, "How to read floating point numbers
+accurately", PLDI 1990). Every byte <= "," ends a cell but "+", which only
+an exponent holds. A cell of at most 24 bytes is gathered as three 8-byte
+words ending at its separator, and its first 8 bytes as one more word,
+which gives the sign, the "." and the digits before it. Keep masks, picked
+by where the digits after the "." start and by the exponent's form ("e" at
+byte 20 or 19 of the window), zero every other byte, and SWAR arithmetic
+turns each word into its digits; the exponent's digits fall into the last
+four byte slots. The value M * 10^q, with M < 10^18, is formed as a
+double-double from 10^q = hi + lo and rounded once. A cell whose q or value
+lies outside the writer's fast range or whose value lies within TIE_WINDOW
+ulp of a rounding midpoint is read by `float`, as is a cell of the layout
+the words do not cover (such as "123456789.5"); a block with any other
+byte, cell or row width is refused whole.
 """
 
 import math
+import re
 from functools import cache
 
 import numpy as np
@@ -137,3 +154,196 @@ def g17_rows(block):
     for i in np.flatnonzero(~fast):
         text[i, :SEP] = np.frombuffer((b"%.17g" % x[i]).ljust(SEP, b"\0"), np.uint8)
     return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
+CELL = re.compile(rb"-?(\d+\.?\d*|\.\d+)(e[+-]\d\d\d?)?")  # the cells `read_rows` reads
+READ_WINDOW = 24  # bytes of a cell's window, and of context before each block
+Q_MAX = 290  # largest q the reader forms M * 10^q for: it stays finite for M < 10^18
+ZEROS, DOTS, LOW7, HIGH1, OVER9 = (np.uint64(0x0101010101010101 * b)
+                                   for b in (0x30, 0x2E, 0x7F, 0x80, 0x76))
+PAIRS, QUADS = np.uint64(0x00FF00FF00FF00FF), np.uint64(0x0000FFFF0000FFFF)
+EXPONENT_BITS = np.uint64(0x7FF0000000000000)
+
+
+@cache
+def _read_tables():
+    """Keep masks by 3 * first kept byte + exponent form, powers of ten as
+    integers, and 10^q = hi + lo and hi's Dekker halves as complex pairs for q
+    in [K_MIN, Q_MAX]."""
+    keep = np.zeros((READ_WINDOW + 1, 3, READ_WINDOW), np.uint8)
+    for s in range(READ_WINDOW + 1):
+        keep[s, :, s:] = 255
+    keep[:, 1, 20:22] = keep[:, 2, 19:21] = 0  # "e" and the exponent's sign
+    _, hi, hi_h, hi_l, lo, *_ = _tables()
+    q = slice(0, Q_MAX - K_MIN + 1)
+    return (keep.view(np.uint64).reshape(-1, 3),
+            np.array([10**min(k, 19) for k in range(26)], np.uint64),
+            np.stack([hi[q], lo[q]], 1).view(np.complex128).ravel(),
+            np.stack([hi_h[q], hi_l[q]], 1).view(np.complex128).ravel())
+
+
+def _digits(v):
+    """SWAR: each 4-byte half of uint64 words of digit values (first byte most
+    significant) becomes its 4-digit number, in place."""
+    v *= np.uint64(10 << 8 | 1)
+    v >>= np.uint64(8)
+    v &= PAIRS
+    v *= np.uint64(100 << 16 | 1)
+    v >>= np.uint64(16)
+    v &= QUADS
+    return v
+
+
+def _rows(text, cut, cols):
+    """float64 rows of text[READ_WINDOW:cut], whole lines of `cols` cells each,
+    or None when they are not in the layout. The READ_WINDOW bytes before them
+    and 8 after cut are only read as context."""
+    keep_masks, pow10, hi_lo, hi_halves = _read_tables()
+    buf = np.frombuffer(text, np.uint8)
+    body = buf[READ_WINDOW:cut]
+    sep = np.flatnonzero(body <= ord(","))
+    c = body[sep]
+    plus = c == ord("+")
+    if plus.any():
+        sep, c = sep[~plus], c[~plus]
+    if len(sep) % cols:
+        return None
+    c = c.reshape(-1, cols)
+    if not ((c[:, -1] == ord("\n")).all() and (c[:, :-1] == ord(",")).all()):
+        return None
+    start = np.empty_like(sep)  # index in buf of each cell's first byte
+    start[0] = READ_WINDOW
+    np.add(sep[:-1], READ_WINDOW + 1, out=start[1:])
+    length = sep + READ_WINDOW
+    length -= start
+    if length.min() < 1 or length.max() > READ_WINDOW:
+        return None
+    length = length.astype(np.int16)  # small counts in int16 from here on
+    w = np.ndarray((len(buf) - READ_WINDOW + 1,), f"V{READ_WINDOW}", buf, strides=(1,))[sep]
+    w = w.view(np.uint64).reshape(-1, 3)
+    w ^= ZEROS  # digits become their values, "e" 0x55, "+" 0x1B, "-" 0x1D
+    head = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))[start]
+    neg = (head & np.uint64(0xFF)) == ord("-")
+    head >>= neg * np.uint64(8)
+    # exponent form: "e" at byte 20 of the window (e2), or at 19 (e3); its sign follows
+    t = w[:, 2] >> np.uint64(24)
+    e3 = (t & np.uint64(0xFF)) == 0x55
+    t >>= np.uint64(8)
+    e2 = (t & np.uint64(0xFF)) == 0x55
+    e3 &= ~e2
+    expo = e2 | e3
+    sign = (t >> (e2 * np.uint64(8))) & np.uint64(0xFF)
+    negx = sign == 0x1D
+    ok = negx | (sign == 0x1B) | ~expo
+    a0 = READ_WINDOW - length  # the mantissa is bytes [a0, a0 + mlen) of the window
+    a0 += neg
+    mlen = READ_WINDOW - a0
+    mlen -= 4 * e2.view(np.int8)
+    mlen -= 5 * e3.view(np.int8)
+    # the "." at byte k of the head, if among its first 8 bytes and the mantissa's
+    x = head ^ DOTS
+    z = ((x & LOW7) + LOW7) | x
+    np.invert(z, out=z)
+    z &= HIGH1
+    z -= np.uint64(1)
+    k = (np.bitwise_count(z) >> 3).astype(np.int16)  # 8 if there is none
+    dotted = (k < mlen) & (k < 8)
+    k *= dotted
+    head ^= ZEROS
+    whole = head << (64 - 8 * k).astype(np.uint64)  # the digits before the "."
+    kk = k + dotted
+    f = (mlen - kk) * dotted  # digits after the "."
+    kk += a0  # the first byte after the "."
+    kk *= 3
+    kk += e2
+    kk += 2 * e3.view(np.int8)
+    w &= keep_masks.take(kk, axis=0)
+    bad = (w & LOW7) + OVER9  # 0x80 in each byte that is not a digit value
+    bad |= w
+    bad &= HIGH1
+    bad_head = (whole & LOW7) + OVER9
+    bad_head |= whole
+    bad_head &= HIGH1
+    for j in range(3):
+        bad_head |= bad[:, j]
+    ok &= (bad_head == 0) & (mlen > dotted)
+    _digits(w)
+    _digits(whole)
+    last, exponent = w[:, 2] & np.uint64(0xFFFF), w[:, 2] >> np.uint64(32)
+    for v in (w, whole):
+        v *= np.uint64(10000 << 32 | 1)
+        v >>= np.uint64(32)
+    m = w[:, 0] * np.uint64(10**8) + w[:, 1]
+    m = np.where(expo, m * np.uint64(10**4) + last, m * np.uint64(10**8) + w[:, 2])
+    m += whole * pow10.take(f + e3)  # e3's "e" added a trailing zero to m
+    limit = expo * np.uint64(10**5 - 10)
+    limit += np.uint64(9)
+    fast = ok & (w[:, 0] <= limit) & ((whole == 0) | (k + f <= 17))  # m < 10^18
+    m *= fast
+    zero = m == 0
+    zero &= fast
+    q = exponent.astype(np.int16) * expo
+    q *= 1 - 2 * negx.view(np.int8)
+    q -= f
+    q -= e3
+    fast &= (q >= K_MIN) & (q <= Q_MAX)
+    i = (q - K_MIN) * fast
+    hi, lo = hi_lo.take(i).view(np.float64).reshape(-1, 2).T
+    b_h, b_l = hi_halves.take(i).view(np.float64).reshape(-1, 2).T
+    mf = m.astype(np.float64)
+    ml = (m - mf.astype(np.uint64)).view(np.int64).astype(np.float64)  # m = mf + ml exactly
+    p = mf * hi
+    a_h = 134217729.0 * mf
+    a_h -= a_h - mf
+    a_l = mf - a_h
+    tail = a_h * b_h  # p + tail = (mf + ml) * (hi + lo), error below 2^-100 p
+    tail -= p
+    a_h *= b_l
+    tail += a_h
+    b_h *= a_l
+    tail += b_h
+    a_l *= b_l
+    tail += a_l
+    tail += lo * mf
+    ml *= hi
+    tail += ml
+    # p + tail rounds as the exact value unless a rounding midpoint lies within
+    # TIE_WINDOW ulp of it: then p + tail -+ that distance round apart
+    d = (p.view(np.uint64) & EXPONENT_BITS).view(np.float64)
+    d *= TIE_WINDOW * 2.0**-52
+    r = tail - d
+    r += p
+    tail += d
+    tail += p
+    fast &= r == tail
+    fast &= (r > LOW) & (r < HIGH)
+    fast |= zero
+    r.view(np.uint64)[:] |= neg * np.uint64(1 << 63)
+    for j in np.flatnonzero(~fast).tolist():
+        cell = text[start[j]:sep[j] + READ_WINDOW]
+        if not (ok[j] or CELL.fullmatch(cell)):
+            return None
+        r[j] = float(cell)
+    return r.reshape(-1, cols)
+
+
+def read_rows(fh, cols, cells):
+    """float64 rows of `cols` cells from the rest of binary file fh, bit for bit
+    what np.loadtxt(fh, delimiter=",", ndmin=2) returns, read about `cells`
+    cells at a time; None if no row follows or if a row block is not in the
+    layout: LF line ends, `cols` cells to a row, each at most READ_WINDOW bytes
+    of CELL."""
+    blocks, before, tail = [], b"0" * READ_WINDOW, b""
+    while True:
+        data = fh.read(cells * READ_WINDOW) or b"\n" * bool(tail)  # a last row without its LF
+        text = before + tail + data + bytes(8)
+        cut = text.rfind(b"\n", READ_WINDOW) + 1
+        if cut:
+            rows = _rows(text, cut, cols)
+            if rows is None:
+                return None
+            blocks.append(rows)
+            before = text[cut - READ_WINDOW:cut]
+        tail = text[max(cut, READ_WINDOW):-8]
+        if not data:
+            return np.concatenate(blocks) if blocks else None

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cells import g17_rows
+from ._cells import g17_rows, read_rows
 from .equilibrium import build_equilibrium, consensus_flows, lyapunov_value, solve_kkt
 from .devices import unit_outputs
 from .errors import ConfigurationError, DivergenceError, ScenarioError
@@ -150,10 +150,22 @@ class Scenario:
             segments[j] = p_load.copy()
         return segments
 
+    def step_times(self, stride):
+        """Times k*dt of the steps k = 0, stride, 2*stride, ... up to
+        round(t_end/dt). A grid too large to allocate is refused at
+        $.sim.t_end, naming its size."""
+        last = int(round(self.t_end / self.dt))
+        try:
+            return np.arange(0, last + 1, stride) * self.dt
+        except MemoryError as exc:
+            raise ScenarioError("$.sim.t_end", f"{last + 1} steps of dt={self.dt:g}: their grid "
+                                f"of {8 * (last // stride + 1):.3g} bytes cannot be allocated"
+                                ) from exc
+
     def load_steps(self):
         """{first step k: uncontrollable load per unit from k on}: the load
         segments of the step times k*dt."""
-        return self.load_segments(np.arange(int(round(self.t_end / self.dt)) + 1) * self.dt)
+        return self.load_segments(self.step_times(1))
 
     def final_load(self):
         """Uncontrollable load per unit after every disturbance."""
@@ -208,24 +220,35 @@ class Trajectory:
     def from_csv(cls, path, scenario=None):
         """Read a CSV trace; its columns give the scheme kind (`_trace_kind`).
 
+        `_cells.read_rows` reads the cells CSV_CHUNK_CELLS at a time, bit for
+        bit as np.loadtxt does; a file it refuses (another line end, another
+        cell layout, ragged rows, no rows) is read by np.loadtxt.
+
         Given the scenario that ran it, the omega, x and pc widths are checked
         against the scenario for the trace's kind, s_tilde is rebuilt when the
         file has none and xi and n_f are read-only zero views when it has
         none. Without one, blocks the file does not hold, and always eta and
         pc_dot, are zero-width.
         """
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            start = fh.tell()
-            try:
-                if not fh.readline().strip():
-                    raise ValueError("no samples after the header")
-                fh.seek(start)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-                if "t" not in header or data.shape[1] != len(header):
-                    raise ValueError(f"{data.shape[1]} columns under {len(header)} names")
-            except ValueError as exc:
-                raise ConfigurationError(f"malformed trace {path}: {exc}") from exc
+        with open(path, "rb") as fh:
+            line, data = fh.readline(), None
+            if line.isascii() and line.endswith(b"\n") and b"\r" not in line:
+                header = line[:-1].decode().split(",")
+                data = read_rows(fh, len(header), CSV_CHUNK_CELLS)
+        if data is None:  # not the writer's layout: np.loadtxt reads it, or names the fault
+            with open(path) as fh:
+                header = fh.readline().rstrip("\n").split(",")
+                start = fh.tell()
+                try:
+                    if not fh.readline().strip():
+                        raise ValueError("no samples after the header")
+                    fh.seek(start)
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                except ValueError as exc:
+                    raise ConfigurationError(f"malformed trace {path}: {exc}") from exc
+        if "t" not in header or data.shape[1] != len(header):
+            raise ConfigurationError(
+                f"malformed trace {path}: {data.shape[1]} columns under {len(header)} names")
         def block(prefix):
             idx = [k for k, c in enumerate(header) if re.fullmatch(rf"{prefix}_\d+", c)]
             return data[:, idx]
@@ -476,8 +499,8 @@ def simulate(scenario):
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
     stride = scenario.record_stride
-    steps = np.arange(0, n_steps + 1, stride)
-    n_samples = len(steps)
+    times = scenario.step_times(stride)
+    n_samples = len(times)
     # Every recorded signal is a column block of one buffer. One large
     # allocation is mapped on its own and goes back to the system whole
     # when the trajectory is dropped; a dozen smaller ones fragment the heap.
@@ -523,7 +546,6 @@ def simulate(scenario):
             raise _divergence(op, y, k, dt)
 
     eta, omega, x, p_c, psi = op.blocks(states)
-    times = steps * dt
     _record_s_tilde(scenario, cfg.kind, times, x, p_c, omega, s_tilde)
     lyap = None
     if op.unit_level:
