@@ -20,7 +20,8 @@ class DeviceSet:
     Arrays are indexed by the global unit ordering. tau and droop_m are
     meaningful for generators only (ignored entries for loads). A float field
     that is not one finite entry per unit (> 0 but for p_load; any value at a
-    load's tau and droop_m) raises a ConfigurationError naming it.
+    load's tau and droop_m; a generator's tau, which the closed loop divides
+    by, no smaller than errors.MIN_DIVISOR) raises a ConfigurationError naming it.
     """
 
     bus: np.ndarray  # bus index per unit
@@ -49,7 +50,7 @@ class DeviceSet:
                           ("cost_q", 0.0), ("p_load", -np.inf)):
             object.__setattr__(self, name, _checked_array(getattr(self, name), name, (n,), low))
         gens = self.is_generator
-        _checked_array(self.tau[gens], "generator tau", low=0.0)
+        _checked_array(self.tau[gens], "generator tau", low=0.0, divisor=True)
         _checked_array(self.droop_m[gens], "generator droop_m", low=0.0)
         object.__setattr__(self, "gen_index", np.flatnonzero(gens))
         object.__setattr__(self, "load_index", np.flatnonzero(~gens))

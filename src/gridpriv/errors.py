@@ -1,6 +1,11 @@
 """Exception types shared across the package, and the checked reader of array arguments."""
 
+import math
+import sys
+
 import numpy as np
+
+MIN_DIVISOR = math.nextafter(1 / sys.float_info.max, 1.0)  # least double with a finite reciprocal
 
 
 class GridPrivError(Exception):
@@ -19,16 +24,19 @@ class ScenarioError(ConfigurationError):
         super().__init__(f"{path}: {message}")
 
 
-def _checked_array(value, name, shape=None, low=None, closed=False):
+def _checked_array(value, name, shape=None, low=None, closed=False, divisor=False):
     """value as a float64 array. A ConfigurationError naming name refuses it unless
-    it has shape (when given) and, when low is given, every entry is finite and
-    > low (>= low when closed)."""
+    it has shape (when given), when low is given every entry is finite and > low
+    (>= low when closed), and for a divisor every entry's reciprocal is finite."""
     arr = np.asarray(value, dtype=float)
     if shape is not None and arr.shape != shape:
         raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
     if low is not None and not np.all(((arr >= low) if closed else (arr > low)) & (arr < np.inf)):
         bound = "" if low == -np.inf else f" and {'>=' if closed else '>'} {low:g}"
         raise ConfigurationError(f"{name} must be finite{bound}")
+    if divisor and np.any(np.abs(arr) < MIN_DIVISOR):
+        raise ConfigurationError(f"{name} must be at least {MIN_DIVISOR:.6g}: the closed loop "
+                                 "divides by it")
     return arr
 
 

@@ -104,7 +104,9 @@ class NetworkModel:
     lines are directed (i, j) pairs; direction is an arbitrary bookkeeping
     convention and does not affect the dynamics. `graph` is their Graph.
     susceptance (per line), inertia and damping (per bus) must be finite and
-    > 0; a ConfigurationError names the field that is not, or has a wrong shape.
+    > 0, and inertia no smaller than errors.MIN_DIVISOR (about 5.6e-309), whose
+    reciprocal is the largest finite one; a ConfigurationError names
+    the field that is not, or has a wrong shape.
     """
 
     bus_count: int
@@ -120,7 +122,8 @@ class NetworkModel:
         object.__setattr__(self, "lines", graph.edges)
         for name, size in (("susceptance", graph.edge_count), ("inertia", self.bus_count),
                            ("damping", self.bus_count)):
-            object.__setattr__(self, name, _checked_array(getattr(self, name), name, (size,), 0.0))
+            object.__setattr__(self, name, _checked_array(getattr(self, name), name, (size,), 0.0,
+                                                          divisor=name == "inertia"))
         if len({frozenset(line) for line in self.lines}) < graph.edge_count:
             raise ConfigurationError("two lines join the same pair of buses")
 

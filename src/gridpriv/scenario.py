@@ -181,7 +181,7 @@ def build_scenario(doc, seed=None, dt=None):
     gamma = _floats(sch["gamma"], n_units, "$.scheme.gamma")
     with _at("$.scheme"):  # before xi_max's default and primal_dual's means are formed
         for name, value in (("gamma", gamma), ("gamma_psi", gamma_psi)):
-            _checked_array(value, name, low=0.0)
+            _checked_array(value, name, low=0.0, divisor=True)
     privacy = None
     if "privacy" in sch:
         pv = sch["privacy"]

@@ -69,8 +69,10 @@ class SchemeConfig:
     """Controller kind, time constants and optional privacy parameters.
 
     gamma is per controller (per unit, or per bus for the bus-level
-    scheme); gamma_psi is per communication edge. Both must be finite and
-    > 0; a ConfigurationError names the one that is not.
+    scheme); gamma_psi is per communication edge. Both, and integral_gain
+    for the integral scheme, must be finite and > 0, and no smaller than
+    errors.MIN_DIVISOR (about 5.6e-309); a ConfigurationError names the one that
+    is not.
     """
 
     kind: str
@@ -83,9 +85,10 @@ class SchemeConfig:
         if self.kind not in SCHEME_KINDS:
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
         for name in ("gamma", "gamma_psi"):
-            object.__setattr__(self, name, _checked_array(getattr(self, name), name, low=0.0))
-        if self.kind == INTEGRAL and not 0 < self.integral_gain < np.inf:
-            raise ConfigurationError("integral_gain must be positive and finite")
+            object.__setattr__(self, name, _checked_array(getattr(self, name), name, low=0.0,
+                                                          divisor=True))
+        if self.kind == INTEGRAL:
+            _checked_array(self.integral_gain, "integral_gain", low=0.0, divisor=True)
         if self.kind == PRIVACY_PRESERVING and self.privacy is None:
             raise ConfigurationError("privacy_preserving scheme requires privacy parameters")
 

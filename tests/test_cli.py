@@ -683,3 +683,20 @@ def test_attack_trace_with_a_column_fewer_than_its_header_exits_2(runner, tmp_pa
     assert (f"error: malformed trace {trace}: {width - 1} columns under {width} names"
             in result.output)
     assert not (tmp_path / "report.json").exists()
+
+
+def test_run_refuses_a_step_grid_too_large_to_allocate(runner, tmp_path):
+    """t_end = 1e13 s at dt = 0.01 s is 1e15 steps, a grid of 8e15 bytes (7 PiB):
+    the allocation fails before any page is touched, and the run exits 2 at
+    $.sim.t_end, naming the size."""
+    scen = gen(runner, tmp_path)
+    doc = json.loads(scen.read_text())
+    doc["sim"]["t_end"] = 1e13
+    scen.write_text(json.dumps(doc))
+    for kind in (INTEGRAL, PRIVACY_PRESERVING):  # simulate's grid, and load_steps' first
+        doc["scheme"]["kind"] = kind
+        scen.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert ("error: $.sim.t_end: 1000000000000001 steps of dt=0.01: their grid of 8e+15 "
+                "bytes cannot be allocated") in result.output

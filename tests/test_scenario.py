@@ -16,7 +16,9 @@ from gridpriv.scenario import (
 )
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
+    INTEGRAL,
     PRIMAL_DUAL,
+    PRIVACY_PRESERVING,
     SCHEME_KINDS,
     design_condition_report,
 )
@@ -454,3 +456,34 @@ def test_gen_scenario_halves_beta_hat_until_the_design_condition_holds():
     assert np.all(sc.scheme.privacy.beta_hat < 0.5 * sc.devices.damping_h)
     feasible, _, _ = design_condition_report(sc.devices, sc.model, sc.scheme.privacy)
     assert feasible.all()
+
+
+def test_min_divisor_is_the_least_double_with_a_finite_reciprocal():
+    below = np.nextafter(errors.MIN_DIVISOR, 0.0)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(1.0 / np.float64(errors.MIN_DIVISOR)) and 1.0 / below == np.inf
+
+
+@pytest.mark.parametrize("keys, kind, path, named", [
+    (("network", "inertia", 0), EXTENDED_PRIMAL_DUAL, "$.network", "inertia"),
+    (("devices", 0, "tau"), INTEGRAL, "$.devices", "generator tau"),
+    (("scheme", "gamma", 1), PRIVACY_PRESERVING, "$.scheme", "gamma"),
+    (("comm", "gamma_psi", 0), PRIMAL_DUAL, "$.scheme", "gamma_psi"),
+    (("scheme", "integral_gain"), INTEGRAL, "$.scheme", "integral_gain"),
+])
+def test_subnormal_divisor_is_refused_at_its_block_without_a_warning(small_doc, keys, kind,
+                                                                      path, named):
+    """The closed loop divides by these fields; 1/5e-324 overflows, so the document
+    is refused, naming the field, before a division can warn."""
+    small_doc["scheme"]["kind"] = kind
+    _parent(small_doc, keys)[keys[-1]] = 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match=f"{named} must be at least 5.56268e-309") as exc:
+            simulate(build_scenario(small_doc))
+    assert exc.value.path == path
+
+
+def test_divisor_at_its_least_value_is_accepted(small_doc):
+    small_doc["network"]["inertia"][0] = errors.MIN_DIVISOR
+    assert build_scenario(small_doc).model.inertia[0] == errors.MIN_DIVISOR

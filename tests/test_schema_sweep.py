@@ -6,7 +6,8 @@ first two entries of each list) and runs each mutated document under all
 four schemes through build_scenario and a 0.05 s simulate, with warnings
 raised as errors. No case may end in another exception, a warning or a
 DivergenceError. A bool, string or null must be refused at the leaf's own
-JSON path. Magnitudes such as 1e300 or subnormals are left out: which of
+JSON path. The least subnormal, 5e-324, is swept: a field the closed loop
+divides by refuses it. Large magnitudes such as 1e300 are left out: which of
 them a run should accept is not settled.
 """
 
@@ -21,7 +22,7 @@ from gridpriv import RandomScenarioSpec, build_scenario, gen_scenario, simulate
 from gridpriv.errors import DivergenceError, GridPrivError
 from gridpriv.schemes import SCHEME_KINDS
 
-NUMBERS = (math.nan, math.inf, -math.inf, -1, 0, -0.0, 0.5)
+NUMBERS = (math.nan, math.inf, -math.inf, -1, 0, -0.0, 0.5, 5e-324)
 NON_NUMBERS = (True, "1", None)
 
 
