@@ -21,21 +21,22 @@ deleting the zero bytes compacts the block.
 
 `read_rows` reads such text back bit for bit as `np.loadtxt` does, a block
 of whole rows at a time (Clinger, "How to read floating point numbers
-accurately", PLDI 1990). Every byte <= "," ends a cell but "+", which only
-an exponent holds. A cell of at most 24 bytes is gathered as three 8-byte
-words ending at its separator, and its first 8 bytes as one more word,
-which gives the sign, the "." and the digits before it. Keep masks, picked
-by where the digits after the "." start and by the exponent's form ("e" at
-byte 20 or 19 of the window), zero every other byte, and SWAR arithmetic
-turns each word into its digits; the exponent's digits fall into the last
-four byte slots. The value M * 10^q, with M < 10^18, is formed as a
-double-double from 10^q = hi + lo and rounded once. A cell whose q or value
-lies outside the writer's fast range or whose value lies within TIE_WINDOW
-ulp of a rounding midpoint is read by `float`, as is a cell of the layout
-the words do not cover (such as "123456789.5"); a block with any other
-byte, cell or row width is refused whole.
+accurately", PLDI 1990). Every byte <= "," ends a cell but "+", which only an
+exponent holds. A cell of at most 24 bytes is gathered as three 8-byte words
+ending at its separator, and its first 8 bytes as one more word, which gives
+the sign, the "." and the digits before it. A keep mask, picked by the byte
+after the "." and by the exponent's form ("e" at byte 20 or 19 of the
+window), zeroes every other byte; SWAR arithmetic turns the words into
+4-digit groups, the last of which holds the exponent. M * 10^q, with
+M < 10^18, is formed as a double-double from 10^q = hi + lo and rounded
+once. A cell whose q or value lies outside the writer's fast range, or whose
+value lies within TIE_WINDOW ulp of a rounding midpoint, is read by `float`,
+as is a cell of the layout that the words do not cover (such as
+"123456789.5"); a block with any other byte, cell or row width is refused
+whole.
 """
 
+import io
 import math
 import re
 from functools import cache
@@ -158,6 +159,7 @@ def g17_rows(block):
 
 CELL = re.compile(rb"-?(\d+\.?\d*|\.\d+)(e[+-]\d\d\d?)?")  # the cells `read_rows` reads
 READ_WINDOW = 24  # bytes of a cell's window, and of context before each block
+READ_CELL_BYTES = 22  # bytes of a 17-digit cell and its separator: a read holds about `cells` cells
 Q_MAX = 290  # largest q the reader forms M * 10^q for: it stays finite for M < 10^18
 ZEROS, DOTS, LOW7, HIGH1, OVER9 = (np.uint64(0x0101010101010101 * b)
                                    for b in (0x30, 0x2E, 0x7F, 0x80, 0x76))
@@ -194,35 +196,13 @@ def _digits(v):
     return v
 
 
-def _rows(text, cut, cols):
-    """float64 rows of text[READ_WINDOW:cut], whole lines of `cols` cells each,
-    or None when they are not in the layout. The READ_WINDOW bytes before them
-    and 8 after cut are only read as context."""
-    keep_masks, pow10, hi_lo, hi_halves = _read_tables()
-    buf = np.frombuffer(text, np.uint8)
-    body = buf[READ_WINDOW:cut]
-    sep = np.flatnonzero(body <= ord(","))
-    c = body[sep]
-    plus = c == ord("+")
-    if plus.any():
-        sep, c = sep[~plus], c[~plus]
-    if len(sep) % cols:
-        return None
-    c = c.reshape(-1, cols)
-    if not ((c[:, -1] == ord("\n")).all() and (c[:, :-1] == ord(",")).all()):
-        return None
-    start = np.empty_like(sep)  # index in buf of each cell's first byte
-    start[0] = READ_WINDOW
-    np.add(sep[:-1], READ_WINDOW + 1, out=start[1:])
-    length = sep + READ_WINDOW
-    length -= start
-    if length.min() < 1 or length.max() > READ_WINDOW:
-        return None
-    length = length.astype(np.int16)  # small counts in int16 from here on
-    w = np.ndarray((len(buf) - READ_WINDOW + 1,), f"V{READ_WINDOW}", buf, strides=(1,))[sep]
-    w = w.view(np.uint64).reshape(-1, 3)
+def _decimals(w, head, length):
+    """(m, q, negative, ok, fast) of each cell from its window words w (n, 3),
+    its head word and its length: the value is (-1)^negative * m * 10^q where
+    fast, with m < 10^18 and q in [K_MIN, Q_MAX]; ok is False where the bytes
+    are not of the layout the words cover."""
+    keep_masks, pow10, _, _ = _read_tables()
     w ^= ZEROS  # digits become their values, "e" 0x55, "+" 0x1B, "-" 0x1D
-    head = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))[start]
     neg = (head & np.uint64(0xFF)) == ord("-")
     head >>= neg * np.uint64(8)
     # exponent form: "e" at byte 20 of the window (e2), or at 19 (e3); its sign follows
@@ -241,8 +221,8 @@ def _rows(text, cut, cols):
     mlen -= 4 * e2.view(np.int8)
     mlen -= 5 * e3.view(np.int8)
     # the "." at byte k of the head, if among its first 8 bytes and the mantissa's
-    x = head ^ DOTS
-    z = ((x & LOW7) + LOW7) | x
+    z = head ^ DOTS
+    z |= (z & LOW7) + LOW7
     np.invert(z, out=z)
     z &= HIGH1
     z -= np.uint64(1)
@@ -260,13 +240,12 @@ def _rows(text, cut, cols):
     w &= keep_masks.take(kk, axis=0)
     bad = (w & LOW7) + OVER9  # 0x80 in each byte that is not a digit value
     bad |= w
-    bad &= HIGH1
     bad_head = (whole & LOW7) + OVER9
     bad_head |= whole
-    bad_head &= HIGH1
     for j in range(3):
         bad_head |= bad[:, j]
-    ok &= (bad_head == 0) & (mlen > dotted)
+    ok &= (bad_head & HIGH1) == 0
+    ok &= mlen > dotted
     _digits(w)
     _digits(whole)
     last, exponent = w[:, 2] & np.uint64(0xFFFF), w[:, 2] >> np.uint64(32)
@@ -280,12 +259,20 @@ def _rows(text, cut, cols):
     limit += np.uint64(9)
     fast = ok & (w[:, 0] <= limit) & ((whole == 0) | (k + f <= 17))  # m < 10^18
     m *= fast
-    zero = m == 0
-    zero &= fast
     q = exponent.astype(np.int16) * expo
     q *= 1 - 2 * negx.view(np.int8)
     q -= f
     q -= e3
+    return m, q, neg, ok, fast
+
+
+def _scaled(m, q, fast):
+    """m * 10^q rounded once to float64, where fast; fast is cleared where m * 10^q
+    lies within TIE_WINDOW ulp of a rounding midpoint or outside (LOW, HIGH), and
+    where q lies outside [K_MIN, Q_MAX], unless m is 0."""
+    _, _, hi_lo, hi_halves = _read_tables()
+    zero = m == 0
+    zero &= fast
     fast &= (q >= K_MIN) & (q <= Q_MAX)
     i = (q - K_MIN) * fast
     hi, lo = hi_lo.take(i).view(np.float64).reshape(-1, 2).T
@@ -318,6 +305,37 @@ def _rows(text, cut, cols):
     fast &= r == tail
     fast &= (r > LOW) & (r < HIGH)
     fast |= zero
+    return r
+
+
+def _rows(text, cut, cols):
+    """float64 rows of text[READ_WINDOW:cut], whole lines of `cols` cells each,
+    or None when they are not in the layout. The READ_WINDOW bytes before them
+    and 8 after cut are only read as context."""
+    buf = np.frombuffer(text, np.uint8)
+    body = buf[READ_WINDOW:cut]
+    sep = np.flatnonzero(body <= ord(","))
+    c = body[sep]
+    plus = c == ord("+")
+    if plus.any():
+        sep, c = sep[~plus], c[~plus]
+    if len(sep) % cols:
+        return None
+    c = c.reshape(-1, cols)
+    if not ((c[:, -1] == ord("\n")).all() and (c[:, :-1] == ord(",")).all()):
+        return None
+    start = np.empty_like(sep)  # index in buf of each cell's first byte
+    start[0] = READ_WINDOW
+    np.add(sep[:-1], READ_WINDOW + 1, out=start[1:])
+    length = sep + READ_WINDOW
+    length -= start
+    if length.min() < 1 or length.max() > READ_WINDOW:
+        return None
+    w = np.ndarray((len(buf) - READ_WINDOW + 1,), f"V{READ_WINDOW}", buf, strides=(1,))[sep]
+    head = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))[start]
+    m, q, neg, ok, fast = _decimals(w.view(np.uint64).reshape(-1, 3), head,
+                                    length.astype(np.int16))
+    r = _scaled(m, q, fast)
     r.view(np.uint64)[:] |= neg * np.uint64(1 << 63)
     for j in np.flatnonzero(~fast).tolist():
         cell = text[start[j]:sep[j] + READ_WINDOW]
@@ -332,18 +350,30 @@ def read_rows(fh, cols, cells):
     what np.loadtxt(fh, delimiter=",", ndmin=2) returns, read about `cells`
     cells at a time; None if no row follows or if a row block is not in the
     layout: LF line ends, `cols` cells to a row, each at most READ_WINDOW bytes
-    of CELL."""
-    blocks, before, tail = [], b"0" * READ_WINDOW, b""
+    of CELL. The rows fill one array, sized from the first block's bytes per
+    row with room to spare and trimmed in place, so that no second copy of
+    them is made: rows it has no room for grow it by half."""
+    here = fh.tell()
+    size = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    out, count, before, tail = None, 0, b"0" * READ_WINDOW, b""
     while True:
-        data = fh.read(cells * READ_WINDOW) or b"\n" * bool(tail)  # a last row without its LF
+        data = fh.read(cells * READ_CELL_BYTES) or b"\n" * bool(tail)  # a last row without its LF
         text = before + tail + data + bytes(8)
         cut = text.rfind(b"\n", READ_WINDOW) + 1
         if cut:
             rows = _rows(text, cut, cols)
             if rows is None:
                 return None
-            blocks.append(rows)
+            if out is None:
+                out = np.empty((int(1.25 * len(rows) * size / (cut - READ_WINDOW)) + 1, cols))
+            if count + len(rows) > len(out):
+                out.resize((count + len(rows) + len(out) // 2, cols), refcheck=False)
+            out[count:count + len(rows)] = rows
+            count += len(rows)
             before = text[cut - READ_WINDOW:cut]
         tail = text[max(cut, READ_WINDOW):-8]
         if not data:
-            return np.concatenate(blocks) if blocks else None
+            if out is not None:
+                out.resize((count, cols), refcheck=False)
+            return out

@@ -25,7 +25,9 @@ columns alone give the scheme kind (`_trace_kind`). `Trajectory.from_csv`
 given the scenario rebuilds s_tilde as `simulate` does, bit for bit.
 `write_csv`, the writer of every CSV file, gives each cell the bytes of
 '%.17g'; it computes them for a float64 block at a time (`_cells.g17_rows`),
-which hands ties and cells out of its range to '%'.
+which hands ties and cells out of its range to '%'. `from_csv` reads a block
+of rows at a time back the same way (`_cells.read_rows`), bit for bit as
+np.loadtxt, which still reads a file of any other layout.
 """
 
 import os
@@ -53,7 +55,7 @@ from .schemes import (
 
 SETTLE_THRESHOLD = 2.0 * np.pi * 0.01  # 0.01 Hz in rad/s
 BLOCKS = ("eta", "omega", "x", "p_c", "psi")  # order of the stacked state
-CSV_CHUNK_CELLS = 1 << 14  # cells formatted per call; bounds its temporaries (~300 B a cell)
+CSV_CHUNK_CELLS = 1 << 14  # cells formatted or parsed per call; bounds their temporaries (~300 B a cell)
 OUTPUT_CHUNK_ROWS = 64  # samples per post-loop output chunk; bounds its temporaries
 DRAW_BLOCK_ROWS = 64  # steps of privacy draws per rng call; bounds the block arrays
 # (column prefix, Trajectory field) of each trace block, in column order after t

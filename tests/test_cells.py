@@ -1,10 +1,19 @@
-"""The block formatter of CSV cells against '%.17g', byte for byte."""
+"""The block formatter of CSV cells against '%.17g', byte for byte, and the
+block reader against np.loadtxt, bit for bit."""
+
+import decimal
+import io
+import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gridpriv._cells import HIGH, LOW, g17_rows
-from gridpriv.sim import CSV_CHUNK_CELLS, write_csv
+from gridpriv._cells import HIGH, LOW, g17_rows, read_rows
+from gridpriv.errors import ConfigurationError
+from gridpriv.sim import CSV_CHUNK_CELLS, Trajectory, write_csv
 
 
 def reference(block):
@@ -91,3 +100,171 @@ def test_write_csv_gives_the_bytes_of_percent_format_across_chunks(tmp_path):
     write_csv(tmp_path / "a.csv", [("t", block[:, 0]), ("x", block[:, 1:])])
     text = (tmp_path / "a.csv").read_bytes().decode("ascii")
     assert text == "t,x_0,x_1\n" + reference(block)
+
+
+# The block reader against np.loadtxt, bit for bit.
+
+def loadtxt_rows(text):
+    return np.loadtxt(io.BytesIO(text), delimiter=",", ndmin=2)
+
+
+def assert_read_as_loadtxt(text, cols, cells=CSV_CHUNK_CELLS):
+    """read_rows reads text itself, to the bits np.loadtxt gives."""
+    got, want = read_rows(io.BytesIO(text), cols, cells), loadtxt_rows(text)
+    assert got is not None, "refused a block of the writer's layout"
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.uint64).ravel() != want.view(np.uint64).ravel())
+    if len(bad):
+        cells_text = text.replace(b"\n", b",").split(b",")
+        pytest.fail(f"{len(bad)} cells differ, first {cells_text[bad[0]]!r}: "
+                    f"{got.ravel()[bad[0]]!r} against {want.ravel()[bad[0]]!r}")
+
+
+def finite_rows(values, cols):
+    values = np.asarray(values, dtype=np.float64)
+    values = values[np.isfinite(values)]
+    return values[: len(values) // cols * cols].reshape(-1, cols)
+
+
+def loadtxt_or_refusal(path):
+    """np.loadtxt's rows under the header of path, or its ValueError."""
+    try:
+        with open(path) as fh:
+            fh.readline()
+            return np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        return exc
+
+
+def test_reader_on_random_bit_patterns():
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64, endpoint=False)
+    assert_read_as_loadtxt(g17_rows(finite_rows(bits.view(np.float64), 7)).encode(), 7)
+
+
+def test_reader_on_log_uniform_magnitudes():
+    rng = np.random.default_rng(22)
+    values = rng.choice([-1.0, 1.0], 60_000) * 10.0 ** rng.uniform(-320, 308, 60_000)
+    assert_read_as_loadtxt(g17_rows(finite_rows(values, 5)).encode(), 5)
+
+
+def test_reader_on_edge_values_and_powers_of_ten():
+    edges = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, *edge_values()]
+    assert_read_as_loadtxt(g17_rows(finite_rows(edges, 1)).encode(), 1)
+    assert_read_as_loadtxt(g17_rows(finite_rows(powers_of_ten(), 3)).encode(), 3)
+
+
+def test_trace_with_non_finite_edge_values_reads_as_loadtxt(tmp_path):
+    """nan and inf are not in the reader's layout: np.loadtxt reads the file."""
+    values = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 1 / 3])
+    path = tmp_path / "edge.csv"
+    write_csv(path, [("t", values), ("x", np.column_stack([values[::-1], values]))])
+    back = Trajectory.from_csv(path)
+    want = loadtxt_rows(path.read_bytes().split(b"\n", 1)[1])
+    np.testing.assert_array_equal(np.column_stack([back.times, back.x]).view(np.uint64),
+                                  want.view(np.uint64))
+
+
+def midpoint_neighbours(rng, count):
+    """17-digit decimals just below and just above the midpoint between random
+    doubles and their successors, in the writer's exponent layout."""
+    out = []
+    for x in 10.0 ** rng.uniform(-280, 280, count):
+        mid = (Fraction(float(x)) + Fraction(math.nextafter(float(x), math.inf))) / 2
+        for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+            context = decimal.Context(prec=17, rounding=rounding)
+            d = context.divide(Decimal(mid.numerator), Decimal(mid.denominator))
+            sign, digits, exponent = d.as_tuple()
+            digits = "".join(map(str, digits)).ljust(17, "0")
+            out.append(f"{digits[0]}.{digits[1:]}e{exponent + len(d.as_tuple().digits) - 1:+03d}")
+    return out
+
+
+def exact_decimal_ties():
+    """Decimals of at most 17 digits that lie exactly halfway between two
+    doubles: odd multiples of half the spacing just above 2^52, 2^53 and 2^54."""
+    ties = []
+    for k in (52, 53, 54):
+        half = Fraction(2) ** (k - 53)
+        for j in range(1, 200, 2):
+            tie = Fraction(2) ** k + j * half
+            ties.append(str(tie.numerator) if tie.denominator == 1 else
+                        f"{tie.numerator // 2}.5")
+    return ties
+
+
+def test_reader_near_and_at_rounding_midpoints():
+    cells = midpoint_neighbours(np.random.default_rng(23), 2000) + exact_decimal_ties()
+    text = "".join(f"{c}\n" for c in cells).encode()
+    assert_read_as_loadtxt(text, 1)
+    got = read_rows(io.BytesIO(text), 1, CSV_CHUNK_CELLS).ravel()
+    assert got.tolist() == [float(c) for c in cells]
+
+
+@pytest.mark.parametrize("cells, read_by_blocks", [
+    (["1", "2"], True), (["1.", "-2."], True), ([".5", "-.25"], True),
+    (["-0", "0"], True), (["1.5e+05", "-2e-300"], True), (["123456789.5", "7"], True),
+    (["0.000000000000000000001", "1.00000000000000000001"], True),
+    (["99999999999999999999", "-1.2345678901234567e+300"], True),
+    (["+1.5", "2"], False), (["1E5", "2"], False), (["1e5", "2"], False),
+    (["nan", "2"], False), ([" 1", "2"], False), (["1", "2 "], False),
+    (["1.5e+5", "2"], False), (["1.2.3", "4"], False), (["", "4"], False),
+    (["1", "2\r"], False), (["12345678901234567890123456", "1"], False),
+])
+def test_hand_written_cells_read_as_loadtxt(tmp_path, cells, read_by_blocks):
+    """Cells the writer never emits: the block reader reads those of its layout
+    (a "123456789.5" or one of more than 17 digits by float), refuses the rest,
+    and from_csv then returns np.loadtxt's values, or its refusal, either way."""
+    body = (",".join(cells) + "\n").encode()
+    got = read_rows(io.BytesIO(body), 2, CSV_CHUNK_CELLS)
+    assert (got is not None) == read_by_blocks
+    path = tmp_path / "hand.csv"
+    path.write_bytes(b"t,x_0\n" + body * 3)
+    want = loadtxt_or_refusal(path)
+    if isinstance(want, ValueError):  # the refusal keeps np.loadtxt's text
+        with pytest.raises(ConfigurationError, match=re.escape(f"malformed trace {path}: {want}")):
+            Trajectory.from_csv(path)
+        return
+    back = Trajectory.from_csv(path)
+    np.testing.assert_array_equal(np.column_stack([back.times, back.x]).view(np.uint64),
+                                  want.view(np.uint64))
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\n\n", b"\n \n"], ids=["crlf", "blank", "space"])
+def test_line_ends_the_writer_never_emits_read_as_loadtxt(tmp_path, ending):
+    """A CRLF file and blank lines read as np.loadtxt reads them; a line of one
+    space is a row of one cell to it, and the refusal keeps its text."""
+    path = tmp_path / "ends.csv"
+    rows = ending.join([b"0,1.5", b"0.01,-2.25e-07", b"0.02,3"]) + ending
+    path.write_bytes(b"t,x_0" + ending[:-1].strip(b" \n") + b"\n" + rows)
+    assert read_rows(io.BytesIO(rows), 2, CSV_CHUNK_CELLS) is None
+    want = loadtxt_or_refusal(path)
+    if isinstance(want, ValueError):
+        with pytest.raises(ConfigurationError, match=re.escape(f"malformed trace {path}: {want}")):
+            Trajectory.from_csv(path)
+        return
+    back = Trajectory.from_csv(path)
+    assert want.tolist() == [[0.0, 1.5], [0.01, -2.25e-07], [0.02, 3.0]]
+    np.testing.assert_array_equal(np.column_stack([back.times, back.x]), want)
+
+
+def test_reader_across_row_blocks(tmp_path):
+    """Blocks of about 40 cells cut the rows at every place; a row of 60 cells
+    takes more than one read, and the last row has no line end."""
+    rng = np.random.default_rng(24)
+    block = rng.standard_normal((301, 60)) * 10.0 ** rng.integers(-9, 9, (301, 60))
+    text = g17_rows(block).encode()
+    for cells in (40, 97, CSV_CHUNK_CELLS):
+        assert_read_as_loadtxt(text, 60, cells)
+    got = read_rows(io.BytesIO(text[:-1]), 60, 40)  # no LF after the last row
+    np.testing.assert_array_equal(got.view(np.uint64), block.view(np.uint64))
+    path = tmp_path / "long.csv"
+    write_csv(path, [("t", block[:, 0]), ("x", block[:, 1:])])
+    back = Trajectory.from_csv(path)
+    np.testing.assert_array_equal(back.x.view(np.uint64), block[:, 1:].view(np.uint64))
+
+
+def test_reader_refuses_ragged_rows_and_an_empty_body():
+    assert read_rows(io.BytesIO(b"1,2\n3\n"), 2, CSV_CHUNK_CELLS) is None
+    assert read_rows(io.BytesIO(b"1,2,3\n"), 2, CSV_CHUNK_CELLS) is None
+    assert read_rows(io.BytesIO(b""), 2, CSV_CHUNK_CELLS) is None
