@@ -104,9 +104,9 @@ class NetworkModel:
     lines are directed (i, j) pairs; direction is an arbitrary bookkeeping
     convention and does not affect the dynamics. `graph` is their Graph.
     susceptance (per line), inertia and damping (per bus) must be finite and
-    > 0, and inertia no smaller than errors.MIN_DIVISOR (about 5.6e-309), whose
-    reciprocal is the largest finite one; a ConfigurationError names
-    the field that is not, or has a wrong shape.
+    > 0, and inertia, which the closed loop divides by, no smaller than
+    errors.MIN_DIVISOR (about 5.6e-309); a ConfigurationError names the field
+    that is not, or has a wrong shape.
     """
 
     bus_count: int

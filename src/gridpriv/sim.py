@@ -55,7 +55,7 @@ from .schemes import (
 
 SETTLE_THRESHOLD = 2.0 * np.pi * 0.01  # 0.01 Hz in rad/s
 BLOCKS = ("eta", "omega", "x", "p_c", "psi")  # order of the stacked state
-CSV_CHUNK_CELLS = 1 << 14  # cells formatted or parsed per call; bounds their temporaries (~300 B a cell)
+CSV_CHUNK_CELLS = 1 << 14  # cells formatted or parsed per call; bounds temporaries (~300 B a cell)
 OUTPUT_CHUNK_ROWS = 64  # samples per post-loop output chunk; bounds its temporaries
 DRAW_BLOCK_ROWS = 64  # steps of privacy draws per rng call; bounds the block arrays
 # (column prefix, Trajectory field) of each trace block, in column order after t
@@ -152,13 +152,12 @@ class Scenario:
             segments[j] = p_load.copy()
         return segments
 
-    def step_times(self, stride):
-        """Times k*dt of the steps k = 0, stride, 2*stride, ... up to
-        round(t_end/dt). A grid too large to allocate is refused at
-        $.sim.t_end, naming its size."""
+    def step_grid(self, stride):
+        """The step indices k = 0, stride, 2*stride, ... up to round(t_end/dt).
+        A grid too large to allocate is refused at $.sim.t_end, naming its size."""
         last = int(round(self.t_end / self.dt))
         try:
-            return np.arange(0, last + 1, stride) * self.dt
+            return np.arange(0, last + 1, stride)
         except MemoryError as exc:
             raise ScenarioError("$.sim.t_end", f"{last + 1} steps of dt={self.dt:g}: their grid "
                                 f"of {8 * (last // stride + 1):.3g} bytes cannot be allocated"
@@ -167,7 +166,7 @@ class Scenario:
     def load_steps(self):
         """{first step k: uncontrollable load per unit from k on}: the load
         segments of the step times k*dt."""
-        return self.load_segments(self.step_times(1))
+        return self.load_segments(self.step_grid(1) * self.dt)
 
     def final_load(self):
         """Uncontrollable load per unit after every disturbance."""
@@ -501,8 +500,8 @@ def simulate(scenario):
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
     stride = scenario.record_stride
-    times = scenario.step_times(stride)
-    n_samples = len(times)
+    steps = scenario.step_grid(stride)
+    n_samples = len(steps)
     # Every recorded signal is a column block of one buffer. One large
     # allocation is mapped on its own and goes back to the system whole
     # when the trajectory is dropped; a dozen smaller ones fragment the heap.
@@ -548,6 +547,7 @@ def simulate(scenario):
             raise _divergence(op, y, k, dt)
 
     eta, omega, x, p_c, psi = op.blocks(states)
+    times = steps * dt
     _record_s_tilde(scenario, cfg.kind, times, x, p_c, omega, s_tilde)
     lyap = None
     if op.unit_level:
