@@ -224,8 +224,8 @@ def _decimals(w, head, length):
     z = head ^ DOTS
     z |= (z & LOW7) + LOW7
     np.invert(z, out=z)
-    z &= HIGH1
-    z -= np.uint64(1)
+    z &= HIGH1  # 0x80 in each "." byte; the next cell's "." may follow the first
+    z = (z - np.uint64(1)) & ~z  # the bits below the first
     k = (np.bitwise_count(z) >> 3).astype(np.int16)  # 8 if there is none
     dotted = (k < mlen) & (k < 8)
     k *= dotted

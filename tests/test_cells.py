@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gridpriv import _cells as cells_module
 from gridpriv._cells import HIGH, LOW, g17_rows, read_rows
 from gridpriv.errors import ConfigurationError
 from gridpriv.sim import CSV_CHUNK_CELLS, Trajectory, write_csv
@@ -173,10 +174,10 @@ def midpoint_neighbours(rng, count):
         mid = (Fraction(float(x)) + Fraction(math.nextafter(float(x), math.inf))) / 2
         for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
             context = decimal.Context(prec=17, rounding=rounding)
-            d = context.divide(Decimal(mid.numerator), Decimal(mid.denominator))
-            sign, digits, exponent = d.as_tuple()
-            digits = "".join(map(str, digits)).ljust(17, "0")
-            out.append(f"{digits[0]}.{digits[1:]}e{exponent + len(d.as_tuple().digits) - 1:+03d}")
+            _, digits, exponent = context.divide(Decimal(mid.numerator),
+                                                 Decimal(mid.denominator)).as_tuple()
+            text = "".join(map(str, digits))
+            out.append(f"{text[0]}.{text[1:].ljust(16, '0')}e{exponent + len(digits) - 1:+03d}")
     return out
 
 
@@ -250,18 +251,33 @@ def test_line_ends_the_writer_never_emits_read_as_loadtxt(tmp_path, ending):
 
 def test_reader_across_row_blocks(tmp_path):
     """Blocks of about 40 cells cut the rows at every place; a row of 60 cells
-    takes more than one read, and the last row has no line end."""
+    takes more than one read, and the last row has no line end. Rows of zeros
+    after long rows outgrow the room the first block's bytes per row gave."""
     rng = np.random.default_rng(24)
     block = rng.standard_normal((301, 60)) * 10.0 ** rng.integers(-9, 9, (301, 60))
     text = g17_rows(block).encode()
     for cells in (40, 97, CSV_CHUNK_CELLS):
         assert_read_as_loadtxt(text, 60, cells)
+    assert_read_as_loadtxt(g17_rows(np.vstack([block[:20], np.zeros((2000, 60))])).encode(),
+                           60, 97)
     got = read_rows(io.BytesIO(text[:-1]), 60, 40)  # no LF after the last row
     np.testing.assert_array_equal(got.view(np.uint64), block.view(np.uint64))
     path = tmp_path / "long.csv"
     write_csv(path, [("t", block[:, 0]), ("x", block[:, 1:])])
     back = Trajectory.from_csv(path)
     np.testing.assert_array_equal(back.x.view(np.uint64), block[:, 1:].view(np.uint64))
+
+
+def test_short_cells_are_read_without_float(monkeypatch):
+    """A cell's first 8 bytes can hold the next cell's "." too ("1.01,1.02"):
+    the first "." found is the cell's own, so no cell needs float()."""
+    def no_float(cell):
+        raise AssertionError(f"{bytes(cell)!r} went to float()")
+    times = np.arange(2001) * 0.01
+    block = np.column_stack([times, -times, np.round(times, 1), 1.0 / (1.0 + times)])
+    text = g17_rows(block).encode()
+    monkeypatch.setattr(cells_module, "float", no_float, raising=False)
+    assert_read_as_loadtxt(text, 4)
 
 
 def test_reader_refuses_ragged_rows_and_an_empty_body():
