@@ -692,7 +692,6 @@ def test_run_refuses_a_step_grid_too_large_to_allocate(runner, tmp_path):
     scen = gen(runner, tmp_path)
     doc = json.loads(scen.read_text())
     doc["sim"]["t_end"] = 1e13
-    scen.write_text(json.dumps(doc))
     for kind in (INTEGRAL, PRIVACY_PRESERVING):  # simulate's grid, and load_steps' first
         doc["scheme"]["kind"] = kind
         scen.write_text(json.dumps(doc))
