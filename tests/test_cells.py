@@ -207,6 +207,7 @@ def test_reader_near_and_at_rounding_midpoints():
     (["-0", "0"], True), (["1.5e+05", "-2e-300"], True), (["123456789.5", "7"], True),
     (["0.000000000000000000001", "1.00000000000000000001"], True),
     (["99999999999999999999", "-1.2345678901234567e+300"], True),
+    (["1e+999", "-1e-999"], True), (["2.4703282292062328e-324", "9.9999999999999999e+307"], True),
     (["+1.5", "2"], False), (["1E5", "2"], False), (["1e5", "2"], False),
     (["nan", "2"], False), ([" 1", "2"], False), (["1", "2 "], False),
     (["1.5e+5", "2"], False), (["1.2.3", "4"], False), (["", "4"], False),
