@@ -29,7 +29,8 @@ after the "." and by the exponent's form ("e" at byte 20 or 19 of the
 window), zeroes every other byte; SWAR arithmetic turns the words into
 4-digit groups, the last of which holds the exponent. M * 10^q, with
 M < 10^18, is formed as a double-double from 10^q = hi + lo and rounded
-once. A cell whose q or value lies outside the writer's fast range, or whose
+once. A cell whose q lies outside [Q_MIN, Q_MAX] or value outside the
+writer's fast range, or whose
 value lies within TIE_WINDOW ulp of a rounding midpoint, is read by `float`,
 as is a cell of the layout that the words do not cover (such as
 "123456789.5"); a block with any other byte, cell or row width is refused
@@ -161,6 +162,9 @@ CELL = re.compile(rb"-?(\d+\.?\d*|\.\d+)(e[+-]\d\d\d?)?")  # the cells `read_row
 READ_WINDOW = 24  # bytes of a cell's window, and of context before each block
 READ_CELL_BYTES = 22  # bytes of a 17-digit cell and its separator: a read holds about `cells` cells
 Q_MAX = 290  # largest q the reader forms M * 10^q for: it stays finite for M < 10^18
+# least q: below it lo may be subnormal, and its rounding error (up to 2^-1075 M)
+# exceeds a tenth of TIE_WINDOW ulp of M * 10^q
+Q_MIN = -297
 ZEROS, DOTS, LOW7, HIGH1, OVER9 = (np.uint64(0x0101010101010101 * b)
                                    for b in (0x30, 0x2E, 0x7F, 0x80, 0x76))
 PAIRS, QUADS = np.uint64(0x00FF00FF00FF00FF), np.uint64(0x0000FFFF0000FFFF)
@@ -171,13 +175,13 @@ EXPONENT_BITS = np.uint64(0x7FF0000000000000)
 def _read_tables():
     """Keep masks by 3 * first kept byte + exponent form, powers of ten as
     integers, and 10^q = hi + lo and hi's Dekker halves as complex pairs for q
-    in [K_MIN, Q_MAX]."""
+    in [Q_MIN, Q_MAX]."""
     keep = np.zeros((READ_WINDOW + 1, 3, READ_WINDOW), np.uint8)
     for s in range(READ_WINDOW + 1):
         keep[s, :, s:] = 255
     keep[:, 1, 20:22] = keep[:, 2, 19:21] = 0  # "e" and the exponent's sign
     _, hi, hi_h, hi_l, lo, *_ = _tables()
-    q = slice(0, Q_MAX - K_MIN + 1)
+    q = slice(Q_MIN - K_MIN, Q_MAX - K_MIN + 1)
     return (keep.view(np.uint64).reshape(-1, 3),
             np.array([10**min(k, 19) for k in range(26)], np.uint64),
             np.stack([hi[q], lo[q]], 1).view(np.complex128).ravel(),
@@ -199,7 +203,7 @@ def _digits(v):
 def _decimals(w, head, length):
     """(m, q, negative, ok, fast) of each cell from its window words w (n, 3),
     its head word and its length: the value is (-1)^negative * m * 10^q where
-    fast, with m < 10^18 and q in [K_MIN, Q_MAX]; ok is False where the bytes
+    fast, with m < 10^18; ok is False where the bytes
     are not of the layout the words cover."""
     keep_masks, pow10, _, _ = _read_tables()
     w ^= ZEROS  # digits become their values, "e" 0x55, "+" 0x1B, "-" 0x1D
@@ -225,8 +229,11 @@ def _decimals(w, head, length):
     z |= (z & LOW7) + LOW7
     np.invert(z, out=z)
     z &= HIGH1  # 0x80 in each "." byte; the next cell's "." may follow the first
-    z = (z - np.uint64(1)) & ~z  # the bits below the first
-    k = (np.bitwise_count(z) >> 3).astype(np.int16)  # 8 if there is none
+    z &= ~z + np.uint64(1)  # the first alone: 2^(8k + 7), or 0 if there is none
+    k = np.frexp(z.astype(np.float64))[1].astype(np.int16)  # 8k + 8, or 0
+    k >>= 3
+    k -= 1
+    k &= 15  # 15 if there is none
     dotted = (k < mlen) & (k < 8)
     k *= dotted
     head ^= ZEROS
@@ -269,12 +276,12 @@ def _decimals(w, head, length):
 def _scaled(m, q, fast):
     """m * 10^q rounded once to float64, where fast; fast is cleared where m * 10^q
     lies within TIE_WINDOW ulp of a rounding midpoint or outside (LOW, HIGH), and
-    where q lies outside [K_MIN, Q_MAX], unless m is 0."""
+    where q lies outside [Q_MIN, Q_MAX], unless m is 0."""
     _, _, hi_lo, hi_halves = _read_tables()
     zero = m == 0
     zero &= fast
-    fast &= (q >= K_MIN) & (q <= Q_MAX)
-    i = (q - K_MIN) * fast
+    fast &= (q >= Q_MIN) & (q <= Q_MAX)
+    i = (q - Q_MIN) * fast
     hi, lo = hi_lo.take(i).view(np.float64).reshape(-1, 2).T
     b_h, b_l = hi_halves.take(i).view(np.float64).reshape(-1, 2).T
     mf = m.astype(np.float64)
