@@ -19,6 +19,7 @@ of the communication `Graph`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,11 @@ class PrivacyParams:
             raise ConfigurationError("xi_max must be non-negative and finite")
         # -0.0 passes the check but would make xi's initial draw range [0, -0.0) negative
         object.__setattr__(self, "xi_max", self.xi_max + 0.0)
+
+    @cached_property
+    def noise_bound(self):
+        """safety * beta: the bound on |n_f| per unit of |omega|, formed once."""
+        return self.safety * self.beta
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,7 @@ def privacy_noise(params, u, omega_at_unit):
     """n_f for draws u in [-1, 1): uniform within safety*beta*|omega| at
     each unit's bus. It reads the state, so it is formed step by step."""
     # + 0.0 normalizes -0.0 so degenerate runs match the plain scheme bit-for-bit
-    return u * (params.safety * params.beta * np.abs(omega_at_unit)) + 0.0
+    return u * (params.noise_bound * np.abs(omega_at_unit)) + 0.0
 
 
 def refresh_privacy_signals(params, xi, unit_bus, omega, dt, rng):

@@ -1,22 +1,27 @@
 """Closed-loop simulation: plant + devices + controller, fixed-step RK4.
 
 The stacked state is [eta, omega, x, p_c, psi]. The closed loop is one
-affine operator on it, dy = A y + B p_load, with n_f added onto the command
-rows and those rows divided by the controller time constants (gamma + xi
-for the privacy scheme). `closed_loop` assembles A and B once per run from
+affine operator on it, dy = A y + b, with b = B p_load plus n_f on the
+command rows. Those rows carry 1/tau0, the base controller time constants
+(gamma, or q / K under integral): `closed_loop` divides them into A once
+per run, and into B p_load once per load step. The privacy scheme's time
+constants gamma + xi are then one diagonal on the command rows, rho = tau0 /
+(tau0 + xi), exactly 1.0 where xi = 0. `closed_loop` assembles A and B from
 the index data of the units and the edge endpoints of two `Graph`s: the
 network's lines and the consensus graph (the communication graph, or the
 lines again for primal_dual). `swing_rhs`, `device_outputs`, `device_rhs`
 and `scheme_rhs` are its per-stage reference. Every scheme forms B p_load
 once per load step, from the step `Scenario.load_steps` gives it, and
-holds it with the time constants until the next; only the privacy scheme
-modulates it. Its signals are inputs, not integrated states, held over a
-step's four stages and drawn DRAW_BLOCK_ROWS steps at a time: the xi walk
-and gamma + xi for a whole block (`draw_privacy_block`), then n_f step by
-step from omega, onto the command rows of a copy of B p_load. A seed gives
-the same draws as drawing one step at a time. The run records the state,
-pc_dot, the privacy draws and the prosumption s_tilde; s_tilde and the
-Lyapunov column are computed after the loop, a chunk of samples at a time.
+holds it until the next. RK4 is taken in its Taylor form for an input held
+over the step (`ClosedLoop.step`): four sparse products a step, no stage
+states. Only the privacy scheme modulates the input. Its signals are
+inputs, not integrated states, held over a step and drawn DRAW_BLOCK_ROWS
+steps at a time: the xi walk for a whole block (`draw_privacy_block`) and
+rho beside it, then n_f step by step from omega, as n_f / tau0 onto the
+command rows of a copy of B p_load. A seed gives the same draws as
+drawing one step at a time. The run records the state, pc_dot, the privacy
+draws and the prosumption s_tilde; s_tilde and the Lyapunov column are
+computed after the loop, a chunk of samples at a time.
 
 A trace file holds what a run integrates, draws or sends: every state
 block but eta, the Lyapunov column, xi and n_f when they hold a non-zero
@@ -298,12 +303,18 @@ def _trace_kind(traj):
 class ClosedLoop:
     """The closed loop as one affine operator on the stacked state.
 
-    dy = A y + B p_load, with n_f added onto the command rows of the
-    unit-level schemes, after which the p_c rows, which hold the
-    numerator of tau_c * pc_dot, are divided by the controller time
-    constants: gamma + xi for the unit-level schemes, gamma for
-    primal_dual and q / K for integral. A and B are COO triples, each
-    applied with one bincount.
+    dy = A y + b, with b = B p_load plus n_f on the command rows of the
+    unit-level schemes. The command rows of A and b carry 1/tau0, the base
+    controller time constants (gamma, or q / K under integral); the privacy
+    scheme's gamma + xi is the diagonal rho = tau0 / (tau0 + xi) on them,
+    exactly 1.0 where xi = 0. A and B are COO triples, each applied with
+    one bincount.
+
+    With b and rho held over a step, classic RK4 is its Taylor form
+    y + h k1 + (h^2/2) M k1 + (h^3/6) M^2 k1 + (h^4/24) M^3 k1, M = rho A.
+    `step` nests it as w1 = h k1, w_{i+1} = (h/(i+1)) M w_i, on copies of
+    A's values scaled by dt/2, dt/3 and dt/4: the four sparse products of
+    the classic stages, without their stage states or a division.
     """
 
     offsets: np.ndarray  # start of each of BLOCKS in the stacked state, then its size
@@ -313,35 +324,65 @@ class ClosedLoop:
     in_rows: np.ndarray
     in_cols: np.ndarray  # into p_load
     in_vals: np.ndarray
-    tau_c: np.ndarray  # per controller, before xi
-    unit_level: bool  # xi adds to tau_c and n_f enters the command rows
+    tau_c: np.ndarray  # tau0 per controller, divided into the command rows
+    unit_level: bool  # rho and n_f act on the command rows
     graph: Graph | None  # consensus graph of the controllers
+    dt: float  # the step of `step`
     size: int = field(init=False)
     pc: slice = field(init=False)  # the command rows
+    stage_vals: tuple = field(init=False)  # vals times dt/2, dt/3 and dt/4
 
     def __post_init__(self):
         object.__setattr__(self, "size", int(self.offsets[-1]))
         object.__setattr__(self, "pc", slice(self.offsets[3], self.offsets[4]))
+        object.__setattr__(self, "stage_vals",
+                           tuple(self.vals * (self.dt / n) for n in (2.0, 3.0, 4.0)))
 
     def inputs(self, p_load, xi, n_f):
-        """The input term b (B p_load, plus n_f on the command rows of the
-        unit-level schemes) and the time constants tau_c."""
-        b = self.load_input(p_load)
-        if self.unit_level:
-            b[self.pc] += n_f
-        return b, (self.tau_c + xi if self.unit_level else self.tau_c)
+        """The input term b (B p_load, plus n_f / tau0 on the command rows of
+        the unit-level schemes) and the diagonal rho = tau0 / (tau0 + xi) on
+        the command rows, None outside the unit-level schemes."""
+        b = self.held_input(p_load)
+        if not self.unit_level:
+            return b, None
+        b[self.pc] += n_f / self.tau_c
+        return b, self.tau_c / (self.tau_c + xi)
 
     def load_input(self, p_load):
-        """B p_load; it changes only at a load step."""
+        """B p_load."""
         return np.bincount(self.in_rows, self.in_vals * p_load[self.in_cols], minlength=self.size)
 
-    def rhs(self, y, b, tau_c):
-        """dy at the stacked state y, for an input term b and time constants
-        tau_c as `inputs` gives them."""
-        dy = np.bincount(self.rows, self.vals * y[self.cols], minlength=self.size)
-        dy += b
-        dy[self.pc] /= tau_c
-        return dy
+    def held_input(self, p_load):
+        """B p_load with its command rows over tau0: the input term until the
+        next load step."""
+        b = self.load_input(p_load)
+        b[self.pc] /= self.tau_c
+        return b
+
+    def rhs(self, y, b, rho):
+        """dy at the stacked state y for an input term b and diagonal rho as
+        `inputs` gives them: the command rows divided by tau0 + xi."""
+        return self._product(self.vals, y, rho, b)
+
+    def _product(self, vals, y, rho, b=None):
+        """A y (+ b) for A's values vals, its command rows times rho unless
+        rho is None."""
+        out = np.bincount(self.rows, vals * y[self.cols], minlength=self.size)
+        if b is not None:
+            out += b
+        if rho is not None:
+            out[self.pc] *= rho
+        return out
+
+    def step(self, y, b, rho):
+        """(dy at y, the state one RK4 step of dt later) for the input b and
+        the diagonal rho held over the step."""
+        k1 = self.rhs(y, b, rho)
+        w1 = self.dt * k1
+        w2 = self._product(self.stage_vals[0], w1, rho)
+        w3 = self._product(self.stage_vals[1], w2, rho)
+        w4 = self._product(self.stage_vals[2], w3, rho)
+        return k1, y + (w1 + (w2 + (w3 + w4)))
 
     def blocks(self, y):
         """Views of the BLOCKS of a stacked state, or of each row of a stack."""
@@ -423,12 +464,17 @@ def closed_loop(scenario):
         add(entries, P + edge, C + c, -1.0 / cfg.gamma_psi)
         tau_c = cfg.gamma
 
+    # the command rows hold tau0 pc_dot; dividing them by tau0 once makes them pc_dot
+    tau_rows = np.ones(offsets[-1])
+    tau_rows[C:P] = tau_c
+
     def coo(parts):
         rows, cols, vals = (np.concatenate(v) for v in zip(*parts))
         return rows.astype(np.intp), cols.astype(np.intp), vals
 
-    return ClosedLoop(offsets, *coo(entries), *coo(inputs), tau_c=tau_c,
-                      unit_level=unit_level, graph=graph)
+    rows, cols, vals = coo(entries)
+    return ClosedLoop(offsets, rows, cols, vals / tau_rows[rows], *coo(inputs), tau_c=tau_c,
+                      unit_level=unit_level, graph=graph, dt=scenario.dt)
 
 
 def _unit_outputs(kind, devices, x, p_c, omega, p_load):
@@ -516,21 +562,24 @@ def simulate(scenario):
 
     loads = scenario.load_steps()
     omega_at_unit = op.offsets[1] + devices.bus  # each unit's bus frequency in y
-    tau_c = op.tau_c
+    rho = None
     for k in range(n_steps + 1):
         if k in loads:
-            b_load = op.load_input(loads[k])
+            b_load = op.held_input(loads[k])
             b = b_load.copy()  # under privacy its command rows are rewritten every step
         if privacy:
             r = k % DRAW_BLOCK_ROWS
             if r == 0:
                 xi_rows, draws = draw_privacy_block(
                     priv, xi, dt, rng, min(DRAW_BLOCK_ROWS, n_steps + 1 - k))
-                tau_rows = op.tau_c + xi_rows
-            xi, tau_c = xi_rows[r], tau_rows[r]
+                rho_rows = op.tau_c / (op.tau_c + xi_rows)
+            xi, rho = xi_rows[r], rho_rows[r]
             n_f = privacy_noise(priv, draws[r], y[omega_at_unit])
-            np.add(b_load[op.pc], n_f, out=b[op.pc])
-        k1 = op.rhs(y, b, tau_c)
+            np.add(b_load[op.pc], n_f / op.tau_c, out=b[op.pc])
+        if k < n_steps:
+            k1, y_next = op.step(y, b, rho)
+        else:
+            k1 = op.rhs(y, b, rho)  # the last sample's pc_dot; no step follows
         j, off = divmod(k, stride)
         if off == 0:
             states[j] = y
@@ -539,10 +588,7 @@ def simulate(scenario):
                 xis[j], n_fs[j] = xi, n_f
         if k == n_steps:
             break
-        k2 = op.rhs(y + 0.5 * dt * k1, b, tau_c)
-        k3 = op.rhs(y + 0.5 * dt * k2, b, tau_c)
-        k4 = op.rhs(y + dt * k3, b, tau_c)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y_next
         if not np.isfinite(y).all():
             raise _divergence(op, y, k, dt)
 

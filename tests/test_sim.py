@@ -643,6 +643,40 @@ def test_closed_loop_matches_per_stage_functions(scenario_factory, system, kind)
             assert_close(got_block, want_block)
 
 
+def classic_rk4_step(op, y, b, rho):
+    """One classic RK4 step of op.dt from four op.rhs stages."""
+    dt = op.dt
+    k1 = op.rhs(y, b, rho)
+    k2 = op.rhs(y + 0.5 * dt * k1, b, rho)
+    k3 = op.rhs(y + 0.5 * dt * k2, b, rho)
+    k4 = op.rhs(y + dt * k3, b, rho)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("dt", (0.01, 0.1))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("system", ORACLE_SYSTEMS)
+def test_step_is_classic_rk4(scenario_factory, system, kind, dt):
+    """op.step's Taylor form of RK4 for an input held over the step equals
+    the four classic stages: each block of the increment within 1e-12 of its
+    largest entry."""
+    sc = dataclasses.replace(oracle_scenario(system, kind, scenario_factory), dt=dt)
+    op = closed_loop(sc)
+    n_units = sc.devices.n_units
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        y = rng.normal(size=op.size)
+        p_load = rng.normal(scale=0.2, size=n_units)
+        xi = rng.uniform(0.0, 0.1, n_units) * (rng.random(n_units) < 0.5)  # some exactly 0
+        n_f = rng.normal(scale=0.01, size=n_units)
+        b, rho = op.inputs(p_load, xi, n_f)
+        k1, got = op.step(y, b, rho)
+        np.testing.assert_array_equal(k1, op.rhs(y, b, rho))
+        want = classic_rk4_step(op, y, b, rho)
+        for got_block, want_block in zip(op.blocks(got - y), op.blocks(want - y)):
+            assert_close(got_block, want_block)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("system", ORACLE_SYSTEMS)
 def test_recorded_outputs_match_per_stage_functions(scenario_factory, system, kind):
@@ -680,7 +714,7 @@ BLOCK = getattr(sim_module, "DRAW_BLOCK_ROWS", 64)
 
 def stepwise_privacy_run(sc):
     """simulate's loop for the privacy scheme with its signals drawn a step
-    at a time: refresh_privacy_signals, op.inputs and op.rhs at every step."""
+    at a time: refresh_privacy_signals, op.inputs and op.step at every step."""
     model, devices, cfg = sc.model, sc.devices, sc.scheme
     op = closed_loop(sc)
     eq0 = _rest_state(sc, op, devices.p_load)
@@ -696,17 +730,11 @@ def stepwise_privacy_run(sc):
             p_load = loads[k]
         xi, n_f = refresh_privacy_signals(cfg.privacy, xi, devices.bus,
                                           y[op.offsets[1]:op.offsets[2]], dt, rng)
-        b, tau_c = op.inputs(p_load, xi, n_f)
-        k1 = op.rhs(y, b, tau_c)
+        k1, y_next = op.step(y, *op.inputs(p_load, xi, n_f))
         if k % sc.record_stride == 0:
             for name, value in zip(rec, (y, k1[op.pc], xi, n_f, p_load)):
                 rec[name].append(value)
-        if k == n_steps:
-            break
-        k2 = op.rhs(y + 0.5 * dt * k1, b, tau_c)
-        k3 = op.rhs(y + 0.5 * dt * k2, b, tau_c)
-        k4 = op.rhs(y + dt * k3, b, tau_c)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y_next
     rec = {name: np.array(v) for name, v in rec.items()}
     eta, omega, x, p_c, psi = op.blocks(rec["y"])
     final = sc.final_load()
