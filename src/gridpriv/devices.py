@@ -78,9 +78,6 @@ class DeviceState:
 
     x: np.ndarray
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-
 
 def device_outputs(devices, dstate, u, omega, p_load=None):
     """Evaluate unit outputs at the current inputs.
@@ -91,7 +88,8 @@ def device_outputs(devices, dstate, u, omega, p_load=None):
     """
     u = _checked_array(u, "u", (devices.n_units,))
     omega = _checked_array(omega, "omega", (devices.bus_count,))
-    p_load = devices.p_load if p_load is None else np.asarray(p_load, dtype=float)
+    p_load = devices.p_load if p_load is None else _checked_array(p_load, "p_load",
+                                                                  (devices.n_units,))
     x = _checked_array(dstate.x, "x", (devices.n_generators,))
     p_M, d_c, s_tilde = unit_outputs(devices, x, u, omega, p_load)
     return p_M, d_c, s_tilde, bus_injection(devices, p_M, d_c, p_load)
@@ -128,9 +126,10 @@ def device_rhs(devices, dstate, u, omega):
     """First-order lag dynamics of the generator internal states."""
     u = _checked_array(u, "u", (devices.n_units,))
     omega = _checked_array(omega, "omega", (devices.bus_count,))
+    x = _checked_array(dstate.x, "x", (devices.n_generators,))
     gi = devices.gen_index
     drive = u[gi] - omega[devices.bus[gi]]
-    return (-dstate.x + devices.droop_m[gi] * drive) / devices.tau[gi]
+    return (-x + devices.droop_m[gi] * drive) / devices.tau[gi]
 
 
 def design_optimal_gains(cost_q, is_generator, droop_split=0.5):

@@ -109,7 +109,8 @@ def lyapunov_value(model, devices, comm, cfg, eq, eta, omega, x, p_c, psi, xi=No
     schemes only; the privacy scheme uses the xi-augmented command term.
     The state arguments may carry a leading sample axis; total and the
     components are then arrays over the samples, and numpy scalars for a
-    single state.
+    single state. comm is not read; it stays in the signature because the
+    benchmark harness passes the arguments by position.
     """
     if cfg.kind not in UNIT_CONSENSUS_KINDS:
         raise ConfigurationError(f"no Lyapunov certificate for scheme kind {cfg.kind!r}")

@@ -144,10 +144,6 @@ class PlantState:
     eta: np.ndarray  # rad, per line
     omega: np.ndarray  # rad/s, per bus
 
-    def __post_init__(self):
-        self.eta = np.asarray(self.eta, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
-
 
 def swing_rhs(model, state, net_injection):
     """Time derivatives of the plant state.

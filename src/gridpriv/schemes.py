@@ -108,19 +108,12 @@ class SchemeState:
     xi: np.ndarray  # per unit, >= 0 (zeros unless privacy_preserving)
     n_f_held: np.ndarray  # per unit, held constant over the current step
 
-    def __post_init__(self):
-        self.p_c = np.asarray(self.p_c, dtype=float)
-        self.psi = np.asarray(self.psi, dtype=float)
-        self.xi = np.asarray(self.xi, dtype=float)
-        self.n_f_held = np.asarray(self.n_f_held, dtype=float)
-
 
 @dataclass
 class SchemeRhs:
     psi_dot: np.ndarray
     pc_dot: np.ndarray
     u: np.ndarray  # per-unit input to the devices
-    n_d: np.ndarray  # realized speed-modulation signal, for logging
 
 
 def scheme_rhs(cfg, graph, state, devices, s_tilde, omega, zeta=None):
@@ -130,34 +123,36 @@ def scheme_rhs(cfg, graph, state, devices, s_tilde, omega, zeta=None):
     frequency. zeta (bus prosumption totals) is required for the
     bus-level primal_dual scheme only.
     """
-    omega = np.asarray(omega, dtype=float)
     n_units = devices.n_units
     if cfg.kind == INTEGRAL:
         p_c = _checked_array(state.p_c, "p_c", (n_units,))
+        omega = _checked_array(omega, "omega", (devices.bus_count,))
         pc_dot = -(cfg.integral_gain / devices.cost_q) * omega[devices.bus]
-        return SchemeRhs(np.zeros(0), pc_dot, p_c, np.zeros(n_units))
+        return SchemeRhs(np.zeros(0), pc_dot, p_c)
     H = graph.incidence
     psi = _checked_array(state.psi, "psi", (graph.edge_count,))
     if cfg.kind == PRIMAL_DUAL:
         if zeta is None:
             raise ConfigurationError("primal_dual scheme requires zeta")
         p_c = _checked_array(state.p_c, "p_c", (graph.node_count,))
+        zeta = _checked_array(zeta, "zeta", (graph.node_count,))
         psi_dot = (H.T @ p_c) / cfg.gamma_psi
-        pc_dot = (np.asarray(zeta, dtype=float) - H @ psi) / cfg.gamma
-        return SchemeRhs(psi_dot, pc_dot, p_c[devices.bus], np.zeros(n_units))
+        pc_dot = (zeta - H @ psi) / cfg.gamma
+        return SchemeRhs(psi_dot, pc_dot, p_c[devices.bus])
     # unit-level consensus schemes share one code path; extended_primal_dual
     # is the xi = 0, n_f = 0 special case of privacy_preserving
     if graph.node_count != n_units:
         raise ConfigurationError("unit-level scheme needs a communication node per unit")
     p_c = _checked_array(state.p_c, "p_c", (n_units,))
     xi = _checked_array(state.xi, "xi", (n_units,))
+    n_f = _checked_array(state.n_f_held, "n_f_held", (n_units,))
+    s_tilde = _checked_array(s_tilde, "s_tilde", (n_units,))
     effective = cfg.gamma + xi
     if np.any(effective <= 0):
         raise ConfigurationError("gamma + xi must stay strictly positive")
     psi_dot = (H.T @ p_c) / cfg.gamma_psi
-    pc_dot = (np.asarray(s_tilde, dtype=float) - H @ psi + state.n_f_held) / effective
-    n_d = -xi * pc_dot
-    return SchemeRhs(psi_dot, pc_dot, p_c, n_d)
+    pc_dot = (s_tilde - H @ psi + n_f) / effective
+    return SchemeRhs(psi_dot, pc_dot, p_c)
 
 
 def draw_privacy_block(params, xi, dt, rng, rows):

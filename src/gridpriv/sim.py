@@ -3,25 +3,25 @@
 The stacked state is [eta, omega, x, p_c, psi]. The closed loop is one
 affine operator on it, dy = A y + b, with b = B p_load plus n_f on the
 command rows. Those rows carry 1/tau0, the base controller time constants
-(gamma, or q / K under integral): `closed_loop` divides them into A once
-per run, and into B p_load once per load step. The privacy scheme's time
-constants gamma + xi are then one diagonal on the command rows, rho = tau0 /
-(tau0 + xi), exactly 1.0 where xi = 0. `closed_loop` assembles A and B from
-the index data of the units and the edge endpoints of two `Graph`s: the
-network's lines and the consensus graph (the communication graph, or the
-lines again for primal_dual). `swing_rhs`, `device_outputs`, `device_rhs`
-and `scheme_rhs` are its per-stage reference. Every scheme forms B p_load
-once per load step, from the step `Scenario.load_steps` gives it, and
-holds it until the next. RK4 is taken in its Taylor form for an input held
-over the step (`ClosedLoop.step`): four sparse products a step, no stage
-states. Only the privacy scheme modulates the input. Its signals are
-inputs, not integrated states, held over a step and drawn DRAW_BLOCK_ROWS
-steps at a time: the xi walk for a whole block (`draw_privacy_block`) and
-rho beside it, then n_f step by step from omega, as n_f / tau0 onto the
-command rows of a copy of B p_load. A seed gives the same draws as
-drawing one step at a time. The run records the state, pc_dot, the privacy
-draws and the prosumption s_tilde; s_tilde and the Lyapunov column are
-computed after the loop, a chunk of samples at a time.
+(gamma, or q / K under integral): `ClosedLoop(scenario)` divides them into
+A once per run, and into B p_load once per load step. The privacy scheme's
+time constants gamma + xi are then one diagonal on the command rows, rho =
+tau0 / (tau0 + xi), exactly 1.0 where xi = 0. The constructor assembles A
+and B from the index data of the units and the edge endpoints of two
+`Graph`s: the network's lines and the consensus graph (the communication
+graph, or the lines again for primal_dual). `swing_rhs`, `device_outputs`,
+`device_rhs` and `scheme_rhs` are its per-stage reference. Every scheme
+forms B p_load once per load step, from the step `Scenario.load_steps`
+gives it, and holds it until the next. RK4 is taken in its Taylor form for
+an input held over the step (`ClosedLoop.step`): four sparse products a
+step, no stage states. Only the privacy scheme modulates the input. Its
+signals are inputs, not integrated states, held over a step and drawn
+DRAW_BLOCK_ROWS steps at a time: the xi walk for a whole block
+(`draw_privacy_block`) and rho beside it, then n_f step by step from omega,
+as n_f / tau0 onto the command rows of a copy of B p_load. A seed gives the
+same draws as drawing one step at a time. The run records the state,
+pc_dot, the privacy draws and the prosumption s_tilde; s_tilde and the
+Lyapunov column are computed after the loop, a chunk of samples at a time.
 
 A trace file holds what a run integrates, draws or sends: every state
 block but eta, the Lyapunov column, xi and n_f when they hold a non-zero
@@ -38,7 +38,7 @@ np.loadtxt, which still reads a file of any other layout.
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,10 +132,14 @@ class Scenario:
         n = np.round(self.t_end / spacing)
         if not (n >= 1 and abs(n * spacing - self.t_end) <= 1e-9 * self.t_end):
             raise ScenarioError("$.sim.t_end", f"not a multiple of dt*record_stride={spacing:g}")
+        last = round(self.t_end / self.dt) * self.dt  # the last step's time
         for k, d in enumerate(self.disturbances):
             if not 0.0 <= d.time <= self.t_end:
                 raise ScenarioError(f"$.disturbances[{k}].t",
                                     f"must lie in [0, t_end={self.t_end:g}]")
+            if last + 1e-12 < d.time:  # `load_segments` would place it after the last step
+                raise ScenarioError(f"$.disturbances[{k}].t",
+                                    f"{d.time!r} lies after the last step, at t={last!r}")
             if not 0 <= d.unit < self.devices.n_units:
                 raise ScenarioError(f"$.disturbances[{k}].unit",
                                     f"must lie in [0, {self.devices.n_units})")
@@ -174,8 +178,9 @@ class Scenario:
         return self.load_segments(self.step_grid(1) * self.dt)
 
     def final_load(self):
-        """Uncontrollable load per unit after every disturbance."""
-        return list(self.load_steps().values())[-1]
+        """Uncontrollable load per unit after every disturbance: given no times,
+        `load_segments` merges every disturbance into its one entry, index 0."""
+        return self.load_segments(())[0]
 
 
 @dataclass
@@ -299,16 +304,17 @@ def _trace_kind(traj):
     return PRIMAL_DUAL if traj.psi.shape[1] or sends_s_tilde else INTEGRAL
 
 
-@dataclass(frozen=True)
 class ClosedLoop:
-    """The closed loop as one affine operator on the stacked state.
+    """The closed loop of a scenario as one affine operator on the stacked state.
 
     dy = A y + b, with b = B p_load plus n_f on the command rows of the
     unit-level schemes. The command rows of A and b carry 1/tau0, the base
     controller time constants (gamma, or q / K under integral); the privacy
     scheme's gamma + xi is the diagonal rho = tau0 / (tau0 + xi) on them,
     exactly 1.0 where xi = 0. A and B are COO triples, each applied with
-    one bincount.
+    one bincount, assembled from the scenario's index data; row by row they
+    are swing_rhs, device_outputs, device_rhs and scheme_rhs, which stay as
+    their reference.
 
     With b and rho held over a step, classic RK4 is its Taylor form
     y + h k1 + (h^2/2) M k1 + (h^3/6) M^2 k1 + (h^4/24) M^3 k1, M = rho A.
@@ -317,26 +323,96 @@ class ClosedLoop:
     the classic stages, without their stage states or a division.
     """
 
-    offsets: np.ndarray  # start of each of BLOCKS in the stacked state, then its size
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    in_rows: np.ndarray
-    in_cols: np.ndarray  # into p_load
-    in_vals: np.ndarray
-    tau_c: np.ndarray  # tau0 per controller, divided into the command rows
-    unit_level: bool  # rho and n_f act on the command rows
-    graph: Graph | None  # consensus graph of the controllers
-    dt: float  # the step of `step`
-    size: int = field(init=False)
-    pc: slice = field(init=False)  # the command rows
-    stage_vals: tuple = field(init=False)  # vals times dt/2, dt/3 and dt/4
+    def __init__(self, scenario):
+        model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
+        n_units = devices.n_units
+        unit_level = cfg.kind in UNIT_CONSENSUS_KINDS
+        if unit_level:
+            graph = scenario.comm
+            if graph is None or graph.node_count != n_units:
+                raise ConfigurationError("unit-level scheme needs a communication node per unit")
+        elif cfg.kind == PRIMAL_DUAL:
+            graph = model.graph  # bus-level consensus over the electrical lines
+        else:
+            graph = None
+        n_ctrl = model.bus_count if cfg.kind == PRIMAL_DUAL else n_units
+        sizes = [model.line_count, model.bus_count, devices.n_generators, n_ctrl,
+                 graph.edge_count if graph is not None else 0]
+        offsets = np.cumsum([0] + sizes)
+        E, W, X, C, P = offsets[:-1]
 
-    def __post_init__(self):
-        object.__setattr__(self, "size", int(self.offsets[-1]))
-        object.__setattr__(self, "pc", slice(self.offsets[3], self.offsets[4]))
-        object.__setattr__(self, "stage_vals",
-                           tuple(self.vals * (self.dt / n) for n in (2.0, 3.0, 4.0)))
+        entries, inputs = [], []
+
+        def add(to, row, col, val):
+            to.append(np.broadcast_arrays(row, col, np.asarray(val, dtype=float)))
+
+        tail, head = model.graph.tail, model.graph.head
+        line = np.arange(model.line_count)
+        node = np.arange(model.bus_count)
+        unit = np.arange(n_units)
+        gi, bus = devices.gen_index, devices.bus
+        gen = np.arange(devices.n_generators)
+        ctrl = C + (bus if cfg.kind == PRIMAL_DUAL else unit)
+        h = devices.damping_h
+        inv_m = 1.0 / model.inertia
+
+        # swing: eta_dot = A^T omega, M omega_dot = net - D omega - A (b eta), with
+        # net = sum of x_g + h (u - omega) over the bus's units minus its load
+        add(entries, E + line, W + tail, 1.0)
+        add(entries, E + line, W + head, -1.0)
+        add(entries, W + node, W + node, -model.damping * inv_m)
+        add(entries, W + tail, E + line, -model.susceptance * inv_m[tail])
+        add(entries, W + head, E + line, model.susceptance * inv_m[head])
+        add(entries, W + bus[gi], X + gen, inv_m[bus[gi]])
+        add(entries, W + bus, ctrl, h * inv_m[bus])
+        add(entries, W + bus, W + bus, -h * inv_m[bus])
+        add(inputs, W + bus, unit, -inv_m[bus])
+        # generator lag: tau x_dot = -x + m (u - omega)
+        m_tau = devices.droop_m[gi] / devices.tau[gi]
+        add(entries, X + gen, X + gen, -1.0 / devices.tau[gi])
+        add(entries, X + gen, ctrl[gi], m_tau)
+        add(entries, X + gen, W + bus[gi], -m_tau)
+
+        if cfg.kind == INTEGRAL:
+            # (q / K) pc_dot = -omega
+            add(entries, C + unit, W + bus, -1.0)
+            tau_c = devices.cost_q / cfg.integral_gain
+        else:
+            # tau_c pc_dot = s_tilde - H psi (+ n_f), summed per bus for primal_dual,
+            # with s_tilde = -x_g - h (u - omega) + p_load
+            add(entries, ctrl[gi], X + gen, -1.0)
+            add(entries, ctrl, ctrl, -h)
+            add(entries, ctrl, W + bus, h)
+            add(inputs, ctrl, unit, 1.0)
+            # gamma_psi psi_dot = H^T p_c
+            a, c = graph.tail, graph.head
+            edge = np.arange(graph.edge_count)
+            add(entries, C + a, P + edge, -1.0)
+            add(entries, C + c, P + edge, 1.0)
+            add(entries, P + edge, C + a, 1.0 / cfg.gamma_psi)
+            add(entries, P + edge, C + c, -1.0 / cfg.gamma_psi)
+            tau_c = cfg.gamma
+
+        # the command rows hold tau0 pc_dot; dividing them by tau0 once makes them pc_dot
+        tau_rows = np.ones(offsets[-1])
+        tau_rows[C:P] = tau_c
+
+        def coo(parts):
+            rows, cols, vals = (np.concatenate(v) for v in zip(*parts))
+            return rows.astype(np.intp), cols.astype(np.intp), vals
+
+        self.offsets = offsets  # start of each of BLOCKS in the stacked state, then its size
+        self.rows, self.cols, vals = coo(entries)
+        self.vals = vals / tau_rows[self.rows]
+        self.in_rows, self.in_cols, self.in_vals = coo(inputs)  # in_cols: into p_load
+        self.tau_c = tau_c  # tau0 per controller, divided into the command rows
+        self.unit_level = unit_level  # rho and n_f act on the command rows
+        self.graph = graph  # consensus graph of the controllers
+        self.dt = scenario.dt  # the step of `step`
+        self.size = int(offsets[-1])
+        self.pc = slice(offsets[3], offsets[4])  # the command rows
+        # vals times dt/2, dt/3 and dt/4
+        self.stage_vals = tuple(self.vals * (self.dt / n) for n in (2.0, 3.0, 4.0))
 
     def inputs(self, p_load, xi, n_f):
         """The input term b (B p_load, plus n_f / tau0 on the command rows of
@@ -389,94 +465,6 @@ class ClosedLoop:
         return tuple(y[..., a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:]))
 
 
-def closed_loop(scenario):
-    """Assemble the ClosedLoop of a scenario from its index data.
-
-    Row by row it is swing_rhs, device_outputs, device_rhs and
-    scheme_rhs, which stay as its reference.
-    """
-    model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
-    n_units = devices.n_units
-    unit_level = cfg.kind in UNIT_CONSENSUS_KINDS
-    if unit_level:
-        graph = scenario.comm
-        if graph is None or graph.node_count != n_units:
-            raise ConfigurationError("unit-level scheme needs a communication node per unit")
-    elif cfg.kind == PRIMAL_DUAL:
-        graph = model.graph  # bus-level consensus over the electrical lines
-    else:
-        graph = None
-    n_ctrl = model.bus_count if cfg.kind == PRIMAL_DUAL else n_units
-    sizes = [model.line_count, model.bus_count, devices.n_generators, n_ctrl,
-             graph.edge_count if graph is not None else 0]
-    offsets = np.cumsum([0] + sizes)
-    E, W, X, C, P = offsets[:-1]
-
-    entries, inputs = [], []
-
-    def add(to, row, col, val):
-        to.append(np.broadcast_arrays(row, col, np.asarray(val, dtype=float)))
-
-    tail, head = model.graph.tail, model.graph.head
-    line = np.arange(model.line_count)
-    node = np.arange(model.bus_count)
-    unit = np.arange(n_units)
-    gi, bus = devices.gen_index, devices.bus
-    gen = np.arange(devices.n_generators)
-    ctrl = C + (bus if cfg.kind == PRIMAL_DUAL else unit)
-    h = devices.damping_h
-    inv_m = 1.0 / model.inertia
-
-    # swing: eta_dot = A^T omega, M omega_dot = net - D omega - A (b eta), with
-    # net = sum of x_g + h (u - omega) over the bus's units minus its load
-    add(entries, E + line, W + tail, 1.0)
-    add(entries, E + line, W + head, -1.0)
-    add(entries, W + node, W + node, -model.damping * inv_m)
-    add(entries, W + tail, E + line, -model.susceptance * inv_m[tail])
-    add(entries, W + head, E + line, model.susceptance * inv_m[head])
-    add(entries, W + bus[gi], X + gen, inv_m[bus[gi]])
-    add(entries, W + bus, ctrl, h * inv_m[bus])
-    add(entries, W + bus, W + bus, -h * inv_m[bus])
-    add(inputs, W + bus, unit, -inv_m[bus])
-    # generator lag: tau x_dot = -x + m (u - omega)
-    m_tau = devices.droop_m[gi] / devices.tau[gi]
-    add(entries, X + gen, X + gen, -1.0 / devices.tau[gi])
-    add(entries, X + gen, ctrl[gi], m_tau)
-    add(entries, X + gen, W + bus[gi], -m_tau)
-
-    if cfg.kind == INTEGRAL:
-        # (q / K) pc_dot = -omega
-        add(entries, C + unit, W + bus, -1.0)
-        tau_c = devices.cost_q / cfg.integral_gain
-    else:
-        # tau_c pc_dot = s_tilde - H psi (+ n_f), summed per bus for primal_dual,
-        # with s_tilde = -x_g - h (u - omega) + p_load
-        add(entries, ctrl[gi], X + gen, -1.0)
-        add(entries, ctrl, ctrl, -h)
-        add(entries, ctrl, W + bus, h)
-        add(inputs, ctrl, unit, 1.0)
-        # gamma_psi psi_dot = H^T p_c
-        a, c = graph.tail, graph.head
-        edge = np.arange(graph.edge_count)
-        add(entries, C + a, P + edge, -1.0)
-        add(entries, C + c, P + edge, 1.0)
-        add(entries, P + edge, C + a, 1.0 / cfg.gamma_psi)
-        add(entries, P + edge, C + c, -1.0 / cfg.gamma_psi)
-        tau_c = cfg.gamma
-
-    # the command rows hold tau0 pc_dot; dividing them by tau0 once makes them pc_dot
-    tau_rows = np.ones(offsets[-1])
-    tau_rows[C:P] = tau_c
-
-    def coo(parts):
-        rows, cols, vals = (np.concatenate(v) for v in zip(*parts))
-        return rows.astype(np.intp), cols.astype(np.intp), vals
-
-    rows, cols, vals = coo(entries)
-    return ClosedLoop(offsets, rows, cols, vals / tau_rows[rows], *coo(inputs), tau_c=tau_c,
-                      unit_level=unit_level, graph=graph, dt=scenario.dt)
-
-
 def _unit_outputs(kind, devices, x, p_c, omega, p_load):
     """unit_outputs at commands p_c; a primal_dual unit's input is its bus's command."""
     u = p_c[..., devices.bus] if kind == PRIMAL_DUAL else p_c
@@ -523,7 +511,7 @@ def simulate(scenario):
     model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
     n_units = devices.n_units
     privacy = cfg.kind == PRIVACY_PRESERVING
-    op = closed_loop(scenario)
+    op = ClosedLoop(scenario)
     if privacy:
         feasible, _, _ = design_condition_report(devices, model, cfg.privacy)
         if not feasible.all():

@@ -8,7 +8,9 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from gridpriv import simulate
 from gridpriv.cli import main
+from gridpriv.schemes import PRIVACY_PRESERVING
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("spans", "stages", "workloads", "run")
@@ -49,3 +51,25 @@ def test_traced_compare_and_attack_size_every_trace_file(monkeypatch, tmp_path):
     for name, count in (("sim.Trajectory.to_csv", 4), ("sim.Trajectory.from_csv", 2)):
         spans = tracer.named(name)
         assert len(spans) == count and all(s["bytes"] > 0 for s in spans)
+
+
+def test_stage_timings_calls_every_stage(monkeypatch, scenario_factory):
+    """The per-stage functions the benchmark times take the arguments it
+    passes: one call of each on a short 3-bus privacy run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        mods = {name: importlib.import_module(name) for name in MODULES}
+        stages, tracer = mods["stages"], mods["spans"].Tracer()
+        def once(fn, *_, **__):
+            fn()
+            return 0.0, 1
+        monkeypatch.setattr(stages, "per_call_s", once)
+        sc = scenario_factory(PRIVACY_PRESERVING, t_end=2.0, disturbances=((0.5, 0, 0.2),))
+        out = stages.stage_timings(sc, simulate(sc), tracer)
+    finally:
+        for name in MODULES:
+            sys.modules.pop(name, None)
+    assert set(out) == {s["name"].removeprefix("stage.") for s in tracer.spans}
+    assert {"network.swing_rhs", "devices.device_outputs", "devices.device_rhs",
+            "schemes.scheme_rhs"} <= set(out)
+    assert all(s["calls"] == 1 for s in tracer.spans)

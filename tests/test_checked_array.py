@@ -36,13 +36,15 @@ UNITS = dict(bus=[0, 2], is_generator=[True, False], tau=[1.0, 0.0], droop_m=[0.
 NAN, INF = float("nan"), float("inf")
 
 
-def _scheme_rhs(kind, p_c=4, psi=3, xi=4):
-    """scheme_rhs on the 3-bus, 4-unit fixtures with state widths p_c, psi and xi."""
+def _scheme_rhs(kind, p_c=4, psi=3, xi=4, n_f=4, s_tilde=4, omega=3, zeta=3):
+    """scheme_rhs on the 3-bus, 4-unit fixtures with state widths p_c, psi, xi
+    and n_f, and argument widths s_tilde, omega and zeta."""
     def call(model, devices, comm):
         graph = model.graph if kind == PRIMAL_DUAL else comm
         cfg = make_scheme(kind, 4, graph.edge_count, n_controllers=graph.node_count)
-        state = SchemeState(np.zeros(p_c), np.zeros(psi), np.zeros(xi), np.zeros(4))
-        return scheme_rhs(cfg, graph, state, devices, np.zeros(4), np.zeros(3), np.zeros(3))
+        state = SchemeState(np.zeros(p_c), np.zeros(psi), np.zeros(xi), np.zeros(n_f))
+        return scheme_rhs(cfg, graph, state, devices, np.zeros(s_tilde), np.zeros(omega),
+                          np.zeros(zeta))
     return call
 
 
@@ -98,12 +100,22 @@ CASES = {
     "device_outputs x": (lambda m, d, c: device_outputs(d, DeviceState(np.zeros(4)),
                                                         np.zeros(4), np.zeros(3)),
                          "x has shape (4,), expected (2,)"),
+    "device_outputs p_load": (lambda m, d, c: device_outputs(d, DeviceState(np.zeros(2)),
+                                                             np.zeros(4), np.zeros(3),
+                                                             np.zeros(1)),
+                              "p_load has shape (1,), expected (4,)"),
     "device_rhs u": (lambda m, d, c: device_rhs(d, DeviceState(np.zeros(2)), np.zeros(2),
                                                 np.zeros(3)),
                      "u has shape (2,), expected (4,)"),
     "device_rhs omega": (lambda m, d, c: device_rhs(d, DeviceState(np.zeros(2)), np.zeros(4),
                                                     np.zeros(2)),
                          "omega has shape (2,), expected (3,)"),
+    "device_rhs x short": (lambda m, d, c: device_rhs(d, DeviceState(np.zeros(1)), np.zeros(4),
+                                                      np.zeros(3)),
+                           "x has shape (1,), expected (2,)"),
+    "device_rhs x long": (lambda m, d, c: device_rhs(d, DeviceState(np.zeros(3)), np.zeros(4),
+                                                     np.zeros(3)),
+                          "x has shape (3,), expected (2,)"),
     "scheme_rhs integral p_c": (_scheme_rhs(INTEGRAL, p_c=3),
                                 "p_c has shape (3,), expected (4,)"),
     "scheme_rhs primal_dual p_c": (_scheme_rhs(PRIMAL_DUAL, p_c=4, psi=2),
@@ -114,6 +126,16 @@ CASES = {
                             "p_c has shape (3,), expected (4,)"),
     "scheme_rhs xi": (_scheme_rhs(EXTENDED_PRIMAL_DUAL, xi=5),
                       "xi has shape (5,), expected (4,)"),
+    "scheme_rhs n_f_held short": (_scheme_rhs(EXTENDED_PRIMAL_DUAL, n_f=1),
+                                  "n_f_held has shape (1,), expected (4,)"),
+    "scheme_rhs n_f_held long": (_scheme_rhs(EXTENDED_PRIMAL_DUAL, n_f=5),
+                                 "n_f_held has shape (5,), expected (4,)"),
+    "scheme_rhs s_tilde": (_scheme_rhs(EXTENDED_PRIMAL_DUAL, s_tilde=1),
+                           "s_tilde has shape (1,), expected (4,)"),
+    "scheme_rhs integral omega": (_scheme_rhs(INTEGRAL, omega=4),
+                                  "omega has shape (4,), expected (3,)"),
+    "scheme_rhs zeta": (_scheme_rhs(PRIMAL_DUAL, p_c=3, psi=2, zeta=4),
+                        "zeta has shape (4,), expected (3,)"),
 }
 
 

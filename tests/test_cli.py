@@ -15,7 +15,7 @@ from gridpriv import (
     simulate,
 )
 from gridpriv.cli import main
-from gridpriv.errors import ConfigurationError
+from gridpriv.errors import ConfigurationError, ScenarioError
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
     INTEGRAL,
@@ -190,6 +190,25 @@ def test_run_off_grid_t_end_exits_2(runner, tmp_path):
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "$.sim.t_end" in result.output
+
+
+def test_disturbance_after_the_last_step_exits_2(runner, tmp_path):
+    """t_end 1.5e-9 past the last step at dt = 0.01 is on the grid within its
+    tolerance, but a load step at t_end would act after the last step: the run
+    would never apply it, yet report lambda for it."""
+    doc = gen_scenario(RandomScenarioSpec(bus_count=3, t_end=2.0, seed=1))
+    t_end = 2.0 + 1.5e-9
+    doc["sim"]["t_end"] = t_end
+    doc["disturbances"].append({"t": t_end, "unit": 0, "delta": 0.5})
+    with pytest.raises(ScenarioError,
+                       match=r"^\$\.disturbances\[1\]\.t: .* after the last step"):
+        build_scenario(doc)
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "$.disturbances[1].t" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_divergence_exits_3(runner, tmp_path):

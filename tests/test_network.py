@@ -15,7 +15,7 @@ from gridpriv import (
 )
 from gridpriv.errors import ConfigurationError, InfeasibilityError, ScenarioError
 from gridpriv.schemes import PRIMAL_DUAL
-from gridpriv.sim import closed_loop
+from gridpriv.sim import ClosedLoop
 
 # node 1 has degree 4, (0, 1) and (1, 0) are antiparallel, 1-2-4-3 is a cycle
 MESHED = Graph(5, ((0, 1), (1, 0), (1, 2), (1, 3), (3, 4), (4, 2)))
@@ -186,4 +186,4 @@ def test_bad_edges_rejected_on_both_paths(name):
 def test_primal_dual_consensus_runs_on_the_network_graph():
     doc = gen_scenario(RandomScenarioSpec(bus_count=4, t_end=5.0, scheme_kind=PRIMAL_DUAL))
     sc = build_scenario(doc)
-    assert closed_loop(sc).graph is sc.model.graph
+    assert ClosedLoop(sc).graph is sc.model.graph

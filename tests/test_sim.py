@@ -37,10 +37,10 @@ from gridpriv.schemes import (
 )
 from gridpriv.sim import (
     SETTLE_THRESHOLD,
+    ClosedLoop,
     Disturbance,
     Trajectory,
     _rest_state,
-    closed_loop,
     marginal_costs,
     steady_state_metrics,
     write_csv,
@@ -151,7 +151,7 @@ def test_simulate_peak_memory_is_the_recording_buffer():
     chunk-sized temporaries only."""
     sc = build_scenario(gen_scenario(RandomScenarioSpec(
         bus_count=30, t_end=5.0, seed=2, scheme_kind=PRIVACY_PRESERVING)))
-    state_size, n = closed_loop(sc).size, sc.devices.n_units
+    state_size, n = ClosedLoop(sc).size, sc.devices.n_units
     tracemalloc.start()
     try:
         traj = simulate(sc)
@@ -629,7 +629,7 @@ ORACLE_SYSTEMS = ["3-bus", 21, 22]
 @pytest.mark.parametrize("system", ORACLE_SYSTEMS)
 def test_closed_loop_matches_per_stage_functions(scenario_factory, system, kind):
     sc = oracle_scenario(system, kind, scenario_factory)
-    op = closed_loop(sc)
+    op = ClosedLoop(sc)
     n_units = sc.devices.n_units
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -661,7 +661,7 @@ def test_step_is_classic_rk4(scenario_factory, system, kind, dt):
     the four classic stages: each block of the increment within 1e-12 of its
     largest entry."""
     sc = dataclasses.replace(oracle_scenario(system, kind, scenario_factory), dt=dt)
-    op = closed_loop(sc)
+    op = ClosedLoop(sc)
     n_units = sc.devices.n_units
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -681,7 +681,7 @@ def test_step_is_classic_rk4(scenario_factory, system, kind, dt):
 @pytest.mark.parametrize("system", ORACLE_SYSTEMS)
 def test_recorded_outputs_match_per_stage_functions(scenario_factory, system, kind):
     sc = oracle_scenario(system, kind, scenario_factory)
-    op = closed_loop(sc)
+    op = ClosedLoop(sc)
     traj = simulate(sc)
     want = {}
     for j, t in enumerate(traj.times):
@@ -716,7 +716,7 @@ def stepwise_privacy_run(sc):
     """simulate's loop for the privacy scheme with its signals drawn a step
     at a time: refresh_privacy_signals, op.inputs and op.step at every step."""
     model, devices, cfg = sc.model, sc.devices, sc.scheme
-    op = closed_loop(sc)
+    op = ClosedLoop(sc)
     eq0 = _rest_state(sc, op, devices.p_load)
     y = np.concatenate([eq0.eta_star, np.zeros(model.bus_count), eq0.x_star, eq0.p_c_star, eq0.psi_star])
     rng = np.random.default_rng(sc.seed)

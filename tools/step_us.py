@@ -28,7 +28,7 @@ import numpy as np
 
 from gridpriv import RandomScenarioSpec, build_scenario, gen_scenario, simulate
 from gridpriv.schemes import SCHEME_KINDS
-from gridpriv.sim import closed_loop
+from gridpriv.sim import ClosedLoop
 
 SIZES = ((4, (2, 3), 5.0), (10, (4, 4), 5.0), (200, (3, 5), 2.0))  # buses, units per bus, t_end
 REPEATS, SEED, TOLERANCE = 5, 7, 1e-12
@@ -70,7 +70,7 @@ def step_rel_err(sc, rng):
     n_units = sc.devices.n_units
     worst = 0.0
     for dt in (0.01, 0.1):
-        op = closed_loop(dataclasses.replace(sc, dt=dt))
+        op = ClosedLoop(dataclasses.replace(sc, dt=dt))
         for _ in range(5):
             y = rng.normal(size=op.size)
             xi = rng.uniform(0.0, 0.1, n_units) * (rng.random(n_units) < 0.5)
