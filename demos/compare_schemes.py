@@ -29,6 +29,7 @@ for kind in SCHEME_KINDS:
     mc = marginal_costs(traj, sc.devices)[-1]
     print(f"\n{kind}")
     print(f"  final max |omega|      {m['max_abs_omega_end']:.2e} rad/s")
+    print(f"  peak |omega|           {m['peak_abs_omega']:.2e} rad/s")
     print(f"  settle time (0.01 Hz)  {m['settle_time']}")
     print(f"  command mean vs -lambda  {m['p_c_mean_end']:.4f} / {-lam:.4f}")
     print(f"  marginal cost spread   {mc.max() - mc.min():.2e}"

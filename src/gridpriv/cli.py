@@ -184,13 +184,12 @@ def compare_cmd(scenario_path, scheme_list, out_dir, seed, dt):
         watch_bus = int(scenario.devices.bus[dist[0].unit]) if dist else 0
         times, freq[kind], inferred[kind], metrics = _compare_one(scenario, out_dir, watch_bus)
         all_metrics[kind] = metrics
-        log.info("scheme %s: settle=%s spread=%.3g", kind,
+        log.info("scheme %s: peak=%.3g settle=%s spread=%.3g", kind, metrics["peak_abs_omega"],
                  metrics["settle_time"], metrics["p_c_spread_end"])
 
-    settle = {k: all_metrics[k]["settle_time"] for k in kinds}
-    all_metrics["settle_time_ordering"] = sorted(
-        (k for k in kinds if settle[k] is not None), key=lambda k: settle[k]
-    )
+    settle = {k: m["settle_time"] for k, m in all_metrics.items()  # runs that left the band
+              if m["peak_abs_omega"] >= m["settle_threshold"] and m["settle_time"] is not None}
+    all_metrics["settle_time_ordering"] = sorted(settle, key=settle.get)
     save_scenario(all_metrics, out_dir / "metrics.json")
     sim.write_csv(out_dir / "fig_frequency.csv", [("t", times)] + [
         (f"freq_hz_bus{watch_bus}_{kind}", freq[kind]) for kind in kinds])

@@ -18,20 +18,24 @@ class DeviceSet:
     """Flat, ordered collection of prosumption units.
 
     Arrays are indexed by the global unit ordering. tau and droop_m are
-    meaningful for generators only (ignored entries for loads). A float field
-    that is not one finite entry per unit (> 0 but for p_load; any value at a
-    load's tau and droop_m; a generator's tau, which the closed loop divides
-    by, no smaller than errors.MIN_DIVISOR) raises a ConfigurationError naming it.
+    meaningful for generators only (ignored entries for loads). The gains
+    droop_m and damping_h are formed from cost_q and droop_split by
+    `design_optimal_gains`, so the closed loop rests at the optimal dispatch.
+    A float field or gain that is not one finite entry per unit (> 0 but for
+    p_load; any value at a load's tau and droop_m; a generator's tau, which
+    the closed loop divides by, no smaller than errors.MIN_DIVISOR) raises a
+    ConfigurationError naming it.
     """
 
     bus: np.ndarray  # bus index per unit
     is_generator: np.ndarray  # bool per unit
     tau: np.ndarray  # s, > 0 for generators
-    droop_m: np.ndarray  # > 0 for generators
-    damping_h: np.ndarray  # > 0
     cost_q: np.ndarray  # > 0
     p_load: np.ndarray  # baseline uncontrollable demand, pu
     bus_count: int
+    droop_split: float = 0.5  # in (0, 1), or per unit: a generator's h = split/q, m = (1 - split)/q
+    droop_m: np.ndarray = field(init=False)  # > 0 for generators
+    damping_h: np.ndarray = field(init=False)  # > 0
     gen_index: np.ndarray = field(init=False, repr=False)
     load_index: np.ndarray = field(init=False, repr=False)
 
@@ -46,9 +50,11 @@ class DeviceSet:
                                      f"expected {(n,)}")
         if np.any(self.bus < 0) or np.any(self.bus >= self.bus_count):
             raise ConfigurationError("unit bus index out of range")
-        for name, low in (("tau", None), ("droop_m", None), ("damping_h", 0.0),
-                          ("cost_q", 0.0), ("p_load", -np.inf)):
+        for name, low in (("tau", None), ("cost_q", 0.0), ("p_load", -np.inf)):
             object.__setattr__(self, name, _checked_array(getattr(self, name), name, (n,), low))
+        m, h = design_optimal_gains(self.cost_q, self.is_generator, self.droop_split)
+        for name, gain, low in (("droop_m", m, None), ("damping_h", h, 0.0)):
+            object.__setattr__(self, name, _checked_array(gain, name, (n,), low))
         gens = self.is_generator
         _checked_array(self.tau[gens], "generator tau", low=0.0, divisor=True)
         _checked_array(self.droop_m[gens], "generator droop_m", low=0.0)

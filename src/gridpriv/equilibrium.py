@@ -7,7 +7,6 @@ closed-loop equilibrium extends the dispatch point with angles, internal
 generator states and consensus states.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,16 +60,10 @@ def build_equilibrium(model, devices, comm, kkt, p_load=None):
     The power commands synchronize at -lambda, frequency deviations vanish,
     angles follow from a DC power flow of the optimal injections and the
     consensus states solve the incidence system for the equilibrium
-    prosumption (minimum-norm choice on cyclic graphs).
+    prosumption (minimum-norm choice on cyclic graphs). `DeviceSet`'s gains
+    satisfy q*(m + h) = 1, so this rest state is the dispatch optimum.
     """
     p_load = devices.p_load if p_load is None else np.asarray(p_load, dtype=float)
-    gains_lhs = devices.cost_q * (devices.droop_m + devices.damping_h)
-    if not np.allclose(gains_lhs, 1.0, atol=1e-9):
-        warnings.warn(
-            "device gains do not satisfy the optimality conditions; the closed-loop "
-            "equilibrium will differ from the dispatch optimum",
-            stacklevel=2,
-        )
     n_units = devices.n_units
     p_c_star = np.full(n_units, -kkt.lam)
     x_star = devices.droop_m[devices.gen_index] * p_c_star[devices.gen_index]

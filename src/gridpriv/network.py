@@ -131,11 +131,6 @@ class NetworkModel:
     def line_count(self):
         return self.graph.edge_count
 
-    def laplacian(self):
-        """Susceptance-weighted graph Laplacian."""
-        A = self.graph.incidence
-        return A @ (self.susceptance[:, None] * A.T)
-
 
 @dataclass
 class PlantState:

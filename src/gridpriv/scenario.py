@@ -153,12 +153,9 @@ def build_scenario(doc, seed=None, dt=None):
         q.append(_float(unit["q"], upath, "q"))
         p_l.append(_float(unit["p_l"], upath, "p_l"))
         split.append(_float(unit.get("droop_split", 0.5), upath, "droop_split"))
-    q = np.array(q)
-    is_gen = np.array(is_gen)
     with _at("$.devices"):
-        m, h = design_optimal_gains(q, is_gen, np.array(split))
-        devices = DeviceSet(np.array(bus), is_gen, np.array(tau), m,
-                            h, q, np.array(p_l), bus_count=n_bus)
+        devices = DeviceSet(np.array(bus), np.array(is_gen), np.array(tau), np.array(q),
+                            np.array(p_l), bus_count=n_bus, droop_split=np.array(split))
     n_units = devices.n_units
 
     comm_doc = doc["comm"]

@@ -109,16 +109,10 @@ class SchemeState:
     n_f_held: np.ndarray  # per unit, held constant over the current step
 
 
-@dataclass
-class SchemeRhs:
-    psi_dot: np.ndarray
-    pc_dot: np.ndarray
-    u: np.ndarray  # per-unit input to the devices
-
-
 def scheme_rhs(cfg, graph, state, devices, s_tilde, omega, zeta=None):
     """Controller derivatives and the resulting device input.
 
+    Returns (psi_dot, pc_dot, u), u the per-unit input to the devices.
     s_tilde is the per-unit prosumption vector, omega the per-bus
     frequency. zeta (bus prosumption totals) is required for the
     bus-level primal_dual scheme only.
@@ -128,7 +122,7 @@ def scheme_rhs(cfg, graph, state, devices, s_tilde, omega, zeta=None):
         p_c = _checked_array(state.p_c, "p_c", (n_units,))
         omega = _checked_array(omega, "omega", (devices.bus_count,))
         pc_dot = -(cfg.integral_gain / devices.cost_q) * omega[devices.bus]
-        return SchemeRhs(np.zeros(0), pc_dot, p_c)
+        return np.zeros(0), pc_dot, p_c
     H = graph.incidence
     psi = _checked_array(state.psi, "psi", (graph.edge_count,))
     if cfg.kind == PRIMAL_DUAL:
@@ -138,7 +132,7 @@ def scheme_rhs(cfg, graph, state, devices, s_tilde, omega, zeta=None):
         zeta = _checked_array(zeta, "zeta", (graph.node_count,))
         psi_dot = (H.T @ p_c) / cfg.gamma_psi
         pc_dot = (zeta - H @ psi) / cfg.gamma
-        return SchemeRhs(psi_dot, pc_dot, p_c[devices.bus])
+        return psi_dot, pc_dot, p_c[devices.bus]
     # unit-level consensus schemes share one code path; extended_primal_dual
     # is the xi = 0, n_f = 0 special case of privacy_preserving
     if graph.node_count != n_units:
@@ -152,7 +146,7 @@ def scheme_rhs(cfg, graph, state, devices, s_tilde, omega, zeta=None):
         raise ConfigurationError("gamma + xi must stay strictly positive")
     psi_dot = (H.T @ p_c) / cfg.gamma_psi
     pc_dot = (s_tilde - H @ psi + n_f) / effective
-    return SchemeRhs(psi_dot, pc_dot, p_c)
+    return psi_dot, pc_dot, p_c
 
 
 def draw_privacy_block(params, xi, dt, rng, rows):

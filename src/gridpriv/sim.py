@@ -414,16 +414,6 @@ class ClosedLoop:
         # vals times dt/2, dt/3 and dt/4
         self.stage_vals = tuple(self.vals * (self.dt / n) for n in (2.0, 3.0, 4.0))
 
-    def inputs(self, p_load, xi, n_f):
-        """The input term b (B p_load, plus n_f / tau0 on the command rows of
-        the unit-level schemes) and the diagonal rho = tau0 / (tau0 + xi) on
-        the command rows, None outside the unit-level schemes."""
-        b = self.held_input(p_load)
-        if not self.unit_level:
-            return b, None
-        b[self.pc] += n_f / self.tau_c
-        return b, self.tau_c / (self.tau_c + xi)
-
     def load_input(self, p_load):
         """B p_load."""
         return np.bincount(self.in_rows, self.in_vals * p_load[self.in_cols], minlength=self.size)
@@ -436,8 +426,8 @@ class ClosedLoop:
         return b
 
     def rhs(self, y, b, rho):
-        """dy at the stacked state y for an input term b and diagonal rho as
-        `inputs` gives them: the command rows divided by tau0 + xi."""
+        """dy at the stacked state y for the input term b (B p_load, plus n_f / tau0
+        on the command rows) and the diagonal rho = tau0 / (tau0 + xi) there, or None."""
         return self._product(self.vals, y, rho, b)
 
     def _product(self, vals, y, rho, b=None):
@@ -603,7 +593,9 @@ def steady_state_metrics(traj, window, devices=None):
     Per-unit quantities are averaged over the final window before taking
     spreads, which makes the numbers robust to privacy noise. Marginal
     cost per unit is q times the magnitude of its prosumption; it needs
-    the device set to be supplied.
+    the device set to be supplied. peak_abs_omega is the largest |omega|; a
+    run whose peak stays below SETTLE_THRESHOLD never leaves the band, and
+    its settle_time is its first time.
     """
     times = traj.times
     span = times[-1] - times[0]
@@ -613,7 +605,8 @@ def steady_state_metrics(traj, window, devices=None):
     omega_w = traj.omega[sel]
     max_abs_omega_end = float(np.abs(omega_w).max())
 
-    over = np.abs(traj.omega).max(axis=1) >= SETTLE_THRESHOLD
+    peak = np.abs(traj.omega).max(axis=1)
+    over = peak >= SETTLE_THRESHOLD
     if over.any():
         last = np.flatnonzero(over)[-1]
         settle_time = float(times[last + 1]) if last + 1 < len(times) else None
@@ -624,6 +617,7 @@ def steady_state_metrics(traj, window, devices=None):
     p_c_spread_end = float(pc_mean.max() - pc_mean.min())
     metrics = {
         "max_abs_omega_end": max_abs_omega_end,
+        "peak_abs_omega": float(peak.max()),
         "settle_time": settle_time,
         "settle_threshold": SETTLE_THRESHOLD,
         "p_c_spread_end": p_c_spread_end,

@@ -10,7 +10,6 @@ from gridpriv import (
     PrivacyParams,
     Scenario,
     SchemeConfig,
-    design_optimal_gains,
 )
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
@@ -42,13 +41,10 @@ def devices4():
     """
     q = np.array([100.0, 200.0, 50.0, 80.0])
     is_gen = np.array([True, False, True, False])
-    m, h = design_optimal_gains(q, is_gen)
     return DeviceSet(
         bus=np.array([0, 0, 1, 2]),
         is_generator=is_gen,
         tau=np.array([1.0, 1.0, 0.5, 1.0]),
-        droop_m=m,
-        damping_h=h,
         cost_q=q,
         p_load=np.array([0.1, 0.05, 0.0, 0.15]),
         bus_count=3,

@@ -1,0 +1,25 @@
+"""Reference pieces of the dynamics that only the tests and tools read.
+
+`inputs` composes the closed loop's held input the way `simulate` does, one
+step at a time, for checks of `ClosedLoop.rhs` and `ClosedLoop.step`;
+`laplacian` forms the susceptance-weighted Laplacian densely, for checks of
+the angle solve.
+"""
+
+
+def inputs(op, p_load, xi, n_f):
+    """The input term b of ClosedLoop op (B p_load, plus n_f / tau0 on the
+    command rows of the unit-level schemes) and the diagonal
+    rho = tau0 / (tau0 + xi) on the command rows, None outside the
+    unit-level schemes."""
+    b = op.held_input(p_load)
+    if not op.unit_level:
+        return b, None
+    b[op.pc] += n_f / op.tau_c
+    return b, op.tau_c / (op.tau_c + xi)
+
+
+def laplacian(model):
+    """Susceptance-weighted graph Laplacian of a NetworkModel."""
+    A = model.graph.incidence
+    return A @ (model.susceptance[:, None] * A.T)

@@ -16,7 +16,6 @@ import pytest
 from gridpriv import (
     DeviceSet,
     KnowledgeSet,
-    design_optimal_gains,
     observer_attack,
     simulate,
     solve_kkt,
@@ -101,9 +100,7 @@ def test_criterion_1_kkt_oracle_equivalence():
         is_gen = rng.random(n) < 0.5
         is_gen[int(rng.integers(0, n))] = True
         p_load = rng.uniform(-0.3, 0.5, n)
-        m, h = design_optimal_gains(q, is_gen)
-        devices = DeviceSet(np.zeros(n, dtype=int), is_gen, np.ones(n), m, h,
-                            q, p_load, bus_count=1)
+        devices = DeviceSet(np.zeros(n, dtype=int), is_gen, np.ones(n), q, p_load, bus_count=1)
         cases.append((q, is_gen, p_load, solve_kkt(devices)))
     # projected gradient descent on the dispatch quadratic, one case per row;
     # a is 0 on the padding, where z stays 0

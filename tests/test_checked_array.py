@@ -31,8 +31,8 @@ from tests.conftest import make_scheme
 
 NETWORK = dict(bus_count=3, lines=((0, 1), (1, 2)), susceptance=[5.0, 8.0],
                inertia=[2.0, 3.0, 4.0], damping=[1.0, 0.8, 1.2])
-UNITS = dict(bus=[0, 2], is_generator=[True, False], tau=[1.0, 0.0], droop_m=[0.005, 0.0],
-             damping_h=[0.005, 0.01], cost_q=[100.0, 100.0], p_load=[0.1, 0.0], bus_count=3)
+UNITS = dict(bus=[0, 2], is_generator=[True, False], tau=[1.0, 0.0], cost_q=[100.0, 100.0],
+             p_load=[0.1, 0.0], bus_count=3)
 NAN, INF = float("nan"), float("inf")
 
 
@@ -58,9 +58,8 @@ CASES = {
                       "damping must be finite and > 0"),
     "tau shape": (lambda *_: DeviceSet(**{**UNITS, "tau": [1.0]}),
                   "tau has shape (1,), expected (2,)"),
-    "droop_m shape": (lambda *_: DeviceSet(**{**UNITS, "droop_m": [[0.005, 0.0]]}),
-                      "droop_m has shape (1, 2), expected (2,)"),
-    "damping_h range": (lambda *_: DeviceSet(**{**UNITS, "damping_h": [0.005, -0.01]}),
+    # 1/q overflows: both gains of the generator are inf
+    "damping_h range": (lambda *_: DeviceSet(**{**UNITS, "cost_q": [1e-320, 100.0]}),
                         "damping_h must be finite and > 0"),
     "cost_q range": (lambda *_: DeviceSet(**{**UNITS, "cost_q": [100.0, INF]}),
                      "cost_q must be finite and > 0"),
@@ -68,7 +67,9 @@ CASES = {
                       "p_load must be finite"),
     "generator tau": (lambda *_: DeviceSet(**{**UNITS, "tau": [-0.0, 0.0]}),
                       "generator tau must be finite and > 0"),
-    "generator droop_m": (lambda *_: DeviceSet(**{**UNITS, "droop_m": [INF, 0.0]}),
+    # h = 1e-10 / 1e-310 is finite, m = (1 - 1e-10) / 1e-310 overflows
+    "generator droop_m": (lambda *_: DeviceSet(**{**UNITS, "cost_q": [1e-310, 100.0],
+                                                  "droop_split": 1e-10}),
                           "generator droop_m must be finite and > 0"),
     "design cost_q": (lambda *_: design_optimal_gains([100.0, 0.0], [True, False]),
                       "cost_q must be finite and > 0"),

@@ -519,6 +519,20 @@ def test_compare_command(runner, tmp_path):
     assert (out / "fig_inferred_demand.csv").exists()
 
 
+def test_compare_orders_only_schemes_that_reach_the_settle_band(runner, tmp_path):
+    """On a generated 4-bus document no scheme's |omega| reaches the band, so
+    no settle time is ordered; each scheme's peak is recorded."""
+    scen = gen(runner, tmp_path, buses=4)
+    out = tmp_path / "cmp"
+    result = runner.invoke(main, ["compare", str(scen), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["settle_time_ordering"] == []
+    for kind in SCHEME_KINDS:
+        assert 0.0 < metrics[kind]["peak_abs_omega"] < metrics[kind]["settle_threshold"]
+        assert metrics[kind]["settle_time"] == 0.0
+
+
 @pytest.mark.parametrize("kinds", [SCHEME_KINDS, ("integral", "primal_dual")])
 def test_compare_files_match_in_memory_runs(runner, tmp_path, kinds):
     """Every file compare writes, read back, equals the same figures computed

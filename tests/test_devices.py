@@ -82,9 +82,26 @@ def test_design_gains_identity_property(q, split):
     np.testing.assert_allclose(q * (m + h), 1.0, rtol=1e-12)
 
 
+@settings(max_examples=50, deadline=None)
+@given(arrays(float, st.integers(1, 8), elements=st.floats(1e-3, 1e6)),
+       arrays(float, st.integers(1, 8), elements=st.floats(1e-3, 0.999)))
+def test_device_set_forms_the_optimal_gains(q, split):
+    """A DeviceSet's gains are design_optimal_gains' output, bit for bit, and put
+    the closed loop's rest state at the dispatch optimum: q (m + h) = 1."""
+    split = np.resize(split, len(q))
+    is_gen = np.arange(len(q)) % 2 == 0
+    devices = DeviceSet(np.zeros(len(q), dtype=int), is_gen, np.ones(len(q)), q,
+                        np.zeros(len(q)), bus_count=1, droop_split=split)
+    m, h = design_optimal_gains(q, is_gen, split)
+    np.testing.assert_array_equal(devices.droop_m, m)
+    np.testing.assert_array_equal(devices.damping_h, h)
+    np.testing.assert_allclose(q * (devices.droop_m + devices.damping_h), 1.0,
+                               rtol=0.0, atol=1e-12)
+
+
 def test_device_set_validation():
-    base = dict(bus=[0], is_generator=[True], tau=[1.0], droop_m=[0.01],
-                damping_h=[0.01], cost_q=[100.0], p_load=[0.0], bus_count=1)
+    base = dict(bus=[0], is_generator=[True], tau=[1.0], cost_q=[100.0], p_load=[0.0],
+                bus_count=1)
     DeviceSet(**base)
     with pytest.raises(ConfigurationError):
         DeviceSet(**{**base, "cost_q": [-1.0]})
@@ -92,8 +109,8 @@ def test_device_set_validation():
         DeviceSet(**{**base, "bus": [2]})
     with pytest.raises(ConfigurationError):
         DeviceSet(**{**base, "tau": [0.0]})
-    # load tau/droop are ignored, so zero is fine there
-    DeviceSet(**{**base, "is_generator": [False], "tau": [0.0], "droop_m": [0.0]})
+    # a load's tau is ignored, so zero is fine there
+    DeviceSet(**{**base, "is_generator": [False], "tau": [0.0]})
 
 
 def test_bus_sum(devices4):

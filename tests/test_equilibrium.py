@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from gridpriv import (
     Graph,
     NetworkModel,
     build_equilibrium,
-    design_optimal_gains,
     solve_kkt,
 )
 from gridpriv.devices import DeviceState, bus_injection, device_outputs, device_rhs
@@ -18,6 +15,7 @@ from gridpriv.network import PlantState, dc_power_flow, swing_rhs
 from gridpriv.scenario import RandomScenarioSpec, build_scenario, gen_scenario
 from gridpriv.schemes import EXTENDED_PRIMAL_DUAL, SchemeState, scheme_rhs
 from tests.conftest import make_scheme, padded
+from tests.reference_dynamics import laplacian
 
 
 def dispatch_oracle(q, is_gen, total_load, mask, iters=4000):
@@ -70,9 +68,8 @@ def test_kkt_against_gradient_oracle():
         is_gen = rng.random(n) < 0.5
         is_gen[0] = True
         p_load = rng.uniform(-0.2, 0.4, n)
-        m, h = design_optimal_gains(q, is_gen)
         bus = np.zeros(n, dtype=int)
-        devices = DeviceSet(bus, is_gen, np.ones(n), m, h, q, p_load, bus_count=1)
+        devices = DeviceSet(bus, is_gen, np.ones(n), q, p_load, bus_count=1)
         cases.append((q, is_gen, p_load, solve_kkt(devices)))
     q, mask = padded([c[0] for c in cases])
     is_gen, _ = padded([c[1] for c in cases])
@@ -105,11 +102,11 @@ def test_equilibrium_is_closed_loop_fixed_point(model3, devices4, comm4):
         device_rhs(devices4, DeviceState(eq.x_star), eq.p_c_star, omega), 0.0,
         atol=1e-12)
     cfg = make_scheme(EXTENDED_PRIMAL_DUAL, 4, 3)
-    out = scheme_rhs(cfg, comm4, SchemeState(eq.p_c_star, eq.psi_star,
-                                             np.zeros(4), np.zeros(4)),
-                     devices4, s_tilde, omega)
-    np.testing.assert_allclose(out.pc_dot, 0.0, atol=1e-9)
-    np.testing.assert_allclose(out.psi_dot, 0.0, atol=1e-9)
+    psi_dot, pc_dot, _ = scheme_rhs(cfg, comm4, SchemeState(eq.p_c_star, eq.psi_star,
+                                                            np.zeros(4), np.zeros(4)),
+                                    devices4, s_tilde, omega)
+    np.testing.assert_allclose(pc_dot, 0.0, atol=1e-9)
+    np.testing.assert_allclose(psi_dot, 0.0, atol=1e-9)
 
 
 def test_edge_flows_match_min_norm_lstsq(model3, devices4):
@@ -123,9 +120,8 @@ def test_edge_flows_match_min_norm_lstsq(model3, devices4):
     assert cases[-1][2].edge_count > 2 * cases[-1][2].node_count  # meshed
     cases.append((model3, devices4, Graph(4, ((0, 1), (1, 0), (1, 2), (3, 2)))))
     one_bus = NetworkModel(1, (), np.zeros(0), np.array([2.0]), np.array([1.0]))
-    m, h = design_optimal_gains(np.array([100.0]), np.array([True]))
-    one_unit = DeviceSet(np.array([0]), np.array([True]), np.ones(1), m, h,
-                         np.array([100.0]), np.array([0.3]), bus_count=1)
+    one_unit = DeviceSet(np.array([0]), np.array([True]), np.ones(1), np.array([100.0]),
+                         np.array([0.3]), bus_count=1)
     cases.append((one_bus, one_unit, Graph(1, ())))
 
     rng = np.random.default_rng(5)
@@ -139,7 +135,7 @@ def test_edge_flows_match_min_norm_lstsq(model3, devices4):
         assert np.abs(eq.psi_star - oracle).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(s).max())
 
         injection = bus_injection(devices, kkt.p_M_star, kkt.d_c_star, p_load)
-        L = model.laplacian()
+        L = laplacian(model)
         theta = np.zeros(model.bus_count)
         theta[1:] = np.linalg.solve(L[1:, 1:], injection[1:])
         theta_dc, eta_dc = dc_power_flow(model, injection)
@@ -147,14 +143,6 @@ def test_edge_flows_match_min_norm_lstsq(model3, devices4):
         tol = 1e-12 * (1.0 + np.abs(injection).max())
         assert np.abs(theta_dc - theta).max() <= tol
         assert np.abs(eta_dc - model.graph.incidence.T @ theta).max(initial=0.0) <= tol
-
-
-def test_equilibrium_warns_on_suboptimal_gains(model3, comm4, devices4):
-    bad = DeviceSet(devices4.bus, devices4.is_generator, devices4.tau,
-                    devices4.droop_m * 2.0, devices4.damping_h, devices4.cost_q,
-                    devices4.p_load, bus_count=3)
-    with pytest.warns(UserWarning, match="optimality"):
-        build_equilibrium(model3, bad, comm4, solve_kkt(bad))
 
 
 def test_lyapunov_zero_at_equilibrium_positive_elsewhere(model3, devices4, comm4):

