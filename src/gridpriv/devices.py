@@ -148,7 +148,8 @@ def design_optimal_gains(cost_q, is_generator, droop_split=0.5):
     """
     cost_q = _checked_array(cost_q, "cost_q", low=0.0)
     is_generator = np.asarray(is_generator, dtype=bool)
-    droop_split = np.asarray(droop_split, dtype=float)
+    split_shape = () if np.ndim(droop_split) == 0 else cost_q.shape  # one split, or one a unit
+    droop_split = _checked_array(droop_split, "droop_split", split_shape)
     if not (np.all(droop_split > 0.0) and np.all(droop_split < 1.0)):
         raise ConfigurationError("droop_split must lie in (0, 1)")
     with np.errstate(over="ignore"):

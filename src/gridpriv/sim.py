@@ -32,11 +32,10 @@ given the scenario rebuilds s_tilde as `simulate` does, bit for bit.
 '%.17g'; it computes them for a float64 block at a time (`_cells.g17_rows`),
 which hands ties and cells out of its range to '%'. `from_csv` reads a block
 of rows at a time back the same way (`_cells.read_rows`), bit for bit as
-np.loadtxt, which still reads a file of any other layout.
+np.loadtxt, which reads a body of any other layout from the same handle.
 """
 
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -187,12 +186,13 @@ class Scenario:
 class Trajectory:
     """Time-indexed record of all plant, controller and privacy signals.
 
-    The fields `simulate` returns are views into one buffer; outside the
-    privacy scheme xi and n_f are read-only zero views. p_M and d_c are not
-    stored; `marginal_costs` derives them with `unit_outputs`. A trace file
-    holds what a run integrates, draws or sends (see `to_csv`); `from_csv`
+    The fields `simulate` or `from_csv` returns are views into one buffer;
+    outside the privacy scheme xi and n_f are read-only zero views. p_M and d_c
+    are not stored; `marginal_costs` derives them with `unit_outputs`. A trace
+    file holds what a run integrates, draws or sends (see `to_csv`); `from_csv`
     reads the scheme kind from its columns and, given the scenario, rebuilds
-    the rest but eta and pc_dot.
+    the rest but eta and pc_dot. It refuses a header that repeats a name, does
+    not decode or misorders a block's prefix_k.
     """
 
     times: np.ndarray
@@ -231,9 +231,9 @@ class Trajectory:
     def from_csv(cls, path, scenario=None):
         """Read a CSV trace; its columns give the scheme kind (`_trace_kind`).
 
-        `_cells.read_rows` reads the cells CSV_CHUNK_CELLS at a time, bit for
-        bit as np.loadtxt does; a file it refuses (another line end, another
-        cell layout, ragged rows, no rows) is read by np.loadtxt.
+        One handle reads the cells into one array, each field a view of it:
+        `_cells.read_rows`, bit for bit as np.loadtxt, or np.loadtxt where it
+        refuses the body (another line end or cell layout, ragged rows, no rows).
 
         Given the scenario that ran it, the omega, x and pc widths are checked
         against the scenario for the trace's kind, s_tilde is rebuilt when the
@@ -241,33 +241,33 @@ class Trajectory:
         none. Without one, blocks the file does not hold, and always eta and
         pc_dot, are zero-width.
         """
+        def span(prefix):  # block prefix: prefix_0 ... prefix_{n-1}, side by side in order
+            n = sum(c.startswith(f"{prefix}_") and c[len(prefix) + 1:].isdecimal() for c in header)
+            j = header.index(f"{prefix}_0") if f"{prefix}_0" in header else 0
+            if header[j:j + n] != [f"{prefix}_{k}" for k in range(n)]:
+                raise ValueError(f"its {n} {prefix} columns are not {prefix}_0 ... in order")
+            return slice(j, j + n)
         with open(path, "rb") as fh:
-            line, data = fh.readline(), None
-            if line.isascii() and line.endswith(b"\n") and b"\r" not in line:
-                header = line[:-1].decode().split(",")
-                data = read_rows(fh, len(header), CSV_CHUNK_CELLS)
-        if data is None:  # not the writer's layout: np.loadtxt reads it, or names the fault
-            with open(path) as fh:
-                header = fh.readline().rstrip("\n").split(",")
+            try:  # a UnicodeDecodeError is a ValueError too
+                header = fh.readline().decode().rstrip("\r\n").split(",")
+                spans = {"times": header.index("t"),  # "'t' is not in list" without one
+                         **{name: span(prefix) for prefix, name in TRACE_BLOCKS}}
                 start = fh.tell()
-                try:
+                data = read_rows(fh, len(header), CSV_CHUNK_CELLS)
+                if data is None:  # not the writer's layout: np.loadtxt reads it, or names the fault
+                    fh.seek(start)
                     if not fh.readline().strip():
                         raise ValueError("no samples after the header")
                     fh.seek(start)
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)
-                except ValueError as exc:
-                    raise ConfigurationError(f"malformed trace {path}: {exc}") from exc
-        if "t" not in header or data.shape[1] != len(header):
-            raise ConfigurationError(
-                f"malformed trace {path}: {data.shape[1]} columns under {len(header)} names")
-        def block(prefix):
-            idx = [k for k, c in enumerate(header) if re.fullmatch(rf"{prefix}_\d+", c)]
-            return data[:, idx]
+            except ValueError as exc:
+                raise ConfigurationError(f"malformed trace {path}: {exc}") from exc
+        if data.shape[1] != len(header) or len(set(header)) < len(header):
+            raise ConfigurationError(f"malformed trace {path}: {data.shape[1]} columns under "
+                                     f"{len(header)} names, {len(set(header))} of them distinct")
         lyap = data[:, header.index("lyapunov")] if "lyapunov" in header else None
-        empty = np.zeros((len(data), 0))
-        traj = cls(times=data[:, header.index("t")], lyapunov=lyap,
-                   **{name: block(prefix) for prefix, name in TRACE_BLOCKS},
-                   **dict.fromkeys(("eta", "pc_dot"), empty))
+        traj = cls(lyapunov=lyap, **{name: data[:, cols] for name, cols in spans.items()},
+                   **dict.fromkeys(("eta", "pc_dot"), np.zeros((len(data), 0))))
         traj.scheme_kind = _trace_kind(traj)
         if scenario is None:
             return traj

@@ -2,8 +2,9 @@
 
 `inputs` composes the closed loop's held input the way `simulate` does, one
 step at a time, for checks of `ClosedLoop.rhs` and `ClosedLoop.step`;
-`laplacian` forms the susceptance-weighted Laplacian densely, for checks of
-the angle solve.
+`classic_rk4_step` takes one step from the four classic RK4 stages, the
+reference of `ClosedLoop.step`; `laplacian` forms the susceptance-weighted
+Laplacian densely, for checks of the angle solve.
 """
 
 
@@ -17,6 +18,16 @@ def inputs(op, p_load, xi, n_f):
         return b, None
     b[op.pc] += n_f / op.tau_c
     return b, op.tau_c / (op.tau_c + xi)
+
+
+def classic_rk4_step(op, y, b, rho):
+    """One classic RK4 step of op.dt from four op.rhs stages."""
+    dt = op.dt
+    k1 = op.rhs(y, b, rho)
+    k2 = op.rhs(y + 0.5 * dt * k1, b, rho)
+    k3 = op.rhs(y + 0.5 * dt * k2, b, rho)
+    k4 = op.rhs(y + dt * k3, b, rho)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def laplacian(model):

@@ -1,5 +1,7 @@
 """Every array argument is read by one checked converter, and its refusal
-names the field: a wrong shape, or an entry outside the field's range."""
+names the field: a wrong shape, or an entry outside the field's range. The
+last cases reach the API's other refusals: no unit or node, a communication
+graph of another width, an incomplete equilibrium, gamma + xi, xi or dt."""
 
 import re
 
@@ -9,14 +11,20 @@ import pytest
 from gridpriv import (
     DeviceSet,
     DeviceState,
+    Graph,
     NetworkModel,
     PlantState,
     PrivacyParams,
     SchemeConfig,
+    Scenario,
+    build_equilibrium,
     dc_power_flow,
     design_optimal_gains,
     device_outputs,
     device_rhs,
+    lyapunov_value,
+    refresh_privacy_signals,
+    solve_kkt,
     swing_rhs,
 )
 from gridpriv.errors import ConfigurationError, _checked_array
@@ -24,9 +32,11 @@ from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
     INTEGRAL,
     PRIMAL_DUAL,
+    PRIVACY_PRESERVING,
     SchemeState,
     scheme_rhs,
 )
+from gridpriv.sim import ClosedLoop
 from tests.conftest import make_scheme
 
 NETWORK = dict(bus_count=3, lines=((0, 1), (1, 2)), susceptance=[5.0, 8.0],
@@ -45,6 +55,19 @@ def _scheme_rhs(kind, p_c=4, psi=3, xi=4, n_f=4, s_tilde=4, omega=3, zeta=3):
         state = SchemeState(np.zeros(p_c), np.zeros(psi), np.zeros(xi), np.zeros(n_f))
         return scheme_rhs(cfg, graph, state, devices, np.zeros(s_tilde), np.zeros(omega),
                           np.zeros(zeta))
+    return call
+
+
+def _lyapunov(kind, complete=True):
+    """lyapunov_value at the rest state of the fixtures under kind, given no xi,
+    relative to build_equilibrium's result or, unless complete, solve_kkt's."""
+    def call(model, devices, comm):
+        cfg = make_scheme(kind, 4, comm.edge_count)
+        eq = solve_kkt(devices)
+        if complete:
+            eq = build_equilibrium(model, devices, comm, eq)
+        return lyapunov_value(model, devices, comm, cfg, eq, np.zeros(2), np.zeros(3),
+                              np.zeros(2), np.zeros(4), np.zeros(3))
     return call
 
 
@@ -137,6 +160,32 @@ CASES = {
                                   "omega has shape (4,), expected (3,)"),
     "scheme_rhs zeta": (_scheme_rhs(PRIMAL_DUAL, p_c=3, psi=2, zeta=4),
                         "zeta has shape (4,), expected (3,)"),
+    "no units": (lambda *_: DeviceSet(**{**UNITS, "bus": [], "is_generator": []}),
+                 "at least one unit is required"),
+    "is_generator shape": (lambda *_: DeviceSet(**{**UNITS, "is_generator": [True]}),
+                           "is_generator has shape (1,), expected (2,)"),
+    "graph nodes": (lambda *_: Graph(0, ()), "a graph needs at least one node"),
+    "build_equilibrium comm": (lambda m, d, c: build_equilibrium(m, d, m.graph, solve_kkt(d)),
+                               "communication graph must have one node per unit"),
+    "lyapunov_value dispatch only": (_lyapunov(EXTENDED_PRIMAL_DUAL, complete=False),
+                                     "equilibrium is incomplete"),
+    "lyapunov_value privacy xi": (_lyapunov(PRIVACY_PRESERVING),
+                                  "privacy scheme Lyapunov value requires xi"),
+    # the bus graph as the unit-level scheme's communication graph
+    "scheme_rhs comm": (lambda m, d, c: _scheme_rhs(EXTENDED_PRIMAL_DUAL, psi=2)(m, d, m.graph),
+                        "unit-level scheme needs a communication node per unit"),
+    "scheme_rhs gamma + xi": (lambda m, d, c: scheme_rhs(
+        make_scheme(EXTENDED_PRIMAL_DUAL, 4, 3), c,
+        SchemeState(np.zeros(4), np.zeros(3), np.full(4, -0.04), np.zeros(4)), d,
+        np.zeros(4), np.zeros(3)),
+        "gamma + xi must stay strictly positive"),
+    "refresh_privacy_signals dt": (lambda m, d, c: refresh_privacy_signals(
+        make_scheme(PRIVACY_PRESERVING, 4, 3).privacy, np.zeros(4), d.bus, np.zeros(3), 0.0,
+        np.random.default_rng(0)),
+        "dt must be positive"),
+    "ClosedLoop comm": (lambda m, d, c: ClosedLoop(Scenario(
+        m, d, None, make_scheme(EXTENDED_PRIMAL_DUAL, 4, 3), t_end=1.0)),
+        "unit-level scheme needs a communication node per unit"),
 }
 
 

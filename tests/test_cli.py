@@ -445,6 +445,43 @@ def test_attack_malformed_trace_exits_2(runner, tmp_path, damage):
     assert not (tmp_path / "report.json").exists()
 
 
+def misread_trace(lines, damage):
+    """The lines (bytes, header first) of a trace with damage done to them."""
+    names = lines[0].split(b",")
+    pc = [k for k, c in enumerate(names) if c.startswith(b"pc_")]
+    keep = list(range(len(names)))
+    if damage == "pc sorted as strings":  # pc_0, pc_1, pc_10, pc_11, pc_2, ...
+        keep[pc[0]:pc[-1] + 1] = sorted(pc, key=names.__getitem__)
+        assert keep != sorted(keep)
+    elif damage == "pc_0, pc_2":
+        keep.remove(pc[1])
+    elif damage == "0xff in a cell":
+        lines = lines[:5] + [b"\xff" + lines[5]] + lines[6:]
+    else:
+        k, name = {"repeated pc_0": (pc[1], b"pc_0"), "repeated t": (-1, b"t"),
+                   "0xff in the header": (-1, names[-1] + b"\xff")}[damage]
+        names[k] = name
+        lines = [b",".join(names)] + lines[1:]
+    return [b",".join(line.split(b",")[k] for k in keep) for line in lines]
+
+
+@pytest.mark.parametrize("damage", ["pc sorted as strings", "pc_0, pc_2", "repeated pc_0",
+                                    "repeated t", "0xff in the header", "0xff in a cell"])
+def test_attack_refuses_a_trace_it_would_misread(runner, tmp_path, damage):
+    """Block columns out of prefix_0 ... prefix_{n-1} order, a gap, a repeated
+    name or a byte that does not decode exits 2 naming the trace, with no report."""
+    scen = gen(runner, tmp_path, buses=6, t_end=2.0)  # 12 units: pc_0 ... pc_11
+    result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    trace = tmp_path / "out" / "trajectory.csv"
+    trace.write_bytes(b"\n".join(misread_trace(trace.read_bytes().splitlines(), damage)) + b"\n")
+    result = runner.invoke(main, ["attack", str(trace), "--scenario", str(scen),
+                                  "--out", str(tmp_path / "report.json")])
+    assert result.exit_code == 2, result.output
+    assert f"error: malformed trace {trace}: " in result.output
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_attack_knowledge_file(runner, tmp_path):
     scen = gen(runner, tmp_path)
     result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])

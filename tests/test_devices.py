@@ -66,10 +66,15 @@ def test_design_optimal_gains_identity():
     np.testing.assert_allclose(h[is_gen] * q[is_gen], 0.3)
 
 
-@pytest.mark.parametrize("split", [0.0, 1.0, -0.2, 1.5])
+@pytest.mark.parametrize("split", [0.0, 1.0, -0.2, 1.5, [0.5, 0.5, 0.5]])
 def test_design_gains_split_bounds(split):
+    """A split outside (0, 1), or of neither one entry nor one a unit, is
+    refused by name, by design_optimal_gains and so by DeviceSet."""
     with pytest.raises(ConfigurationError):
         design_optimal_gains(np.array([100.0]), np.array([True]), split)
+    with pytest.raises(ConfigurationError, match="^droop_split "):
+        DeviceSet([0, 0], [True, False], [1.0, 1.0], [100.0, 100.0], [0.0, 0.0], 1,
+                  droop_split=split)
 
 
 @settings(max_examples=50, deadline=None)

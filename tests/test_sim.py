@@ -46,7 +46,7 @@ from gridpriv.sim import (
     write_csv,
 )
 from tests.conftest import ALL_KINDS, make_scenario, read_csv
-from tests.reference_dynamics import inputs
+from tests.reference_dynamics import classic_rk4_step, inputs
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -304,23 +304,43 @@ def test_csv_write_refuses_a_block_that_is_not_float64(tmp_path, dtype):
 def test_from_csv_reads_the_old_trace_format(tmp_path, scenario_factory):
     """CRLF line ends and repr cells, as csv.writer wrote traces before."""
     traj = simulate(scenario_factory(PRIVACY_PRESERVING, t_end=1.0))
-    header = ["t"] + [f"{prefix}_{k}" for prefix, block in (
-        ("omega", traj.omega), ("pc", traj.p_c), ("psi", traj.psi), ("x", traj.x),
-        ("s_tilde", traj.s_tilde), ("xi", traj.xi), ("nf", traj.n_f))
-        for k in range(block.shape[1])] + ["lyapunov"]
-    data = np.hstack([traj.times[:, None], traj.omega, traj.p_c, traj.psi, traj.x,
-                      traj.s_tilde, traj.xi, traj.n_f, traj.lyapunov[:, None]])
     path = tmp_path / "old.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in data:
-            writer.writerow([repr(float(v)) for v in row])
+    write_earlier_format_trace(path, traj)
     assert b"\r\n" in path.read_bytes()
     back = Trajectory.from_csv(path)
     for name in ("times", "omega", "p_c", "psi", "x", "s_tilde", "xi", "n_f", "lyapunov"):
         np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
     assert back.scheme_kind == PRIVACY_PRESERVING
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["read_rows", "loadtxt"])
+def test_from_csv_fields_are_views_of_one_array(tmp_path, scenario_factory, monkeypatch,
+                                                line_end):
+    """Every block read is a view of the one array of cells, on the block
+    reader's path and on np.loadtxt's; a column of no block (note) is ignored."""
+    traj = simulate(scenario_factory(PRIVACY_PRESERVING, t_end=1.0))
+    path = tmp_path / "trace.csv"
+    traj.to_csv(path)
+    header, *rows = path.read_bytes().splitlines()
+    path.write_bytes(line_end.join([header + b",note"] + [row + b",1" for row in rows]) + line_end)
+    block_reader, read = sim_module.read_rows, []
+
+    def spy(*args):
+        read.append(block_reader(*args))
+        return read[-1]
+
+    monkeypatch.setattr(sim_module, "read_rows", spy)
+    back = Trajectory.from_csv(path)
+    assert (read[0] is None) == (line_end == b"\r\n")
+    names = {name for name, field in vars(back).items()
+             if isinstance(field, np.ndarray) and field.size and name != "times"}
+    assert names == {"omega", "x", "p_c", "psi", "xi", "n_f", "lyapunov"}
+    cells = back.times.base  # the one array the cells were read into
+    assert cells.shape == (len(rows), len(header.split(b",")) + 1)
+    for name in names:
+        field = getattr(back, name)
+        assert field.base is cells and np.shares_memory(field, cells)
+        np.testing.assert_array_equal(field, getattr(traj, name))
 
 
 @pytest.mark.parametrize("stride", [1, 3])
@@ -658,16 +678,6 @@ def test_closed_loop_matches_per_stage_functions(scenario_factory, system, kind)
         got = op.rhs(y, *inputs(op, p_load, xi, n_f))
         for got_block, want_block in zip(op.blocks(got), op.blocks(want)):
             assert_close(got_block, want_block)
-
-
-def classic_rk4_step(op, y, b, rho):
-    """One classic RK4 step of op.dt from four op.rhs stages."""
-    dt = op.dt
-    k1 = op.rhs(y, b, rho)
-    k2 = op.rhs(y + 0.5 * dt * k1, b, rho)
-    k3 = op.rhs(y + 0.5 * dt * k2, b, rho)
-    k4 = op.rhs(y + dt * k3, b, rho)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @pytest.mark.parametrize("dt", (0.01, 0.1))

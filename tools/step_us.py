@@ -15,8 +15,9 @@ step_rel_err is the largest departure of one `ClosedLoop.step` increment from
 the classic stages' increment (y + dt/2 k1, y + dt/2 k2, y + dt k3, then
 (dt/6)(k1 + 2 k2 + 2 k3 + k4)) relative to the largest entry of its state
 block, over the four schemes on the 4-bus scenario at random states, loads
-and privacy signals, at dt 0.01 and 0.1; `tests/reference_dynamics.inputs`
-composes each input. Exits 1 when it exceeds 1e-12; the times are only
+and privacy signals, at dt 0.01 and 0.1; `tests/reference_dynamics.py`
+composes each input (`inputs`) and takes the classic step
+(`classic_rk4_step`). Exits 1 when it exceeds 1e-12; the times are only
 reported.
 """
 
@@ -33,7 +34,7 @@ from gridpriv.schemes import SCHEME_KINDS
 from gridpriv.sim import ClosedLoop
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root
-from tests.reference_dynamics import inputs  # noqa: E402
+from tests.reference_dynamics import classic_rk4_step, inputs  # noqa: E402
 
 SIZES = ((4, (2, 3), 5.0), (10, (4, 4), 5.0), (200, (3, 5), 2.0))  # buses, units per bus, t_end
 REPEATS, SEED, TOLERANCE = 5, 7, 1e-12
@@ -60,16 +61,6 @@ def _timed(fn, *args):
     return perf_counter() - t0
 
 
-def classic_step(op, y, b, rho):
-    """One classic RK4 step of op.dt from four op.rhs stages."""
-    dt = op.dt
-    k1 = op.rhs(y, b, rho)
-    k2 = op.rhs(y + 0.5 * dt * k1, b, rho)
-    k3 = op.rhs(y + 0.5 * dt * k2, b, rho)
-    k4 = op.rhs(y + dt * k3, b, rho)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def step_rel_err(sc, rng):
     """Largest blockwise relative departure of op.step's increment from the classic one."""
     n_units = sc.devices.n_units
@@ -82,7 +73,7 @@ def step_rel_err(sc, rng):
             b, rho = inputs(op, rng.normal(scale=0.2, size=n_units), xi,
                             rng.normal(scale=0.01, size=n_units))
             got = op.step(y, b, rho)[1] - y
-            want = classic_step(op, y, b, rho) - y
+            want = classic_rk4_step(op, y, b, rho) - y
             for g, w in zip(op.blocks(got), op.blocks(want)):
                 if w.size:  # an all-zero block of the classic increment raises
                     worst = max(worst, float(np.abs(g - w).max()) / float(np.abs(w).max()))
