@@ -30,4 +30,4 @@ from .sim import (
     steady_state_metrics,
 )
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"

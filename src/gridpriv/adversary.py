@@ -2,12 +2,18 @@
 
 A naive eavesdropper only reads what is on the wire; with the bus-level
 scheme that is the prosumption itself. An informed eavesdropper knows the
-controller dynamics, including the communication `Graph` and its
-incidence H, and reconstructs the prosumption from the power command
+controller dynamics, including the communication `Graph` (its edges, so
+the incidence H), and reconstructs the prosumption from the power command
 trajectories: it integrates the consensus states from the observed
 commands and inverts the command dynamics,
 s_hat = gamma * pc_dot + H psi_hat. The privacy scheme defeats this
 because the true dynamics carry the unknown signal n.
+
+The observer walks the trace a block of about BLOCK_CELLS cells at a time
+on the graph's edge arrays (`Graph.edge_diff`, `Graph.node_sum`), so it
+holds one (samples x units) array, the s_hat it returns, and never forms
+the dense H. It calls no BLAS routine, so its report does not depend on
+the BLAS thread count.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +27,7 @@ FORWARD_DIFF = "forward"
 CENTRAL_DIFF = "central"
 EXACT_DERIV = "exact"
 ORIGIN_WINDOW = 2.0  # s after the disturbance that origin detection looks at
+BLOCK_CELLS = 1 << 14  # (samples x units) cells the observer works on at a time
 
 
 @dataclass
@@ -114,25 +121,26 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
     if traj.s_tilde.shape[1] == 0:
         raise ConfigurationError("trajectory carries no prosumption s_tilde; a trace file "
                                  "holds it only under primal_dual, read it with its scenario")
-    H = comm.incidence
 
     warnings_out = []
     mask = knowledge.observed_mask(n_units)
-    pc_obs = p_c
     if not mask.all():
         if deriv == EXACT_DERIV:
             raise ConfigurationError("the exact-derivative attack needs every channel observed")
-        pc_obs = np.where(mask[None, :], p_c, 0.0)
         warnings_out.append(
             "partial knowledge: unobserved channels "
             f"{np.flatnonzero(~mask).tolist()} zero-filled"
         )
-    s_hat = _reconstruct(traj, pc_obs, H, cfg, deriv)
+    s_hat = _reconstruct(traj, mask, comm, cfg, deriv)
 
-    err = s_hat - traj.s_tilde
-    rmse_transient = float(np.sqrt(err.ravel() @ err.ravel() / err.size))
     tail = times >= times[-1] - max(dt, 0.05 * (times[-1] - times[0]))
-    rmse_steady = float(np.sqrt(np.mean(err[tail].mean(axis=0) ** 2)))
+    square_sum, tail_sum = 0.0, np.zeros(n_units)
+    for rows in _blocks(*s_hat.shape):
+        err = s_hat[rows] - traj.s_tilde[rows]
+        square_sum += np.einsum("ij,ij->", err, err)  # no BLAS: the same bits at any thread count
+        tail_sum += err[tail[rows]].sum(axis=0)
+    rmse_transient = float(np.sqrt(square_sum / s_hat.size))
+    rmse_steady = float(np.sqrt(np.mean((tail_sum / np.count_nonzero(tail)) ** 2)))
 
     ranking = None
     if disturbance_time is not None:
@@ -146,18 +154,28 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
                         origin_ranking=ranking, warnings=warnings_out)
 
 
-def _reconstruct(traj, pc_obs, H, cfg, deriv):
-    """s_hat = gamma * pc_dot + H psi_hat for every unit, holding at most two
-    (samples x units) arrays besides the trajectory and pc_obs."""
+def _blocks(samples, width):
+    """Row slices of about BLOCK_CELLS cells of a (samples x width) array, in order."""
+    step = max(1, BLOCK_CELLS // width)
+    return [slice(a, min(a + step, samples)) for a in range(0, samples, step)]
+
+
+def _reconstruct(traj, mask, comm, cfg, deriv):
+    """s_hat = gamma * pc_dot + H psi_hat for every unit, with the unobserved
+    channels (mask False) zero-filled. s_hat starts as gamma * pc_dot, and H
+    psi_hat is added into it a block of samples at a time, so besides s_hat
+    only one block's temporaries are held."""
     if deriv == EXACT_DERIV:
-        s_hat = traj.psi @ H.T
-        s_hat += cfg.gamma * traj.pc_dot
-        return s_hat
-    psi0 = traj.psi[0] if traj.psi.shape[1] == H.shape[1] else None
-    s_hat = _integrate_psi(pc_obs, H, cfg.gamma_psi, traj.dt, psi0) @ H.T
-    pc_dot = _finite_difference(pc_obs, traj.dt, deriv)
-    pc_dot *= cfg.gamma
-    s_hat += pc_dot
+        s_hat = cfg.gamma * traj.pc_dot
+        psi_blocks = ((rows, traj.psi[rows]) for rows in _blocks(*s_hat.shape))
+    else:
+        s_hat = _finite_difference(traj.p_c, traj.dt, deriv)
+        s_hat *= cfg.gamma
+        s_hat[:, ~mask] = 0.0
+        psi0 = traj.psi[0] if traj.psi.shape[1] == comm.edge_count else np.zeros(comm.edge_count)
+        psi_blocks = _integrate_psi(traj.p_c, mask, comm, cfg.gamma_psi, traj.dt, psi0)
+    for rows, psi_rows in psi_blocks:
+        s_hat[rows] += comm.node_sum(psi_rows)
     return s_hat
 
 
@@ -175,18 +193,33 @@ def _finite_difference(signal, dt, kind):
     return out
 
 
-def _integrate_psi(p_c, H, gamma_psi, dt, psi0=None):
-    """Trapezoid integration of the consensus dynamics from observed commands,
-    in place in the returned array."""
-    rhs = p_c @ H
-    rhs /= gamma_psi
-    psi = np.empty_like(rhs)
-    psi[0] = np.zeros(H.shape[1]) if psi0 is None else np.asarray(psi0, dtype=float)
-    np.add(rhs[1:], rhs[:-1], out=psi[1:])
-    psi[1:] *= 0.5 * dt
-    np.cumsum(psi[1:], axis=0, out=psi[1:])
-    psi[1:] += psi[0]
-    return psi
+def _integrate_psi(p_c, mask, graph, gamma_psi, dt, psi0):
+    """Trapezoid integration of the consensus dynamics Hᵀ p_c / gamma_psi from
+    psi0, with the unobserved channels of p_c (mask False) zero-filled.
+
+    Yields (rows, psi_hat[rows]) a block at a time. The running sum of the
+    trapezoids and the last rate carry over from one block to the next, so
+    psi_hat[k] = psi0 + cumsum(increments)[k] as the whole-array integral.
+    """
+    carry = np.zeros(graph.edge_count)  # sum of the increments so far
+    last_rate, partial = None, not mask.all()
+    for rows in _blocks(*p_c.shape):
+        rate = graph.edge_diff(np.where(mask, p_c[rows], 0.0) if partial else p_c[rows])
+        rate /= gamma_psi
+        psi = np.empty_like(rate)
+        np.add(rate[1:], rate[:-1], out=psi[1:])
+        if last_rate is None:
+            psi[0] = 0.0  # psi_hat[0] is psi0 itself
+        else:
+            np.add(rate[0], last_rate, out=psi[0])
+        last_rate = rate[-1].copy()
+        del rate  # free the block's rates before H psi_hat is formed
+        psi *= 0.5 * dt
+        psi[0] += carry
+        np.cumsum(psi, axis=0, out=psi)
+        carry = psi[-1].copy()
+        psi += psi0
+        yield rows, psi
 
 
 def origin_detection(traj, disturbance_time, window=ORIGIN_WINDOW):

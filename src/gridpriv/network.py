@@ -2,8 +2,10 @@
 
 `Graph` is the one graph type, for the network's lines and the controllers'
 communication graph alike. It validates its edges once and owns the edge
-difference Hᵀv, the node sum H f, the weighted-Laplacian potential solve
-and the dense incidence H, built on first use.
+difference Hᵀv, the node sum H f (both along the last axis, on the edges'
+index arrays), the weighted-Laplacian potential solve and the dense
+incidence H, built on first use; only the per-stage reference and the tests
+use H.
 
 The grid is a connected graph of buses and lossless lines. Line power is
 linear in the phase-angle difference (small-angle approximation), and bus
@@ -60,13 +62,20 @@ class Graph:
         return H
 
     def edge_diff(self, v):
-        """Hᵀ v: v at each edge's tail minus v at its head, along v's first axis."""
-        return v[self.tail] - v[self.head]
+        """Hᵀ v along v's last axis: v at each edge's tail minus v at its head."""
+        diff = v[..., self.tail]
+        diff -= v[..., self.head]
+        return diff
 
     def node_sum(self, f):
-        """H f: per node, f over its out-edges minus f over its in-edges."""
-        n = self.node_count
-        return np.bincount(self.tail, f, n) - np.bincount(self.head, f, n)
+        """H f along f's last axis: per node, f over its out-edges minus f over
+        its in-edges. A leading axis is flattened into one bincount per end."""
+        n, lead = self.node_count, f.shape[:-1]
+        first = np.arange(0, n * int(np.prod(lead)), n).reshape(*lead, 1)  # each row's node 0
+        f, size = f.ravel(), first.size * n
+        out = np.bincount((first + self.tail).ravel(), f, size)
+        out -= np.bincount((first + self.head).ravel(), f, size)
+        return out.reshape(*lead, n)
 
     def potentials(self, weights, s):
         """Potentials z with L z = s and sum(z) = 0, for the Laplacian L of

@@ -255,8 +255,8 @@ class Trajectory:
                 start = fh.tell()
                 data = read_rows(fh, len(header), CSV_CHUNK_CELLS)
                 if data is None:  # not the writer's layout: np.loadtxt reads it, or names the fault
-                    fh.seek(start)
-                    if not fh.readline().strip():
+                    fh.seek(start)  # a row is a line np.loadtxt does not skip as blank or comment
+                    if not any(line.partition(b"#")[0].rstrip(b"\r\n") for line in fh):
                         raise ValueError("no samples after the header")
                     fh.seek(start)
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)

@@ -1,9 +1,15 @@
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridpriv
 from gridpriv import (
     Graph,
     KnowledgeSet,
@@ -196,7 +202,47 @@ def test_observer_matches_whole_array_reference(pp_run, deriv, channels):
     assert report.rmse_transient == pytest.approx(rmse, rel=1e-14)
 
 
-def test_observer_without_targets_is_lean_and_equals_all_targets():
+def truncated(traj, samples):
+    """The first `samples` samples of a trajectory."""
+    return dataclasses.replace(traj, **{f.name: getattr(traj, f.name)[:samples]
+                                        for f in dataclasses.fields(traj)
+                                        if isinstance(getattr(traj, f.name), np.ndarray)})
+
+
+@pytest.mark.parametrize("samples", [2, 7, 100, None])
+@pytest.mark.parametrize("block_cells", [1, 12, 28])
+@pytest.mark.parametrize("deriv,channels", [(CENTRAL_DIFF, "all"), (CENTRAL_DIFF, [0, 2, 3]),
+                                            (FORWARD_DIFF, "all"), (FORWARD_DIFF, [1]),
+                                            (EXACT_DERIV, "all")])
+def test_observer_blocks_match_whole_array_reference(pp_run, monkeypatch, samples, block_cells,
+                                                     deriv, channels):
+    """With blocks of one row, or of 3 and 7 rows of the 4 units, the trace ends
+    inside a block (7, 100 and 1501 samples) or is shorter than one (2), and the
+    carried-over integral still gives the whole-array estimate."""
+    monkeypatch.setattr(adversary_module, "BLOCK_CELLS", block_cells)
+    sc, traj = pp_run
+    traj = truncated(traj, samples)
+    knowledge = KnowledgeSet(observed_channels=channels)
+    report = observer_attack(traj, sc.comm, sc.scheme, knowledge, deriv=deriv)
+    if deriv == EXACT_DERIV:
+        s_hat = sc.scheme.gamma * traj.pc_dot + traj.psi @ sc.comm.incidence.T
+    else:
+        s_hat = reference_attack(traj, sc.comm, sc.scheme, knowledge.observed_mask(4), deriv)[0]
+    err = s_hat - traj.s_tilde
+    times = traj.times
+    tail = times >= times[-1] - max(traj.dt, 0.05 * (times[-1] - times[0]))
+    np.testing.assert_allclose(report.s_hat, s_hat, rtol=1e-12, atol=1e-12 * np.abs(s_hat).max())
+    assert report.rmse_transient == pytest.approx(np.sqrt(np.mean(err**2)), rel=1e-12)
+    assert report.rmse_steady == pytest.approx(
+        np.sqrt(np.mean(err[tail].mean(axis=0) ** 2)), rel=1e-12)
+
+
+def test_observer_without_targets_is_lean_and_equals_all_targets(monkeypatch):
+    """Besides the s_hat it returns, the attack holds one block of samples: a few
+    arrays of the block's rows by units or edges, and numpy's ufunc buffers for
+    the whole-trace operations on strided trace columns. It never forms the
+    dense incidence. Blocks of 2^10 cells split the 501-sample trace in 63."""
+    monkeypatch.setattr(adversary_module, "BLOCK_CELLS", 1 << 10)
     sc = build_scenario(gen_scenario(RandomScenarioSpec(bus_count=30, t_end=5.0, seed=2)))
     traj = simulate(sc)
     n = sc.devices.n_units
@@ -206,9 +252,43 @@ def test_observer_without_targets_is_lean_and_equals_all_targets():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * traj.p_c.size * 8  # at most three (samples x units) arrays
+    block = 8 * (adversary_module.BLOCK_CELLS // n) * (n + sc.comm.edge_count)
+    assert peak <= traj.p_c.nbytes + 4 * block + 2 * 8 * np.getbufsize()
+    assert "incidence" not in vars(sc.comm)
     assert plain.s_hat.shape == traj.s_tilde.shape
     assert plain.to_dict()["target_units"] == list(range(n))
+
+
+ATTACK_SCRIPT = """
+import hashlib, pathlib, pickle, sys
+from gridpriv import KnowledgeSet, observer_attack
+for traj, comm, cfg in pickle.loads(pathlib.Path(sys.argv[1]).read_bytes()):
+    r = observer_attack(traj, comm, cfg, KnowledgeSet())
+    print(r.rmse_transient.hex(), r.rmse_steady.hex(), hashlib.sha256(r.s_hat.tobytes()).hexdigest())
+"""
+
+
+def test_observer_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """The same privacy traces attacked at one and at two OpenBLAS threads give the
+    same bits, because the attack calls no BLAS routine. On the 40-bus trace a
+    BLAS dot product of the whole error rounds differently at the two counts."""
+    runs = []
+    for buses, t_end in ((10, 30.0), (40, 10.0)):
+        sc = build_scenario(gen_scenario(RandomScenarioSpec(
+            bus_count=buses, t_end=t_end, seed=7, scheme_kind=PRIVACY_PRESERVING)))
+        runs.append((simulate(sc), sc.comm, sc.scheme))
+    path = tmp_path / "runs.pkl"
+    path.write_bytes(pickle.dumps(runs))
+    src = str(Path(gridpriv.__file__).parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", ATTACK_SCRIPT, str(path)], env=env,
+                              capture_output=True, text=True, check=True, timeout=300)
+        out.append(done.stdout.split())
+    assert len(out[0]) == 6
+    assert out[0] == out[1]
 
 
 def test_origin_detection_finds_disturbed_unit(scenario_factory):

@@ -254,6 +254,27 @@ def test_line_ends_the_writer_never_emits_read_as_loadtxt(tmp_path, ending):
     np.testing.assert_array_equal(np.column_stack([back.times, back.x]), want)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", [b"\n0,1\n0.01,2\n", b"\r\n\r\n0,1\r\n0.01,2", b"#c\n0,1\n0.01,2\n"],
+                         ids=["blank", "crlf-blanks", "comment"])
+def test_rows_after_blank_first_lines_are_read(tmp_path, body):
+    """Blank and comment lines before the first row are skipped as np.loadtxt skips them."""
+    path = tmp_path / "blank.csv"
+    path.write_bytes(b"t,x_0\n" + body)
+    back = Trajectory.from_csv(path)
+    assert np.column_stack([back.times, back.x]).tolist() == [[0.0, 1.0], [0.01, 2.0]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", [b"", b"\n", b"\r\n\n", b"#c\n"],
+                         ids=["none", "blank", "blanks", "comment"])
+def test_a_body_without_a_row_is_refused_without_a_warning(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"t,x_0\n" + body)
+    with pytest.raises(ConfigurationError, match="no samples after the header"):
+        Trajectory.from_csv(path)
+
+
 def test_reader_across_row_blocks(tmp_path):
     """Blocks of about 40 cells cut the rows at every place; a row of 60 cells
     takes more than one read, and the last row has no line end. Rows of zeros

@@ -132,11 +132,15 @@ def test_graph_incidence_is_built_once_from_the_endpoints():
 
 
 def test_graph_edge_diff_and_node_sum_match_incidence():
+    """Both work along the last axis; a leading (sample) axis is one row per sample."""
     g, rng = MESHED, np.random.default_rng(0)
-    for v in (rng.normal(size=5), rng.normal(size=(5, 3))):
-        np.testing.assert_array_equal(g.edge_diff(v), g.incidence.T @ v)
-    f = rng.normal(size=6)
-    np.testing.assert_allclose(g.node_sum(f), g.incidence @ f, rtol=0, atol=1e-15)
+    for v in (rng.normal(size=5), rng.normal(size=(3, 5)), rng.normal(size=(2, 3, 5))):
+        np.testing.assert_array_equal(g.edge_diff(v), v @ g.incidence)
+    for f in (rng.normal(size=6), rng.normal(size=(3, 6)), rng.normal(size=(2, 3, 6))):
+        np.testing.assert_allclose(g.node_sum(f), f @ g.incidence.T, rtol=0, atol=1e-15)
+    rows = rng.normal(size=(4, 6))
+    np.testing.assert_array_equal(g.node_sum(rows), [g.node_sum(f) for f in rows])
+    assert g.node_sum(rows[:0]).shape == (0, 5)
 
 
 def test_graph_potential_flow_is_min_norm_solution():
