@@ -10,10 +10,13 @@ s_hat = gamma * pc_dot + H psi_hat. The privacy scheme defeats this
 because the true dynamics carry the unknown signal n.
 
 The observer walks the trace a block of about BLOCK_CELLS cells at a time
-on the graph's edge arrays (`Graph.edge_diff`, `Graph.node_sum`), so it
-holds one (samples x units) array, the s_hat it returns, and never forms
-the dense H. It calls no BLAS routine, so its report does not depend on
-the BLAS thread count.
+on the graph's edge arrays (`Graph.edge_diff`, `Graph.node_sum`), and
+reads the true prosumption, and the command derivatives of the idealized
+attack, a block at a time from the trajectory, which derives them
+(`Trajectory.s_tilde_rows`, `Trajectory.pc_dot_rows`). So it holds one
+(samples x units) array, the s_hat it returns, and never forms the dense
+H. It calls no BLAS routine, so its report does not depend on the BLAS
+thread count.
 """
 
 from dataclasses import dataclass, field
@@ -87,12 +90,13 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
     """Reconstruct every unit's prosumption from power command trajectories.
 
     deriv selects the command-derivative estimate: finite differences on
-    the recorded samples, or the trajectory's stored derivatives for the
-    idealized adversary. In the idealized case the consensus states are
-    taken as exactly integrated (the stored ones), so every channel must be
-    observed; otherwise they are trapezoid-integrated from the first
-    recorded consensus sample (the trace starts at a known steady state),
-    and unobserved channels are zero-filled. A trace without consensus
+    the recorded samples, or, for the idealized adversary, the run's own,
+    which a simulated trajectory derives from its scenario. In the
+    idealized case the consensus states are taken as exactly integrated
+    (the stored ones), so every channel must be observed; otherwise they
+    are trapezoid-integrated from the first recorded consensus sample (the
+    trace starts at a known steady state), and unobserved channels are
+    zero-filled. A trace without consensus
     states starts the integration at zero, so the estimate carries a
     constant bias. The RMSE is over all samples. A disturbance_time adds
     the origin_detection ranking over the ORIGIN_WINDOW seconds after it,
@@ -113,12 +117,13 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
                                  f"columns, the graph has {comm.node_count} nodes")
     if deriv not in (FORWARD_DIFF, CENTRAL_DIFF, EXACT_DERIV):
         raise ConfigurationError(f"unknown derivative estimator {deriv!r}")
-    if deriv == EXACT_DERIV and traj.pc_dot.shape[1] != n_units:
-        raise ConfigurationError("trajectory carries no stored derivatives")
+    if deriv == EXACT_DERIV and traj.scenario is None:
+        raise ConfigurationError("trajectory carries no stored derivatives; only a simulated "
+                                 "one, which holds its scenario, derives them")
     if len(times) < 2:
         raise ConfigurationError("trajectory has fewer than two samples; the attack needs "
                                  "dt and one command difference")
-    if traj.s_tilde.shape[1] == 0:
+    if traj.scenario is None and traj.s_tilde.shape[1] == 0:
         raise ConfigurationError("trajectory carries no prosumption s_tilde; a trace file "
                                  "holds it only under primal_dual, read it with its scenario")
 
@@ -135,8 +140,9 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
 
     tail = times >= times[-1] - max(dt, 0.05 * (times[-1] - times[0]))
     square_sum, tail_sum = 0.0, np.zeros(n_units)
-    for rows in _blocks(*s_hat.shape):
-        err = s_hat[rows] - traj.s_tilde[rows]
+    blocks = _blocks(*s_hat.shape)
+    for rows, s_tilde in zip(blocks, traj.s_tilde_rows(blocks)):
+        err = s_hat[rows] - s_tilde
         square_sum += np.einsum("ij,ij->", err, err)  # no BLAS: the same bits at any thread count
         tail_sum += err[tail[rows]].sum(axis=0)
     rmse_transient = float(np.sqrt(square_sum / s_hat.size))
@@ -166,8 +172,11 @@ def _reconstruct(traj, mask, comm, cfg, deriv):
     psi_hat is added into it a block of samples at a time, so besides s_hat
     only one block's temporaries are held."""
     if deriv == EXACT_DERIV:
-        s_hat = cfg.gamma * traj.pc_dot
-        psi_blocks = ((rows, traj.psi[rows]) for rows in _blocks(*s_hat.shape))
+        blocks = _blocks(*traj.p_c.shape)
+        s_hat = np.empty(traj.p_c.shape)
+        for rows, pc_dot in zip(blocks, traj.pc_dot_rows(blocks)):
+            np.multiply(cfg.gamma, pc_dot, out=s_hat[rows])
+        psi_blocks = ((rows, traj.psi[rows]) for rows in blocks)
     else:
         s_hat = _finite_difference(traj.p_c, traj.dt, deriv)
         s_hat *= cfg.gamma

@@ -19,15 +19,20 @@ signals are inputs, not integrated states, held over a step and drawn
 DRAW_BLOCK_ROWS steps at a time: the xi walk for a whole block
 (`draw_privacy_block`) and rho beside it, then n_f step by step from omega,
 as n_f / tau0 onto the command rows of a copy of B p_load. A seed gives the
-same draws as drawing one step at a time. The run records the state,
-pc_dot, the privacy draws and the prosumption s_tilde; s_tilde and the
-Lyapunov column are computed after the loop, a chunk of samples at a time.
+same draws as drawing one step at a time. The run records the state and
+the privacy draws, and the Lyapunov column after the loop, a chunk of
+samples at a time. The prosumption s_tilde and the command derivatives
+pc_dot are not stored: the `Trajectory` holds the scenario it ran and
+derives both from the recorded state a block of samples at a time
+(`Trajectory.s_tilde_rows`, `Trajectory.pc_dot_rows`): pc_dot bit for bit
+the k1 of the run's steps.
 
 A trace file holds what a run integrates, draws or sends: every state
 block but eta, the Lyapunov column, xi and n_f when they hold a non-zero
 value, and s_tilde only under primal_dual, where it is on the wire; its
 columns alone give the scheme kind (`_trace_kind`). `Trajectory.from_csv`
-given the scenario rebuilds s_tilde as `simulate` does, bit for bit.
+given the scenario rebuilds s_tilde as a simulated trajectory derives it,
+bit for bit.
 `write_csv`, the writer of every CSV file, gives each cell the bytes of
 '%.17g'; it computes them for a float64 block at a time (`_cells.g17_rows`),
 which hands ties and cells out of its range to '%'. `from_csv` reads a block
@@ -37,7 +42,7 @@ np.loadtxt, which reads a body of any other layout from the same handle.
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,11 +193,14 @@ class Trajectory:
 
     The fields `simulate` or `from_csv` returns are views into one buffer;
     outside the privacy scheme xi and n_f are read-only zero views. p_M and d_c
-    are not stored; `marginal_costs` derives them with `unit_outputs`. A trace
-    file holds what a run integrates, draws or sends (see `to_csv`); `from_csv`
-    reads the scheme kind from its columns and, given the scenario, rebuilds
-    the rest but eta and pc_dot. It refuses a header that repeats a name, does
-    not decode or misorders a block's prefix_k.
+    are not stored; `marginal_costs` derives them with `unit_outputs`. Nor
+    are s_tilde and pc_dot: a run holds the scenario it ran, and they are
+    derived from it a block of samples at a time (`s_tilde_rows`,
+    `pc_dot_rows`) or whole (the `s_tilde` and `pc_dot` properties). A trace
+    file holds what a run integrates, draws or sends (see `to_csv`);
+    `from_csv` reads the scheme kind from its columns and, given the
+    scenario, rebuilds the rest but eta and pc_dot. It refuses a header that
+    repeats a name, does not decode or misorders a block's prefix_k.
     """
 
     times: np.ndarray
@@ -203,11 +211,44 @@ class Trajectory:
     psi: np.ndarray  # (T, n_comm_edges)
     xi: np.ndarray  # (T, n_units)
     n_f: np.ndarray  # (T, n_units)
-    s_tilde: np.ndarray  # (T, n_units)
-    pc_dot: np.ndarray  # (T, n_controllers)
     lyapunov: np.ndarray | None = None  # (T,) for unit-level consensus schemes
     scheme_kind: str = EXTENDED_PRIMAL_DUAL
     equilibrium: object = None  # reference used for the Lyapunov column
+    scenario: object = None  # the Scenario `simulate` ran; s_tilde and pc_dot derive from it
+    _s_tilde: np.ndarray | None = field(default=None, init=False, repr=False)  # a file's
+
+    @property
+    def s_tilde(self):
+        """(T, n_units) prosumption, whole (see `s_tilde_rows`)."""
+        return next(self.s_tilde_rows([slice(None)]))
+
+    @property
+    def pc_dot(self):
+        """(T, n_controllers) command derivatives, whole (see `pc_dot_rows`)."""
+        return next(self.pc_dot_rows([slice(None)]))
+
+    def s_tilde_rows(self, slices):
+        """Yield s_tilde[rows] for each row slice: a trace file's columns, or,
+        given the scenario, the prosumption at x, p_c and omega under the load
+        `Scenario.load_segments` places at the rows' times; zero-width with
+        neither."""
+        for rows in slices:
+            if self._s_tilde is not None:
+                yield self._s_tilde[rows]
+            elif self.scenario is None:
+                yield np.zeros((len(self.times[rows]), 0))
+            else:
+                yield _s_tilde_at(self.scenario, self.scheme_kind, self.times[rows],
+                                  self.x[rows], self.p_c[rows], self.omega[rows])
+
+    def pc_dot_rows(self, slices):
+        """Yield pc_dot[rows] for each row slice: given the scenario, the
+        command rows of dy at the recorded state, load, xi and n_f
+        (`ClosedLoop.command_rates`), bit for bit the run's; zero-width
+        without it, as for a trace file."""
+        if self.scenario is None:
+            return (np.zeros((len(self.times[rows]), 0)) for rows in slices)
+        return ClosedLoop(self.scenario).command_rates(self, slices)
 
     @property
     def dt(self):
@@ -266,8 +307,10 @@ class Trajectory:
             raise ConfigurationError(f"malformed trace {path}: {data.shape[1]} columns under "
                                      f"{len(header)} names, {len(set(header))} of them distinct")
         lyap = data[:, header.index("lyapunov")] if "lyapunov" in header else None
-        traj = cls(lyapunov=lyap, **{name: data[:, cols] for name, cols in spans.items()},
-                   **dict.fromkeys(("eta", "pc_dot"), np.zeros((len(data), 0))))
+        s_tilde = data[:, spans.pop("s_tilde")]
+        traj = cls(lyapunov=lyap, eta=np.zeros((len(data), 0)),
+                   **{name: data[:, cols] for name, cols in spans.items()})
+        traj._s_tilde = s_tilde
         traj.scheme_kind = _trace_kind(traj)
         if scenario is None:
             return traj
@@ -283,9 +326,9 @@ class Trajectory:
         for name in ("xi", "n_f"):
             if getattr(traj, name).shape[1] == 0:
                 setattr(traj, name, zeros)
-        if traj.s_tilde.shape[1] == 0:
-            traj.s_tilde = _record_s_tilde(scenario, traj.scheme_kind, traj.times, traj.x,
-                                           traj.p_c, traj.omega, np.empty(zeros.shape))
+        if s_tilde.shape[1] == 0:
+            traj._s_tilde = _s_tilde_at(scenario, traj.scheme_kind, traj.times, traj.x, traj.p_c,
+                                        traj.omega)
         return traj
 
 
@@ -454,6 +497,49 @@ class ClosedLoop:
         """Views of the BLOCKS of a stacked state, or of each row of a stack."""
         return tuple(y[..., a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:]))
 
+    def command_rates(self, traj, slices):
+        """Yield the command rows of dy at each row slice of a trajectory this
+        loop ran: A y, plus the held load input (and n_f / tau0 under
+        privacy), times rho from the recorded xi. A y is summed from A's
+        command-row entries, kept in their order, by one flattened bincount
+        per OUTPUT_CHUNK_ROWS samples at most. Each row's terms are `rhs`'s,
+        added in its order, so the rates are the run's k1 bit for bit. Only
+        the state columns those entries read are gathered, a run of entries
+        that reads one block's columns in ascending order at a time: a slice
+        of the block when they are consecutive, else a take."""
+        c0, n_ctrl = self.pc.start, self.pc.stop - self.pc.start
+        entries = np.flatnonzero((self.rows >= c0) & (self.rows < self.pc.stop))
+        rows, cols, vals = self.rows[entries] - c0, self.cols[entries], self.vals[entries]
+        block = np.searchsorted(self.offsets, cols, side="right") - 1
+        cuts = np.flatnonzero((np.diff(block) != 0) | (np.diff(cols) < 0)) + 1
+        fields = (traj.eta, traj.omega, traj.x, traj.p_c, traj.psi)
+        runs = []  # (entries, state block, its columns) of each run, in order
+        for a, b in zip([0, *cuts], [*cuts, cols.size]):
+            local = cols[a:b] - self.offsets[block[a]]
+            consecutive = local[-1] - local[0] == b - a - 1
+            runs.append((slice(a, b), fields[block[a]],
+                         slice(local[0], local[-1] + 1) if consecutive else local))
+        privacy = traj.scheme_kind == PRIVACY_PRESERVING
+        index = np.zeros(0, dtype=np.intp)  # sample-major bins of the entries' rows
+        for s in slices:
+            times = traj.times[s]
+            out = np.empty((len(times), n_ctrl))
+            for c in _chunks(0, len(times)):
+                n = c.stop - c.start
+                if index.size < n * rows.size:
+                    index = (np.arange(n)[:, None] * n_ctrl + rows).ravel()
+                terms = np.empty((n, rows.size))
+                for at, field, state_cols in runs:
+                    np.multiply(field[s][c, state_cols], vals[at], out=terms[:, at])
+                out[c] = np.bincount(index[:terms.size], terms.ravel(),
+                                     minlength=n * n_ctrl).reshape(n, n_ctrl)
+            for seg, p_load in _segments(traj.scenario, times):
+                b = self.held_input(p_load)[self.pc]
+                out[seg] += b + traj.n_f[s][seg] / self.tau_c if privacy else b
+            if privacy:
+                out *= self.tau_c / (self.tau_c + traj.xi[s])
+            yield out
+
 
 def _unit_outputs(kind, devices, x, p_c, omega, p_load):
     """unit_outputs at commands p_c; a primal_dual unit's input is its bus's command."""
@@ -485,13 +571,20 @@ def _chunks(j0, j1):
     return (slice(i, min(i + OUTPUT_CHUNK_ROWS, j1)) for i in range(j0, j1, OUTPUT_CHUNK_ROWS))
 
 
-def _record_s_tilde(scenario, kind, times, x, p_c, omega, out):
-    """Fill out with the prosumption s_tilde at each sample, under the load that
-    `Scenario.load_segments` places at the sample times; return out."""
+def _segments(scenario, times):
+    """(rows, uncontrollable load) of each load segment `Scenario.load_segments`
+    places at the sample times, in order."""
     segments = scenario.load_segments(times)
     bounds = list(segments) + [len(times)]
-    for j0, j1, load in zip(bounds, bounds[1:], segments.values()):
-        for c in _chunks(j0, j1):
+    return [(slice(j0, j1), load) for j0, j1, load in zip(bounds, bounds[1:], segments.values())]
+
+
+def _s_tilde_at(scenario, kind, times, x, p_c, omega):
+    """The prosumption s_tilde at each sample, under the load that
+    `Scenario.load_segments` places at the sample times."""
+    out = np.empty((len(times), scenario.devices.n_units))
+    for seg, load in _segments(scenario, times):
+        for c in _chunks(seg.start, seg.stop):
             out[c] = _unit_outputs(kind, scenario.devices, x[c], p_c[c], omega[c], load)[2]
     return out
 
@@ -526,17 +619,15 @@ def simulate(scenario):
     stride = scenario.record_stride
     steps = scenario.step_grid(stride)
     n_samples = len(steps)
-    # Every recorded signal is a column block of one buffer. One large
-    # allocation is mapped on its own and goes back to the system whole
-    # when the trajectory is dropped; a dozen smaller ones fragment the heap.
-    # xi and n_f vary only under the privacy scheme; elsewhere they are one
+    # Every recorded signal is a column block of one buffer: the stacked
+    # state, then xi and n_f. One large allocation is mapped on its own and
+    # goes back to the system whole when the trajectory is dropped. xi and
+    # n_f vary only under the privacy scheme; elsewhere they are one
     # read-only zero view and take no columns.
-    widths = [op.size, op.pc.stop - op.pc.start, n_units]
-    if privacy:
-        widths += [n_units] * 2
-    record = np.empty((n_samples, sum(widths)))
-    states, pc_dots, s_tilde, *noise = np.split(record, np.cumsum(widths[:-1]), axis=1)
-    xis, n_fs = noise if privacy else [np.broadcast_to(0.0, (n_samples, n_units))] * 2
+    record = np.empty((n_samples, op.size + (2 * n_units if privacy else 0)))
+    states, xis, n_fs = np.split(record, [op.size, op.size + n_units], axis=1)
+    if not privacy:
+        xis = n_fs = np.broadcast_to(0.0, (n_samples, n_units))
 
     loads = scenario.load_steps()
     omega_at_unit = op.offsets[1] + devices.bus  # each unit's bus frequency in y
@@ -554,25 +645,18 @@ def simulate(scenario):
             xi, rho = xi_rows[r], rho_rows[r]
             n_f = privacy_noise(priv, draws[r], y[omega_at_unit])
             np.add(b_load[op.pc], n_f / op.tau_c, out=b[op.pc])
-        if k < n_steps:
-            k1, y_next = op.step(y, b, rho)
-        else:
-            k1 = op.rhs(y, b, rho)  # the last sample's pc_dot; no step follows
         j, off = divmod(k, stride)
         if off == 0:
             states[j] = y
-            pc_dots[j] = k1[op.pc]
             if privacy:
                 xis[j], n_fs[j] = xi, n_f
         if k == n_steps:
             break
-        y = y_next
+        y = op.step(y, b, rho)[1]
         if not np.isfinite(y).all():
             raise _divergence(op, y, k, dt)
 
     eta, omega, x, p_c, psi = op.blocks(states)
-    times = steps * dt
-    _record_s_tilde(scenario, cfg.kind, times, x, p_c, omega, s_tilde)
     lyap = None
     if op.unit_level:
         lyap = np.empty(n_samples)
@@ -580,10 +664,9 @@ def simulate(scenario):
             lyap[c] = lyapunov_value(model, devices, scenario.comm, cfg, eq_ref,
                                      eta[c], omega[c], x[c], p_c[c], psi[c], xis[c])[0]
     return Trajectory(
-        times=times,
-        omega=omega, eta=eta, x=x, p_c=p_c, psi=psi,
-        xi=xis, n_f=n_fs, s_tilde=s_tilde, pc_dot=pc_dots,
-        lyapunov=lyap, scheme_kind=cfg.kind, equilibrium=eq_ref,
+        times=steps * dt,
+        omega=omega, eta=eta, x=x, p_c=p_c, psi=psi, xi=xis, n_f=n_fs,
+        lyapunov=lyap, scheme_kind=cfg.kind, equilibrium=eq_ref, scenario=scenario,
     )
 
 

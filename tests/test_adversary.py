@@ -23,9 +23,12 @@ from gridpriv import (
 )
 import gridpriv.adversary as adversary_module
 from gridpriv.adversary import CENTRAL_DIFF, EXACT_DERIV, FORWARD_DIFF
+from gridpriv.devices import unit_outputs
 from gridpriv.errors import ConfigurationError
 from gridpriv.schemes import EXTENDED_PRIMAL_DUAL, PRIMAL_DUAL, PRIVACY_PRESERVING
-from tests.conftest import make_scenario
+from gridpriv.sim import ClosedLoop
+from tests.conftest import ALL_KINDS, make_scenario
+from tests.reference_dynamics import inputs
 
 
 @pytest.fixture
@@ -141,7 +144,8 @@ def test_observer_refuses_a_graph_of_another_width(epd_run):
 
 def test_observer_checks_its_derivative_before_any_work(epd_run, monkeypatch):
     """An unknown estimator, or the exact one on a trace without stored
-    derivatives, fails before the consensus states are integrated."""
+    derivatives (one that holds no scenario to derive them from), fails
+    before the consensus states are integrated."""
     def no_work(*args):
         raise AssertionError("the attack integrated psi before checking deriv")
 
@@ -149,7 +153,7 @@ def test_observer_checks_its_derivative_before_any_work(epd_run, monkeypatch):
     sc, traj = epd_run
     with pytest.raises(ConfigurationError, match="unknown derivative estimator 'backward'"):
         observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), deriv="backward")
-    stripped = dataclasses.replace(traj, pc_dot=np.zeros((len(traj.times), 0)))
+    stripped = dataclasses.replace(traj, scenario=None)
     with pytest.raises(ConfigurationError, match="no stored derivatives"):
         observer_attack(stripped, sc.comm, sc.scheme, KnowledgeSet(), deriv=EXACT_DERIV)
 
@@ -231,6 +235,71 @@ def test_observer_blocks_match_whole_array_reference(pp_run, monkeypatch, sample
     err = s_hat - traj.s_tilde
     times = traj.times
     tail = times >= times[-1] - max(traj.dt, 0.05 * (times[-1] - times[0]))
+    np.testing.assert_allclose(report.s_hat, s_hat, rtol=1e-12, atol=1e-12 * np.abs(s_hat).max())
+    assert report.rmse_transient == pytest.approx(np.sqrt(np.mean(err**2)), rel=1e-12)
+    assert report.rmse_steady == pytest.approx(
+        np.sqrt(np.mean(err[tail].mean(axis=0) ** 2)), rel=1e-12)
+
+
+def strided_load_steps(scenario_factory, kind):
+    """0.6 s recorded every third 10 ms step, 21 samples, with load steps that
+    act from sample 4 (at 0.1 s, between two samples), from sample 7 (at
+    0.205 s, off the step grid) and at t_end."""
+    sc = scenario_factory(kind, t_end=0.6, disturbances=(
+        (0.1, 0, 0.2), (0.205, 2, -0.1), (0.6, 3, 0.05)))
+    return dataclasses.replace(sc, record_stride=3)
+
+
+@pytest.mark.parametrize("block_cells", [4, 12, 28])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_derived_rows_are_the_runs_outputs(scenario_factory, monkeypatch, kind, block_cells):
+    """s_tilde and pc_dot read in the observer's blocks (4, 12 and 28 cells of
+    the commands, with load steps inside them) equal the whole-trace reads
+    and, bit for bit, each sample's unit_outputs and command rows of op.rhs
+    at the recorded state, load, xi and n_f."""
+    monkeypatch.setattr(adversary_module, "BLOCK_CELLS", block_cells)
+    sc = strided_load_steps(scenario_factory, kind)
+    traj, op = simulate(sc), ClosedLoop(sc)
+    want = {"s_tilde": [], "pc_dot": []}
+    for j, t in enumerate(traj.times):
+        p_load = sc.devices.p_load.copy()
+        for d in sc.disturbances:
+            if d.time <= t + 1e-12:
+                p_load[d.unit] += d.delta
+        y = np.concatenate([traj.eta[j], traj.omega[j], traj.x[j], traj.p_c[j], traj.psi[j]])
+        want["pc_dot"].append(op.rhs(y, *inputs(op, p_load, traj.xi[j], traj.n_f[j]))[op.pc])
+        u = traj.p_c[j][sc.devices.bus] if kind == PRIMAL_DUAL else traj.p_c[j]
+        want["s_tilde"].append(unit_outputs(sc.devices, traj.x[j], u, traj.omega[j], p_load)[2])
+    blocks = adversary_module._blocks(*traj.p_c.shape)
+    assert len(traj.times) == 21 and len(blocks) >= 3
+    for name, rows in (("s_tilde", traj.s_tilde_rows(blocks)),
+                       ("pc_dot", traj.pc_dot_rows(blocks))):
+        got, whole = np.concatenate(list(rows)), getattr(traj, name)
+        np.testing.assert_array_equal(got.view(np.uint64), whole.view(np.uint64))
+        np.testing.assert_array_equal(whole.view(np.uint64), np.array(want[name]).view(np.uint64))
+
+
+@pytest.mark.parametrize("block_cells", [4, 12, 28])
+@pytest.mark.parametrize("deriv,channels", [(CENTRAL_DIFF, "all"), (CENTRAL_DIFF, [0, 2, 3]),
+                                            (FORWARD_DIFF, "all"), (FORWARD_DIFF, [1]),
+                                            (EXACT_DERIV, "all")])
+@pytest.mark.parametrize("kind", [EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING])
+def test_observer_blocks_across_load_steps_match_whole_array_reference(
+        scenario_factory, monkeypatch, kind, deriv, channels, block_cells):
+    """The attack on a strided trace with load steps inside its blocks, which
+    it reads s_tilde and pc_dot from a block at a time, gives the whole-array
+    estimate and errors."""
+    monkeypatch.setattr(adversary_module, "BLOCK_CELLS", block_cells)
+    sc = strided_load_steps(scenario_factory, kind)
+    traj = simulate(sc)
+    knowledge = KnowledgeSet(observed_channels=channels)
+    report = observer_attack(traj, sc.comm, sc.scheme, knowledge, deriv=deriv)
+    if deriv == EXACT_DERIV:
+        s_hat = sc.scheme.gamma * traj.pc_dot + traj.psi @ sc.comm.incidence.T
+    else:
+        s_hat = reference_attack(traj, sc.comm, sc.scheme, knowledge.observed_mask(4), deriv)[0]
+    err = s_hat - traj.s_tilde
+    tail = traj.times >= traj.times[-1] - max(traj.dt, 0.05 * (traj.times[-1] - traj.times[0]))
     np.testing.assert_allclose(report.s_hat, s_hat, rtol=1e-12, atol=1e-12 * np.abs(s_hat).max())
     assert report.rmse_transient == pytest.approx(np.sqrt(np.mean(err**2)), rel=1e-12)
     assert report.rmse_steady == pytest.approx(

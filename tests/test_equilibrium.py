@@ -10,7 +10,7 @@ from gridpriv import (
 )
 from gridpriv.devices import DeviceState, bus_injection, device_outputs, device_rhs
 from gridpriv.equilibrium import lyapunov_value
-from gridpriv.errors import ConfigurationError
+from gridpriv.errors import ConfigurationError, InfeasibilityError
 from gridpriv.network import PlantState, dc_power_flow, swing_rhs
 from gridpriv.scenario import RandomScenarioSpec, build_scenario, gen_scenario
 from gridpriv.schemes import EXTENDED_PRIMAL_DUAL, SchemeState, scheme_rhs
@@ -197,3 +197,13 @@ def test_lyapunov_rejects_other_schemes(model3, devices4, comm4):
     with pytest.raises(ConfigurationError):
         lyapunov_value(model3, devices4, comm4, cfg, eq,
                        eq.eta_star, np.zeros(3), eq.x_star, eq.p_c_star, eq.psi_star)
+
+
+def test_equilibrium_refuses_a_dispatch_for_another_load(devices4, model3, comm4):
+    """A dispatch solved for one load does not balance another: its
+    prosumption sums to the load difference, and the rest state is refused."""
+    other = devices4.p_load + np.array([0.1, 0.0, 0.0, 0.0])
+    with pytest.raises(InfeasibilityError, match=r"equilibrium prosumption does not balance "
+                                                 r"\(sum -1\.000e-01\)"):
+        build_equilibrium(model3, devices4, comm4, solve_kkt(devices4, other), devices4.p_load)
+    build_equilibrium(model3, devices4, comm4, solve_kkt(devices4, other), other)

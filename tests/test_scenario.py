@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gridpriv.scenario as scenario_module
 from gridpriv import errors, simulate
 from gridpriv.scenario import (
     RandomScenarioSpec,
@@ -487,3 +488,19 @@ def test_subnormal_divisor_is_refused_at_its_block_without_a_warning(small_doc, 
 def test_divisor_at_its_least_value_is_accepted(small_doc):
     small_doc["network"]["inertia"][0] = errors.MIN_DIVISOR
     assert build_scenario(small_doc).model.inertia[0] == errors.MIN_DIVISOR
+
+
+def test_gen_scenario_refuses_when_no_privacy_bound_is_feasible(monkeypatch):
+    """With no feasible beta at any of the 100 halvings of beta_hat, the
+    generator gives up instead of writing bounds the design check refuses."""
+    calls = []
+
+    def none_feasible(h, d_over_n, beta_hat):
+        calls.append(beta_hat.copy())
+        return np.zeros_like(beta_hat)
+
+    monkeypatch.setattr(scenario_module, "max_feasible_beta", none_feasible)
+    with pytest.raises(errors.InfeasibilityError, match="could not find feasible privacy bounds"):
+        gen_scenario(RandomScenarioSpec(bus_count=3, seed=0))
+    assert len(calls) == 100
+    np.testing.assert_array_equal(calls[-1], calls[0] / 2.0**99)

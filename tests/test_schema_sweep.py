@@ -52,6 +52,7 @@ def _failure(doc, path, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = simulate(build_scenario(doc))
+            derived = {"s_tilde": traj.s_tilde, "pc_dot": traj.pc_dot}
     except DivergenceError as exc:
         return f"diverged: {exc}"
     except GridPrivError as exc:
@@ -62,10 +63,10 @@ def _failure(doc, path, value):
         return f"raised {type(exc).__name__}: {exc}"
     if not_a_number:
         return "ran"
-    for field in dataclasses.fields(traj):
-        block = getattr(traj, field.name)
+    for name, block in {**{f.name: getattr(traj, f.name) for f in dataclasses.fields(traj)},
+                        **derived}.items():
         if isinstance(block, np.ndarray) and not np.all(np.isfinite(block)):
-            return f"recorded a non-finite {field.name}"
+            return f"recorded a non-finite {name}"
     return None
 
 

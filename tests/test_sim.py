@@ -147,9 +147,10 @@ def test_plain_run_privacy_columns_are_a_read_only_zero_view(scenario_factory, k
 
 
 def test_simulate_peak_memory_is_the_recording_buffer():
-    """One buffer holds every recorded signal, 8 x (state + n_ctrl + n_units
-    + 2 n_units for privacy) bytes per sample; the post-loop outputs add
-    chunk-sized temporaries only."""
+    """One buffer holds every recorded signal, 8 x (state + 2 n_units for
+    privacy) bytes per sample; s_tilde and pc_dot are derived, not stored.
+    The peak stays below the earlier layout's buffer, which also held them:
+    8 x (state + n_ctrl + n_units + 2 n_units) bytes per sample."""
     sc = build_scenario(gen_scenario(RandomScenarioSpec(
         bus_count=30, t_end=5.0, seed=2, scheme_kind=PRIVACY_PRESERVING)))
     state_size, n = ClosedLoop(sc).size, sc.devices.n_units
@@ -160,11 +161,12 @@ def test_simulate_peak_memory_is_the_recording_buffer():
     finally:
         tracemalloc.stop()
     record = traj.omega.base
-    for name in ("eta", "x", "p_c", "psi", "pc_dot", "s_tilde", "xi", "n_f"):
+    for name in ("eta", "x", "p_c", "psi", "xi", "n_f"):
         assert getattr(traj, name).base is record
-    # state, pc_dot (n_ctrl = n_units here), s_tilde, then xi and n_f
-    assert record.nbytes == 8 * len(traj.times) * (state_size + n + n + 2 * n)
-    assert peak <= 1.25 * record.nbytes
+    # the state, then xi and n_f
+    assert record.nbytes == 8 * len(traj.times) * (state_size + 2 * n)
+    # n_ctrl = n_units here
+    assert peak <= 8 * len(traj.times) * (state_size + n + n + 2 * n)
 
 
 def test_lyapunov_monotone(scenario_factory):
@@ -239,7 +241,7 @@ def test_csv_one_row_zero_width_block_and_line_endings(tmp_path, scenario_factor
     traj = simulate(sc)
     assert traj.psi.shape[1] == 0 and traj.lyapunov is None  # integral has no psi
     one = dataclasses.replace(traj, **{name: getattr(traj, name)[:1] for name in (
-        "times", "omega", "p_c", "psi", "x", "s_tilde", "xi", "n_f")})
+        "times", "omega", "p_c", "psi", "x", "xi", "n_f")})
     path = tmp_path / "one.csv"
     one.to_csv(path)
     raw = path.read_bytes()
@@ -823,7 +825,7 @@ def test_negative_zero_xi_max_runs_as_zero_bit_for_bit():
         sc = build_scenario(doc)
         assert not np.signbit(sc.scheme.privacy.xi_max)
         runs.append(simulate(sc))
-    for field in dataclasses.fields(runs[0]):
-        a, b = (getattr(run, field.name) for run in runs)
+    for name in [field.name for field in dataclasses.fields(runs[0])] + ["s_tilde", "pc_dot"]:
+        a, b = (getattr(run, name) for run in runs)
         if isinstance(a, np.ndarray):
-            assert a.tobytes() == b.tobytes(), field.name
+            assert a.tobytes() == b.tobytes(), name
