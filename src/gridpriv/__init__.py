@@ -30,4 +30,4 @@ from .sim import (
     steady_state_metrics,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -9,11 +9,11 @@ commands and inverts the command dynamics,
 s_hat = gamma * pc_dot + H psi_hat. The privacy scheme defeats this
 because the true dynamics carry the unknown signal n.
 
-The observer walks the trace a block of about BLOCK_CELLS cells at a time
+The observer walks the trace a block of samples at a time (`sim.row_blocks`)
 on the graph's edge arrays (`Graph.edge_diff`, `Graph.node_sum`), and
 reads the true prosumption, and the command derivatives of the idealized
 attack, a block at a time from the trajectory, which derives them
-(`Trajectory.s_tilde_rows`, `Trajectory.pc_dot_rows`). So it holds one
+(`Trajectory.s_tilde_at`, `Trajectory.pc_dot_at`). So it holds one
 (samples x units) array, the s_hat it returns, and never forms the dense
 H. It calls no BLAS routine, so its report does not depend on the BLAS
 thread count.
@@ -25,12 +25,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .schemes import PRIMAL_DUAL
+from .sim import row_blocks
 
 FORWARD_DIFF = "forward"
 CENTRAL_DIFF = "central"
 EXACT_DERIV = "exact"
 ORIGIN_WINDOW = 2.0  # s after the disturbance that origin detection looks at
-BLOCK_CELLS = 1 << 14  # (samples x units) cells the observer works on at a time
 
 
 @dataclass
@@ -140,9 +140,8 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
 
     tail = times >= times[-1] - max(dt, 0.05 * (times[-1] - times[0]))
     square_sum, tail_sum = 0.0, np.zeros(n_units)
-    blocks = _blocks(*s_hat.shape)
-    for rows, s_tilde in zip(blocks, traj.s_tilde_rows(blocks)):
-        err = s_hat[rows] - s_tilde
+    for rows in row_blocks(*s_hat.shape):
+        err = s_hat[rows] - traj.s_tilde_at(rows)
         square_sum += np.einsum("ij,ij->", err, err)  # no BLAS: the same bits at any thread count
         tail_sum += err[tail[rows]].sum(axis=0)
     rmse_transient = float(np.sqrt(square_sum / s_hat.size))
@@ -160,31 +159,23 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
                         origin_ranking=ranking, warnings=warnings_out)
 
 
-def _blocks(samples, width):
-    """Row slices of about BLOCK_CELLS cells of a (samples x width) array, in order."""
-    step = max(1, BLOCK_CELLS // width)
-    return [slice(a, min(a + step, samples)) for a in range(0, samples, step)]
-
-
 def _reconstruct(traj, mask, comm, cfg, deriv):
     """s_hat = gamma * pc_dot + H psi_hat for every unit, with the unobserved
     channels (mask False) zero-filled. s_hat starts as gamma * pc_dot, and H
     psi_hat is added into it a block of samples at a time, so besides s_hat
     only one block's temporaries are held."""
     if deriv == EXACT_DERIV:
-        blocks = _blocks(*traj.p_c.shape)
         s_hat = np.empty(traj.p_c.shape)
-        for rows, pc_dot in zip(blocks, traj.pc_dot_rows(blocks)):
-            np.multiply(cfg.gamma, pc_dot, out=s_hat[rows])
-        psi_blocks = ((rows, traj.psi[rows]) for rows in blocks)
-    else:
-        s_hat = _finite_difference(traj.p_c, traj.dt, deriv)
-        s_hat *= cfg.gamma
-        s_hat[:, ~mask] = 0.0
-        psi0 = traj.psi[0] if traj.psi.shape[1] == comm.edge_count else np.zeros(comm.edge_count)
-        psi_blocks = _integrate_psi(traj.p_c, mask, comm, cfg.gamma_psi, traj.dt, psi0)
-    for rows, psi_rows in psi_blocks:
-        s_hat[rows] += comm.node_sum(psi_rows)
+        for rows in row_blocks(*s_hat.shape):
+            np.multiply(cfg.gamma, traj.pc_dot_at(rows), out=s_hat[rows])
+            s_hat[rows] += comm.node_sum(traj.psi[rows])
+        return s_hat
+    s_hat = _finite_difference(traj.p_c, traj.dt, deriv)
+    s_hat *= cfg.gamma
+    s_hat[:, ~mask] = 0.0
+    psi0 = traj.psi[0] if traj.psi.shape[1] == comm.edge_count else np.zeros(comm.edge_count)
+    for rows, psi in _integrate_psi(traj.p_c, mask, comm, cfg.gamma_psi, traj.dt, psi0):
+        s_hat[rows] += comm.node_sum(psi)
     return s_hat
 
 
@@ -212,7 +203,7 @@ def _integrate_psi(p_c, mask, graph, gamma_psi, dt, psi0):
     """
     carry = np.zeros(graph.edge_count)  # sum of the increments so far
     last_rate, partial = None, not mask.all()
-    for rows in _blocks(*p_c.shape):
+    for rows in row_blocks(*p_c.shape):
         rate = graph.edge_diff(np.where(mask, p_c[rows], 0.0) if partial else p_c[rows])
         rate /= gamma_psi
         psi = np.empty_like(rate)

@@ -20,12 +20,13 @@ DRAW_BLOCK_ROWS steps at a time: the xi walk for a whole block
 (`draw_privacy_block`) and rho beside it, then n_f step by step from omega,
 as n_f / tau0 onto the command rows of a copy of B p_load. A seed gives the
 same draws as drawing one step at a time. The run records the state and
-the privacy draws, and the Lyapunov column after the loop, a chunk of
-samples at a time. The prosumption s_tilde and the command derivatives
+the privacy draws. The prosumption s_tilde and the command derivatives
 pc_dot are not stored: the `Trajectory` holds the scenario it ran and
-derives both from the recorded state a block of samples at a time
-(`Trajectory.s_tilde_rows`, `Trajectory.pc_dot_rows`): pc_dot bit for bit
-the k1 of the run's steps.
+derives them for a row slice (`Trajectory.s_tilde_at`, `pc_dot_at`),
+pc_dot bit for bit the k1 of the run's steps. Whatever is formed from the
+recorded rows (the Lyapunov column, s_tilde, pc_dot, the trace file's
+cells, the observer's work arrays) is formed a block of about BLOCK_CELLS
+cells at a time (`row_blocks`).
 
 A trace file holds what a run integrates, draws or sends: every state
 block but eta, the Lyapunov column, xi and n_f when they hold a non-zero
@@ -42,7 +43,8 @@ np.loadtxt, which reads a body of any other layout from the same handle.
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,8 +66,7 @@ from .schemes import (
 
 SETTLE_THRESHOLD = 2.0 * np.pi * 0.01  # 0.01 Hz in rad/s
 BLOCKS = ("eta", "omega", "x", "p_c", "psi")  # order of the stacked state
-CSV_CHUNK_CELLS = 1 << 14  # cells formatted or parsed per call; bounds temporaries (~300 B a cell)
-OUTPUT_CHUNK_ROWS = 64  # samples per post-loop output chunk; bounds its temporaries
+BLOCK_CELLS = 1 << 14  # cells of a (samples x width) array worked on at a time (`row_blocks`)
 DRAW_BLOCK_ROWS = 64  # steps of privacy draws per rng call; bounds the block arrays
 # (column prefix, Trajectory field) of each trace block, in column order after t
 TRACE_BLOCKS = (("omega", "omega"), ("pc", "p_c"), ("psi", "psi"), ("x", "x"),
@@ -86,22 +87,29 @@ def atomic_open(path):
             os.remove(tmp)
 
 
+def row_blocks(samples, width):
+    """Row slices of about BLOCK_CELLS cells of a (samples x width) array,
+    covering [0, samples) in order: every array derived from or written out
+    of a trajectory is held a block at a time."""
+    step = max(1, BLOCK_CELLS // width)
+    return [slice(a, min(a + step, samples)) for a in range(0, samples, step)]
+
+
 def write_csv(path, columns):
     """CSV of (name, block) float64 column blocks, one row per sample. A 1-D block
     is the column `name`, a 2-D block the columns `name_0`, `name_1`, ... LF line
-    ends, %.17g cells (exact float64 round trip), formatted by `g17_rows`
-    CSV_CHUNK_CELLS cells at a time. A block of another dtype raises TypeError
+    ends, %.17g cells (exact float64 round trip), formatted by `g17_rows` a
+    `row_blocks` block at a time. A block of another dtype raises TypeError
     before the file is opened."""
     header = [name if b.ndim == 1 else f"{name}_{k}" for name, b in columns
               for k in range(1 if b.ndim == 1 else b.shape[1])]
     blocks = [b[:, None] if b.ndim == 1 else b for _, b in columns]
     if any(b.dtype != np.float64 for b in blocks):
         raise TypeError("write_csv takes float64 blocks")
-    step = max(1, CSV_CHUNK_CELLS // len(header))
     with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, len(blocks[0]), step):
-            fh.write(g17_rows(np.hstack([b[i:i + step] for b in blocks])))
+        for rows in row_blocks(len(blocks[0]), len(header)):
+            fh.write(g17_rows(np.hstack([b[rows] for b in blocks])))
 
 
 @dataclass(frozen=True)
@@ -195,9 +203,9 @@ class Trajectory:
     outside the privacy scheme xi and n_f are read-only zero views. p_M and d_c
     are not stored; `marginal_costs` derives them with `unit_outputs`. Nor
     are s_tilde and pc_dot: a run holds the scenario it ran, and they are
-    derived from it a block of samples at a time (`s_tilde_rows`,
-    `pc_dot_rows`) or whole (the `s_tilde` and `pc_dot` properties). A trace
-    file holds what a run integrates, draws or sends (see `to_csv`);
+    derived from it for one row slice (`s_tilde_at`, `pc_dot_at`) or whole
+    (the `s_tilde` and `pc_dot` properties), a `row_blocks` block at a time.
+    A trace file holds what a run integrates, draws or sends (see `to_csv`);
     `from_csv` reads the scheme kind from its columns and, given the
     scenario, rebuilds the rest but eta and pc_dot. It refuses a header that
     repeats a name, does not decode or misorders a block's prefix_k.
@@ -219,36 +227,43 @@ class Trajectory:
 
     @property
     def s_tilde(self):
-        """(T, n_units) prosumption, whole (see `s_tilde_rows`)."""
-        return next(self.s_tilde_rows([slice(None)]))
+        """(T, n_units) prosumption, whole (see `s_tilde_at`)."""
+        return self.s_tilde_at(slice(None))
 
     @property
     def pc_dot(self):
-        """(T, n_controllers) command derivatives, whole (see `pc_dot_rows`)."""
-        return next(self.pc_dot_rows([slice(None)]))
+        """(T, n_controllers) command derivatives, whole (see `pc_dot_at`)."""
+        return self.pc_dot_at(slice(None))
 
-    def s_tilde_rows(self, slices):
-        """Yield s_tilde[rows] for each row slice: a trace file's columns, or,
-        given the scenario, the prosumption at x, p_c and omega under the load
+    def s_tilde_at(self, rows):
+        """s_tilde[rows] for a row slice: a trace file's columns, or, given
+        the scenario, the prosumption at x, p_c and omega under the load
         `Scenario.load_segments` places at the rows' times; zero-width with
         neither."""
-        for rows in slices:
-            if self._s_tilde is not None:
-                yield self._s_tilde[rows]
-            elif self.scenario is None:
-                yield np.zeros((len(self.times[rows]), 0))
-            else:
-                yield _s_tilde_at(self.scenario, self.scheme_kind, self.times[rows],
-                                  self.x[rows], self.p_c[rows], self.omega[rows])
+        if self._s_tilde is not None:
+            return self._s_tilde[rows]
+        if self.scenario is None:
+            return np.zeros((len(self.times[rows]), 0))
+        x, p_c, omega = self.x[rows], self.p_c[rows], self.omega[rows]
+        out = np.empty((len(x), self.scenario.devices.n_units))
+        for seg, load in _segments(self.scenario, self.times[rows]):
+            for c in row_blocks(seg.stop - seg.start, out.shape[1]):
+                out[seg][c] = _unit_outputs(self.scheme_kind, self.scenario.devices, x[seg][c],
+                                            p_c[seg][c], omega[seg][c], load)[2]
+        return out
 
-    def pc_dot_rows(self, slices):
-        """Yield pc_dot[rows] for each row slice: given the scenario, the
-        command rows of dy at the recorded state, load, xi and n_f
+    def pc_dot_at(self, rows):
+        """pc_dot[rows] for a row slice: given the scenario, the command rows
+        of dy at the recorded state, load, xi and n_f
         (`ClosedLoop.command_rates`), bit for bit the run's; zero-width
         without it, as for a trace file."""
         if self.scenario is None:
-            return (np.zeros((len(self.times[rows]), 0)) for rows in slices)
-        return ClosedLoop(self.scenario).command_rates(self, slices)
+            return np.zeros((len(self.times[rows]), 0))
+        return self._loop.command_rates(self, rows)
+
+    @cached_property
+    def _loop(self):  # the scenario's ClosedLoop, built once per trajectory
+        return ClosedLoop(self.scenario)
 
     @property
     def dt(self):
@@ -294,7 +309,7 @@ class Trajectory:
                 spans = {"times": header.index("t"),  # "'t' is not in list" without one
                          **{name: span(prefix) for prefix, name in TRACE_BLOCKS}}
                 start = fh.tell()
-                data = read_rows(fh, len(header), CSV_CHUNK_CELLS)
+                data = read_rows(fh, len(header), BLOCK_CELLS)
                 if data is None:  # not the writer's layout: np.loadtxt reads it, or names the fault
                     fh.seek(start)  # a row is a line np.loadtxt does not skip as blank or comment
                     if not any(line.partition(b"#")[0].rstrip(b"\r\n") for line in fh):
@@ -327,8 +342,7 @@ class Trajectory:
             if getattr(traj, name).shape[1] == 0:
                 setattr(traj, name, zeros)
         if s_tilde.shape[1] == 0:
-            traj._s_tilde = _s_tilde_at(scenario, traj.scheme_kind, traj.times, traj.x, traj.p_c,
-                                        traj.omega)
+            traj._s_tilde = replace(traj, scenario=scenario).s_tilde  # as a run derives it
         return traj
 
 
@@ -454,6 +468,8 @@ class ClosedLoop:
         self.dt = scenario.dt  # the step of `step`
         self.size = int(offsets[-1])
         self.pc = slice(offsets[3], offsets[4])  # the command rows
+        command = (self.rows >= C) & (self.rows < P)  # A's command-row entries, in their order
+        self.command_entries = self.rows[command] - C, self.cols[command], self.vals[command]
         # vals times dt/2, dt/3 and dt/4
         self.stage_vals = tuple(self.vals * (self.dt / n) for n in (2.0, 3.0, 4.0))
 
@@ -497,48 +513,36 @@ class ClosedLoop:
         """Views of the BLOCKS of a stacked state, or of each row of a stack."""
         return tuple(y[..., a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:]))
 
-    def command_rates(self, traj, slices):
-        """Yield the command rows of dy at each row slice of a trajectory this
-        loop ran: A y, plus the held load input (and n_f / tau0 under
-        privacy), times rho from the recorded xi. A y is summed from A's
-        command-row entries, kept in their order, by one flattened bincount
-        per OUTPUT_CHUNK_ROWS samples at most. Each row's terms are `rhs`'s,
-        added in its order, so the rates are the run's k1 bit for bit. Only
-        the state columns those entries read are gathered, a run of entries
-        that reads one block's columns in ascending order at a time: a slice
-        of the block when they are consecutive, else a take."""
-        c0, n_ctrl = self.pc.start, self.pc.stop - self.pc.start
-        entries = np.flatnonzero((self.rows >= c0) & (self.rows < self.pc.stop))
-        rows, cols, vals = self.rows[entries] - c0, self.cols[entries], self.vals[entries]
-        block = np.searchsorted(self.offsets, cols, side="right") - 1
-        cuts = np.flatnonzero((np.diff(block) != 0) | (np.diff(cols) < 0)) + 1
-        fields = (traj.eta, traj.omega, traj.x, traj.p_c, traj.psi)
-        runs = []  # (entries, state block, its columns) of each run, in order
-        for a, b in zip([0, *cuts], [*cuts, cols.size]):
-            local = cols[a:b] - self.offsets[block[a]]
-            consecutive = local[-1] - local[0] == b - a - 1
-            runs.append((slice(a, b), fields[block[a]],
-                         slice(local[0], local[-1] + 1) if consecutive else local))
+    def command_rates(self, traj, rows):
+        """The command rows of dy at the samples `rows` (a slice) of a
+        trajectory this loop ran: A y, plus the held load input (and n_f /
+        tau0 under privacy), times rho from the recorded xi. A y is formed
+        for a piece of samples at a time, its terms array one `row_blocks`
+        block wide in A's command-row entries: the stacked state's columns
+        those entries read, times their values, summed by one flattened
+        bincount. Each row's terms are `rhs`'s, added in its order, so the
+        rates are the run's k1 bit for bit."""
+        ctrl, cols, vals = self.command_entries
+        n_ctrl = self.pc.stop - self.pc.start
+        times = traj.times[rows]
+        out = np.empty((len(times), n_ctrl))
+        fields = [f[rows] for f in (traj.eta, traj.omega, traj.x, traj.p_c, traj.psi)]
+        pieces = row_blocks(len(times), vals.size)
+        if pieces:  # sample-major bins of the entries' rows, for the longest piece
+            index = (np.arange(pieces[0].stop)[:, None] * n_ctrl + ctrl).ravel()
+        for c in pieces:
+            n = c.stop - c.start
+            terms = np.take(np.hstack([f[c] for f in fields]), cols, axis=1)
+            terms *= vals
+            out[c] = np.bincount(index[:terms.size], terms.ravel(),
+                                 minlength=n * n_ctrl).reshape(n, n_ctrl)
         privacy = traj.scheme_kind == PRIVACY_PRESERVING
-        index = np.zeros(0, dtype=np.intp)  # sample-major bins of the entries' rows
-        for s in slices:
-            times = traj.times[s]
-            out = np.empty((len(times), n_ctrl))
-            for c in _chunks(0, len(times)):
-                n = c.stop - c.start
-                if index.size < n * rows.size:
-                    index = (np.arange(n)[:, None] * n_ctrl + rows).ravel()
-                terms = np.empty((n, rows.size))
-                for at, field, state_cols in runs:
-                    np.multiply(field[s][c, state_cols], vals[at], out=terms[:, at])
-                out[c] = np.bincount(index[:terms.size], terms.ravel(),
-                                     minlength=n * n_ctrl).reshape(n, n_ctrl)
-            for seg, p_load in _segments(traj.scenario, times):
-                b = self.held_input(p_load)[self.pc]
-                out[seg] += b + traj.n_f[s][seg] / self.tau_c if privacy else b
-            if privacy:
-                out *= self.tau_c / (self.tau_c + traj.xi[s])
-            yield out
+        for seg, p_load in _segments(traj.scenario, times):
+            b = self.held_input(p_load)[self.pc]
+            out[seg] += b + traj.n_f[rows][seg] / self.tau_c if privacy else b
+        if privacy:
+            out *= self.tau_c / (self.tau_c + traj.xi[rows])
+        return out
 
 
 def _unit_outputs(kind, devices, x, p_c, omega, p_load):
@@ -566,27 +570,12 @@ def _divergence(op, y, k, dt):
     return DivergenceError((k + 1) * dt, BLOCKS[block], first - int(op.offsets[block]), k * dt)
 
 
-def _chunks(j0, j1):
-    """Slices of at most OUTPUT_CHUNK_ROWS samples covering [j0, j1)."""
-    return (slice(i, min(i + OUTPUT_CHUNK_ROWS, j1)) for i in range(j0, j1, OUTPUT_CHUNK_ROWS))
-
-
 def _segments(scenario, times):
     """(rows, uncontrollable load) of each load segment `Scenario.load_segments`
     places at the sample times, in order."""
     segments = scenario.load_segments(times)
     bounds = list(segments) + [len(times)]
     return [(slice(j0, j1), load) for j0, j1, load in zip(bounds, bounds[1:], segments.values())]
-
-
-def _s_tilde_at(scenario, kind, times, x, p_c, omega):
-    """The prosumption s_tilde at each sample, under the load that
-    `Scenario.load_segments` places at the sample times."""
-    out = np.empty((len(times), scenario.devices.n_units))
-    for seg, load in _segments(scenario, times):
-        for c in _chunks(seg.start, seg.stop):
-            out[c] = _unit_outputs(kind, scenario.devices, x[c], p_c[c], omega[c], load)[2]
-    return out
 
 
 def simulate(scenario):
@@ -660,7 +649,7 @@ def simulate(scenario):
     lyap = None
     if op.unit_level:
         lyap = np.empty(n_samples)
-        for c in _chunks(0, n_samples):
+        for c in row_blocks(n_samples, op.size):
             lyap[c] = lyapunov_value(model, devices, scenario.comm, cfg, eq_ref,
                                      eta[c], omega[c], x[c], p_c[c], psi[c], xis[c])[0]
     return Trajectory(

@@ -22,11 +22,17 @@ from gridpriv import (
     simulate,
 )
 import gridpriv.adversary as adversary_module
+import gridpriv.sim as sim_module
 from gridpriv.adversary import CENTRAL_DIFF, EXACT_DERIV, FORWARD_DIFF
 from gridpriv.devices import unit_outputs
 from gridpriv.errors import ConfigurationError
-from gridpriv.schemes import EXTENDED_PRIMAL_DUAL, PRIMAL_DUAL, PRIVACY_PRESERVING
-from gridpriv.sim import ClosedLoop
+from gridpriv.schemes import (
+    EXTENDED_PRIMAL_DUAL,
+    PRIMAL_DUAL,
+    PRIVACY_PRESERVING,
+    UNIT_CONSENSUS_KINDS,
+)
+from gridpriv.sim import ClosedLoop, Trajectory
 from tests.conftest import ALL_KINDS, make_scenario
 from tests.reference_dynamics import inputs
 
@@ -223,7 +229,7 @@ def test_observer_blocks_match_whole_array_reference(pp_run, monkeypatch, sample
     """With blocks of one row, or of 3 and 7 rows of the 4 units, the trace ends
     inside a block (7, 100 and 1501 samples) or is shorter than one (2), and the
     carried-over integral still gives the whole-array estimate."""
-    monkeypatch.setattr(adversary_module, "BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(sim_module, "BLOCK_CELLS", block_cells)
     sc, traj = pp_run
     traj = truncated(traj, samples)
     knowledge = KnowledgeSet(observed_channels=channels)
@@ -257,7 +263,7 @@ def test_derived_rows_are_the_runs_outputs(scenario_factory, monkeypatch, kind, 
     the commands, with load steps inside them) equal the whole-trace reads
     and, bit for bit, each sample's unit_outputs and command rows of op.rhs
     at the recorded state, load, xi and n_f."""
-    monkeypatch.setattr(adversary_module, "BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(sim_module, "BLOCK_CELLS", block_cells)
     sc = strided_load_steps(scenario_factory, kind)
     traj, op = simulate(sc), ClosedLoop(sc)
     want = {"s_tilde": [], "pc_dot": []}
@@ -270,13 +276,63 @@ def test_derived_rows_are_the_runs_outputs(scenario_factory, monkeypatch, kind, 
         want["pc_dot"].append(op.rhs(y, *inputs(op, p_load, traj.xi[j], traj.n_f[j]))[op.pc])
         u = traj.p_c[j][sc.devices.bus] if kind == PRIMAL_DUAL else traj.p_c[j]
         want["s_tilde"].append(unit_outputs(sc.devices, traj.x[j], u, traj.omega[j], p_load)[2])
-    blocks = adversary_module._blocks(*traj.p_c.shape)
+    blocks = sim_module.row_blocks(*traj.p_c.shape)
     assert len(traj.times) == 21 and len(blocks) >= 3
-    for name, rows in (("s_tilde", traj.s_tilde_rows(blocks)),
-                       ("pc_dot", traj.pc_dot_rows(blocks))):
+    for name, rows in (("s_tilde", [traj.s_tilde_at(r) for r in blocks]),
+                       ("pc_dot", [traj.pc_dot_at(r) for r in blocks])):
         got, whole = np.concatenate(list(rows)), getattr(traj, name)
         np.testing.assert_array_equal(got.view(np.uint64), whole.view(np.uint64))
         np.testing.assert_array_equal(whole.view(np.uint64), np.array(want[name]).view(np.uint64))
+
+
+def assert_row_blocks_cover(samples, width):
+    """row_blocks covers [0, samples) once, in order, in slices of at most
+    max(1, BLOCK_CELLS // width) rows."""
+    blocks = sim_module.row_blocks(samples, width)
+    assert [i for rows in blocks for i in range(samples)[rows]] == list(range(samples))
+    most = max(1, sim_module.BLOCK_CELLS // width)
+    assert all(rows.step is None and 0 < rows.stop - rows.start <= most for rows in blocks)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_block_size_changes_no_output_bit(scenario_factory, monkeypatch, tmp_path, kind):
+    """Blocks of 1, 7 and 64 cells and the default one give the same trace
+    bytes, Lyapunov column, s_tilde and pc_dot, s_tilde rebuilt from the file,
+    and observer estimates, bit for bit, on a strided trace with load steps
+    inside its blocks. Only the RMSEs, sums of per-block partial sums, may
+    move, within 1e-12."""
+    sc = strided_load_steps(scenario_factory, kind)
+    op = ClosedLoop(sc)
+    runs = []
+    for cells in (1, 7, 64, sim_module.BLOCK_CELLS):
+        monkeypatch.setattr(sim_module, "BLOCK_CELLS", cells)
+        traj = simulate(sc)
+        path = tmp_path / f"{cells}.csv"
+        traj.to_csv(path)
+        width = len(path.read_text().split("\n", 1)[0].split(","))
+        for samples, w in ((21, width), (21, op.size), (21, sc.devices.n_units),
+                           (21, op.command_entries[2].size), (0, 3), (5, 1 << 20)):
+            assert_row_blocks_cover(samples, w)
+        got = {"csv": path.read_bytes(), "lyapunov": traj.lyapunov, "s_tilde": traj.s_tilde,
+               "pc_dot": traj.pc_dot, "file s_tilde": Trajectory.from_csv(path, sc).s_tilde}
+        rmse = []
+        if kind in UNIT_CONSENSUS_KINDS:
+            for deriv in (CENTRAL_DIFF, EXACT_DERIV):
+                report = observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), deriv=deriv)
+                got[f"{deriv} s_hat"] = report.s_hat
+                rmse += [report.rmse_transient, report.rmse_steady]
+        runs.append((got, rmse))
+    (want, want_rmse), rest = runs[0], runs[1:]
+    assert len(traj.times) == 21 and np.abs(want["pc_dot"]).max() > 0
+    for got, rmse in rest:
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(got[name].view(np.uint64), value.view(np.uint64),
+                                              err_msg=name)
+            else:
+                assert got[name] == value, name
+        assert rmse == pytest.approx(want_rmse, rel=1e-12)
 
 
 @pytest.mark.parametrize("block_cells", [4, 12, 28])
@@ -289,7 +345,7 @@ def test_observer_blocks_across_load_steps_match_whole_array_reference(
     """The attack on a strided trace with load steps inside its blocks, which
     it reads s_tilde and pc_dot from a block at a time, gives the whole-array
     estimate and errors."""
-    monkeypatch.setattr(adversary_module, "BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(sim_module, "BLOCK_CELLS", block_cells)
     sc = strided_load_steps(scenario_factory, kind)
     traj = simulate(sc)
     knowledge = KnowledgeSet(observed_channels=channels)
@@ -311,7 +367,7 @@ def test_observer_without_targets_is_lean_and_equals_all_targets(monkeypatch):
     arrays of the block's rows by units or edges, and numpy's ufunc buffers for
     the whole-trace operations on strided trace columns. It never forms the
     dense incidence. Blocks of 2^10 cells split the 501-sample trace in 63."""
-    monkeypatch.setattr(adversary_module, "BLOCK_CELLS", 1 << 10)
+    monkeypatch.setattr(sim_module, "BLOCK_CELLS", 1 << 10)
     sc = build_scenario(gen_scenario(RandomScenarioSpec(bus_count=30, t_end=5.0, seed=2)))
     traj = simulate(sc)
     n = sc.devices.n_units
@@ -321,7 +377,7 @@ def test_observer_without_targets_is_lean_and_equals_all_targets(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = 8 * (adversary_module.BLOCK_CELLS // n) * (n + sc.comm.edge_count)
+    block = 8 * (sim_module.BLOCK_CELLS // n) * (n + sc.comm.edge_count)
     assert peak <= traj.p_c.nbytes + 4 * block + 2 * 8 * np.getbufsize()
     assert "incidence" not in vars(sc.comm)
     assert plain.s_hat.shape == traj.s_tilde.shape

@@ -14,7 +14,7 @@ import pytest
 from gridpriv import _cells as cells_module
 from gridpriv._cells import HIGH, LOW, g17_rows, read_rows
 from gridpriv.errors import ConfigurationError
-from gridpriv.sim import CSV_CHUNK_CELLS, Trajectory, write_csv
+from gridpriv.sim import BLOCK_CELLS, Trajectory, write_csv
 
 
 def reference(block):
@@ -95,7 +95,7 @@ def test_exact_ties_break_to_even():
 
 def test_write_csv_gives_the_bytes_of_percent_format_across_chunks(tmp_path):
     rng = np.random.default_rng(14)
-    rows = CSV_CHUNK_CELLS // 3 + 5  # two chunks of three columns
+    rows = BLOCK_CELLS // 3 + 5  # two chunks of three columns
     block = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-8, 8, (rows, 3))
     block[::97] = np.array(edge_values()[:3])
     write_csv(tmp_path / "a.csv", [("t", block[:, 0]), ("x", block[:, 1:])])
@@ -109,7 +109,7 @@ def loadtxt_rows(text):
     return np.loadtxt(io.BytesIO(text), delimiter=",", ndmin=2)
 
 
-def assert_read_as_loadtxt(text, cols, cells=CSV_CHUNK_CELLS):
+def assert_read_as_loadtxt(text, cols, cells=BLOCK_CELLS):
     """read_rows reads text itself, to the bits np.loadtxt gives."""
     got, want = read_rows(io.BytesIO(text), cols, cells), loadtxt_rows(text)
     assert got is not None, "refused a block of the writer's layout"
@@ -202,7 +202,7 @@ def test_reader_near_and_at_rounding_midpoints():
              + exact_decimal_ties())
     text = "".join(f"{c}\n" for c in cells).encode()
     assert_read_as_loadtxt(text, 1)
-    got = read_rows(io.BytesIO(text), 1, CSV_CHUNK_CELLS).ravel()
+    got = read_rows(io.BytesIO(text), 1, BLOCK_CELLS).ravel()
     assert got.tolist() == [float(c) for c in cells]
 
 
@@ -222,7 +222,7 @@ def test_hand_written_cells_read_as_loadtxt(tmp_path, cells, read_by_blocks):
     (a "123456789.5" or one of more than 17 digits by float), refuses the rest,
     and from_csv then returns np.loadtxt's values, or its refusal, either way."""
     body = (",".join(cells) + "\n").encode()
-    got = read_rows(io.BytesIO(body), 2, CSV_CHUNK_CELLS)
+    got = read_rows(io.BytesIO(body), 2, BLOCK_CELLS)
     assert (got is not None) == read_by_blocks
     path = tmp_path / "hand.csv"
     path.write_bytes(b"t,x_0\n" + body * 3)
@@ -243,7 +243,7 @@ def test_line_ends_the_writer_never_emits_read_as_loadtxt(tmp_path, ending):
     path = tmp_path / "ends.csv"
     rows = ending.join([b"0,1.5", b"0.01,-2.25e-07", b"0.02,3"]) + ending
     path.write_bytes(b"t,x_0" + ending[:-1].strip(b" \n") + b"\n" + rows)
-    assert read_rows(io.BytesIO(rows), 2, CSV_CHUNK_CELLS) is None
+    assert read_rows(io.BytesIO(rows), 2, BLOCK_CELLS) is None
     want = loadtxt_or_refusal(path)
     if isinstance(want, ValueError):
         with pytest.raises(ConfigurationError, match=re.escape(f"malformed trace {path}: {want}")):
@@ -282,7 +282,7 @@ def test_reader_across_row_blocks(tmp_path):
     rng = np.random.default_rng(24)
     block = rng.standard_normal((301, 60)) * 10.0 ** rng.integers(-9, 9, (301, 60))
     text = g17_rows(block).encode()
-    for cells in (40, 97, CSV_CHUNK_CELLS):
+    for cells in (40, 97, BLOCK_CELLS):
         assert_read_as_loadtxt(text, 60, cells)
     assert_read_as_loadtxt(g17_rows(np.vstack([block[:20], np.zeros((2000, 60))])).encode(),
                            60, 97)
@@ -307,6 +307,6 @@ def test_short_cells_are_read_without_float(monkeypatch):
 
 
 def test_reader_refuses_ragged_rows_and_an_empty_body():
-    assert read_rows(io.BytesIO(b"1,2\n3\n"), 2, CSV_CHUNK_CELLS) is None
-    assert read_rows(io.BytesIO(b"1,2,3\n"), 2, CSV_CHUNK_CELLS) is None
-    assert read_rows(io.BytesIO(b""), 2, CSV_CHUNK_CELLS) is None
+    assert read_rows(io.BytesIO(b"1,2\n3\n"), 2, BLOCK_CELLS) is None
+    assert read_rows(io.BytesIO(b"1,2,3\n"), 2, BLOCK_CELLS) is None
+    assert read_rows(io.BytesIO(b""), 2, BLOCK_CELLS) is None

@@ -270,7 +270,7 @@ def test_failed_csv_write_leaves_no_partial_target(tmp_path):
 def test_csv_write_failing_mid_file_leaves_no_partial_target(tmp_path, monkeypatch):
     """The second chunk's formatter raises after the first chunk is written: the
     existing target keeps its bytes, a new one does not appear, no .tmp is left."""
-    block = np.linspace(0.0, 1.0, sim_module.CSV_CHUNK_CELLS + 100)  # two chunks
+    block = np.linspace(0.0, 1.0, sim_module.BLOCK_CELLS + 100)  # two chunks
     format_chunk, calls = sim_module.g17_rows, []
 
     class DiskFull(Exception):
@@ -289,7 +289,7 @@ def test_csv_write_failing_mid_file_leaves_no_partial_target(tmp_path, monkeypat
         calls.clear()
         with pytest.raises(DiskFull):
             write_csv(path, [("t", block)])
-        assert calls == [sim_module.CSV_CHUNK_CELLS, 100]
+        assert calls == [sim_module.BLOCK_CELLS, 100]
     assert kept.read_bytes() == b"previous\n"
     assert not absent.exists()
     assert list(tmp_path.glob("*.tmp")) == []
