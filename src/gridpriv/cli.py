@@ -219,7 +219,10 @@ def _compare_one(scenario, out_dir, watch_bus):
     inferred = None
     if kind in schemes.UNIT_CONSENSUS_KINDS:
         report = observer_attack(traj, scenario.comm, scenario.scheme, KnowledgeSet())
-        inferred = (traj.s_tilde[:, :3].copy(), report.s_hat[:, :3].copy())
+        true = np.empty(traj.xi[:, :3].shape)  # s_tilde's first units, formed a block at a time
+        for rows in sim.row_blocks(*traj.xi.shape):  # xi is (T, n_units), as s_tilde is
+            true[rows] = traj.s_tilde_at(rows)[:, :3]
+        inferred = (true, report.s_hat[:, :3].copy())
     return traj.times, traj.omega[:, watch_bus] / (2.0 * np.pi), inferred, metrics
 
 

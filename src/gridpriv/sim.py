@@ -20,13 +20,12 @@ DRAW_BLOCK_ROWS steps at a time: the xi walk for a whole block
 (`draw_privacy_block`) and rho beside it, then n_f step by step from omega,
 as n_f / tau0 onto the command rows of a copy of B p_load. A seed gives the
 same draws as drawing one step at a time. The run records the state and
-the privacy draws. The prosumption s_tilde and the command derivatives
-pc_dot are not stored: the `Trajectory` holds the scenario it ran and
-derives them for a row slice (`Trajectory.s_tilde_at`, `pc_dot_at`),
-pc_dot bit for bit the k1 of the run's steps. Whatever is formed from the
-recorded rows (the Lyapunov column, s_tilde, pc_dot, the trace file's
-cells, the observer's work arrays) is formed a block of about BLOCK_CELLS
-cells at a time (`row_blocks`).
+the privacy draws, and solves only the rest state it starts from. The
+`Trajectory` holds the scenario it ran and derives s_tilde and pc_dot for a
+row slice (`s_tilde_at`, `pc_dot_at`; pc_dot is bit for bit the run's k1),
+and the Lyapunov column and its reference on first read, a block of about
+BLOCK_CELLS cells at a time (`row_blocks`), as are the trace file's cells
+and the observer's work arrays.
 
 A trace file holds what a run integrates, draws or sends: every state
 block but eta, the Lyapunov column, xi and n_f when they hold a non-zero
@@ -200,15 +199,16 @@ class Trajectory:
     """Time-indexed record of all plant, controller and privacy signals.
 
     The fields `simulate` or `from_csv` returns are views into one buffer;
-    outside the privacy scheme xi and n_f are read-only zero views. p_M and d_c
-    are not stored; `marginal_costs` derives them with `unit_outputs`. Nor
-    are s_tilde and pc_dot: a run holds the scenario it ran, and they are
-    derived from it for one row slice (`s_tilde_at`, `pc_dot_at`) or whole
-    (the `s_tilde` and `pc_dot` properties), a `row_blocks` block at a time.
-    A trace file holds what a run integrates, draws or sends (see `to_csv`);
-    `from_csv` reads the scheme kind from its columns and, given the
-    scenario, rebuilds the rest but eta and pc_dot. It refuses a header that
-    repeats a name, does not decode or misorders a block's prefix_k.
+    outside the privacy scheme xi and n_f are read-only zero views. What the
+    record and the scenario a run holds determine is not stored: p_M and d_c
+    (`marginal_costs`), s_tilde and pc_dot, for a row slice (`s_tilde_at`,
+    `pc_dot_at`) or whole, and, on first read under a unit-level scheme,
+    `lyapunov` and its reference `equilibrium`. A trace file holds what a run
+    integrates, draws or sends (see `to_csv`); `from_csv` reads the scheme kind
+    from its columns and, given the scenario, rebuilds the rest but eta and
+    pc_dot. Its s_tilde and lyapunov columns stand in for the derived ones, so
+    `dataclasses.replace` drops them. It refuses a header that repeats a
+    name, does not decode or misorders a block's prefix_k.
     """
 
     times: np.ndarray
@@ -219,10 +219,8 @@ class Trajectory:
     psi: np.ndarray  # (T, n_comm_edges)
     xi: np.ndarray  # (T, n_units)
     n_f: np.ndarray  # (T, n_units)
-    lyapunov: np.ndarray | None = None  # (T,) for unit-level consensus schemes
     scheme_kind: str = EXTENDED_PRIMAL_DUAL
-    equilibrium: object = None  # reference used for the Lyapunov column
-    scenario: object = None  # the Scenario `simulate` ran; s_tilde and pc_dot derive from it
+    scenario: object = None  # the Scenario `simulate` ran; what is not recorded derives from it
     _s_tilde: np.ndarray | None = field(default=None, init=False, repr=False)  # a file's
 
     @property
@@ -264,6 +262,25 @@ class Trajectory:
     @cached_property
     def _loop(self):  # the scenario's ClosedLoop, built once per trajectory
         return ClosedLoop(self.scenario)
+
+    @cached_property
+    def equilibrium(self):
+        """V's reference for a unit-level run with its scenario: the final load's rest state."""
+        if self.scenario is None or self.scheme_kind not in UNIT_CONSENSUS_KINDS:
+            return None
+        return _rest_state(self.scenario, self._loop, self.scenario.final_load())
+
+    @cached_property
+    def lyapunov(self):
+        """(T,) Lyapunov value against `equilibrium`, a `row_blocks` block at a time."""
+        eq, sc = self.equilibrium, self.scenario
+        if eq is None:
+            return None
+        out = np.empty(len(self.times))
+        for c in row_blocks(len(out), self._loop.size):
+            blocks = (b[c] for b in (self.eta, self.omega, self.x, self.p_c, self.psi, self.xi))
+            out[c] = lyapunov_value(sc.model, sc.devices, sc.comm, sc.scheme, eq, *blocks)[0]
+        return out
 
     @property
     def dt(self):
@@ -321,11 +338,12 @@ class Trajectory:
         if data.shape[1] != len(header) or len(set(header)) < len(header):
             raise ConfigurationError(f"malformed trace {path}: {data.shape[1]} columns under "
                                      f"{len(header)} names, {len(set(header))} of them distinct")
-        lyap = data[:, header.index("lyapunov")] if "lyapunov" in header else None
         s_tilde = data[:, spans.pop("s_tilde")]
-        traj = cls(lyapunov=lyap, eta=np.zeros((len(data), 0)),
+        traj = cls(eta=np.zeros((len(data), 0)),
                    **{name: data[:, cols] for name, cols in spans.items()})
         traj._s_tilde = s_tilde
+        if "lyapunov" in header:  # in place of the derived column
+            traj.lyapunov = data[:, header.index("lyapunov")]
         traj.scheme_kind = _trace_kind(traj)
         if scenario is None:
             return traj
@@ -594,9 +612,6 @@ def simulate(scenario):
     y = np.concatenate([eq.eta_star, np.zeros(model.bus_count), eq.x_star, eq.p_c_star,
                         eq.psi_star])
 
-    # Lyapunov reference: the rest state after all load steps
-    eq_ref = _rest_state(scenario, op, scenario.final_load()) if op.unit_level else None
-
     if privacy:
         rng = np.random.default_rng(scenario.seed)
         priv = cfg.privacy
@@ -645,18 +660,8 @@ def simulate(scenario):
         if not np.isfinite(y).all():
             raise _divergence(op, y, k, dt)
 
-    eta, omega, x, p_c, psi = op.blocks(states)
-    lyap = None
-    if op.unit_level:
-        lyap = np.empty(n_samples)
-        for c in row_blocks(n_samples, op.size):
-            lyap[c] = lyapunov_value(model, devices, scenario.comm, cfg, eq_ref,
-                                     eta[c], omega[c], x[c], p_c[c], psi[c], xis[c])[0]
-    return Trajectory(
-        times=steps * dt,
-        omega=omega, eta=eta, x=x, p_c=p_c, psi=psi, xi=xis, n_f=n_fs,
-        lyapunov=lyap, scheme_kind=cfg.kind, equilibrium=eq_ref, scenario=scenario,
-    )
+    return Trajectory(times=steps * dt, **dict(zip(BLOCKS, op.blocks(states))), xi=xis, n_f=n_fs,
+                      scheme_kind=cfg.kind, scenario=scenario)
 
 
 def steady_state_metrics(traj, window, devices=None):

@@ -8,8 +8,10 @@ from gridpriv import (
     Graph,
     NetworkModel,
     PrivacyParams,
+    RandomScenarioSpec,
     Scenario,
     SchemeConfig,
+    gen_scenario,
 )
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
@@ -112,3 +114,13 @@ def read_csv(path):
 
 
 ALL_KINDS = (INTEGRAL, PRIMAL_DUAL, EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING)
+
+
+def huge_final_step_doc():
+    """A 10-bus extended_primal_dual document whose load step of 1e8 pu at
+    0.02 s leaves a final rest state that `dc_power_flow` refuses: its
+    injections sum to 5.588e-09, above the absolute tolerance 1e-9."""
+    doc = gen_scenario(RandomScenarioSpec(bus_count=10, seed=7, scheme_kind=EXTENDED_PRIMAL_DUAL))
+    doc["sim"]["t_end"] = 0.05
+    doc["disturbances"][0].update(t=0.02, delta=1e8)
+    return doc

@@ -25,7 +25,7 @@ from gridpriv.schemes import (
     max_feasible_beta,
 )
 from gridpriv.sim import marginal_costs
-from tests.conftest import read_csv
+from tests.conftest import huge_final_step_doc, read_csv
 
 
 @pytest.fixture
@@ -209,6 +209,18 @@ def test_disturbance_after_the_last_step_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     assert "$.disturbances[1].t" in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_run_with_a_refused_final_rest_state_exits_2_and_writes_no_file(runner, tmp_path):
+    """The Lyapunov column of trajectory.csv needs the final rest state, which
+    dc_power_flow refuses; to_csv forms its columns before it opens the file."""
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(huge_final_step_doc()))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(scen), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "injections sum to" in result.output
+    assert list(out.iterdir()) == []
 
 
 def test_run_divergence_exits_3(runner, tmp_path):

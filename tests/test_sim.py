@@ -45,7 +45,7 @@ from gridpriv.sim import (
     steady_state_metrics,
     write_csv,
 )
-from tests.conftest import ALL_KINDS, make_scenario, read_csv
+from tests.conftest import ALL_KINDS, huge_final_step_doc, make_scenario, read_csv
 from tests.reference_dynamics import classic_rk4_step, inputs
 
 
@@ -181,8 +181,8 @@ def test_lyapunov_monotone(scenario_factory):
 
 
 def test_lyapunov_column_does_not_depend_on_chunk_size():
-    """simulate evaluates V a chunk of samples at a time; each sample's value
-    must equal the one a single whole-trajectory call gives."""
+    """The first read of traj.lyapunov evaluates V a block of samples at a time;
+    each sample's value must equal the one a single whole-trajectory call gives."""
     sc = build_scenario(gen_scenario(RandomScenarioSpec(
         bus_count=200, t_end=10.0, seed=7, scheme_kind=EXTENDED_PRIMAL_DUAL)))
     traj = simulate(sc)
@@ -194,6 +194,47 @@ def test_lyapunov_column_does_not_depend_on_chunk_size():
 def test_lyapunov_absent_for_bus_level_scheme(scenario_factory):
     traj = simulate(scenario_factory(PRIMAL_DUAL, t_end=2.0))
     assert traj.lyapunov is None
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_simulate_does_no_lyapunov_work_and_the_first_read_does_it_once(
+        scenario_factory, monkeypatch, kind):
+    """simulate solves only the rest state it starts from. The first read of
+    traj.lyapunov solves the reference and walks the record once; a second
+    read, and the reference, reuse them."""
+    calls = {"_rest_state": 0, "lyapunov_value": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(sim_module, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(sim_module, name, counted)
+    monkeypatch.setattr(sim_module, "BLOCK_CELLS", 64)  # several blocks of the 14-wide state
+    traj = simulate(scenario_factory(kind, t_end=2.0))
+    assert calls == {"_rest_state": 1, "lyapunov_value": 0}
+    v = traj.lyapunov
+    if kind in (EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING):
+        width = sum(getattr(traj, name).shape[1] for name in sim_module.BLOCKS)
+        blocks = len(sim_module.row_blocks(len(traj.times), width))
+        assert blocks > 1 and calls == {"_rest_state": 2, "lyapunov_value": blocks}
+        assert v.shape == traj.times.shape and np.isfinite(v).all()
+    else:
+        assert v is None and traj.equilibrium is None
+        assert calls == {"_rest_state": 1, "lyapunov_value": 0}
+    before = dict(calls)
+    assert traj.lyapunov is v and (traj.equilibrium is None) == (v is None)
+    bare = dataclasses.replace(traj, scenario=None)
+    assert bare.lyapunov is None and bare.equilibrium is None
+    assert calls == before  # second reads are kept; the bare trajectory solves nothing
+
+
+def test_a_refused_final_rest_state_surfaces_on_the_first_lyapunov_read():
+    """simulate starts from the rest state at the initial load and returns;
+    the reference at the final load is solved, and refused, when V is read."""
+    traj = simulate(build_scenario(huge_final_step_doc()))
+    assert np.isfinite(traj.omega).all()
+    with pytest.raises(InfeasibilityError,
+                       match=r"injections sum to 5\.588e-09, expected 0 within 1e-9"):
+        traj.lyapunov  # noqa: B018 -- the read is the call under test
 
 
 def test_privacy_signal_columns_within_bounds(scenario_factory):
@@ -579,15 +620,15 @@ def test_divergence_under_privacy_names_the_state_and_keeps_the_prefix(model3, d
     assert err.block in sizes and 0 <= err.index < sizes[err.block]
     assert f"{err.block}[{err.index}]" in str(err)
     assert err.last_finite_time == pytest.approx(err.time - sc.dt)
-    with np.errstate(over="ignore", invalid="ignore"):  # the Lyapunov column of the huge state
-        longer = simulate(dataclasses.replace(sc, t_end=err.last_finite_time))
-        shorter = simulate(dataclasses.replace(sc, t_end=20.0))
+    longer = simulate(dataclasses.replace(sc, t_end=err.last_finite_time))
+    shorter = simulate(dataclasses.replace(sc, t_end=20.0))
     for name in ("omega", "eta", "x", "p_c", "psi", "pc_dot", "xi", "n_f"):
         assert np.isfinite(getattr(longer, name)).all()
     # a run cut short draws the same signals up to its end
-    for name in TRAJECTORY_ARRAYS:
-        np.testing.assert_array_equal(getattr(shorter, name),
-                                      getattr(longer, name)[:len(shorter.times)])
+    with np.errstate(over="ignore", invalid="ignore"):  # the Lyapunov column of the huge state
+        for name in TRAJECTORY_ARRAYS:
+            np.testing.assert_array_equal(getattr(shorter, name),
+                                          getattr(longer, name)[:len(shorter.times)])
 
 
 def test_steady_state_metrics(scenario_factory, devices4):
