@@ -89,21 +89,21 @@ def naive_readout(traj):
 def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_time=None):
     """Reconstruct every unit's prosumption from power command trajectories.
 
-    deriv selects the command-derivative estimate: finite differences on
-    the recorded samples, or, for the idealized adversary, the run's own,
-    which a simulated trajectory derives from its scenario. In the
-    idealized case the consensus states are taken as exactly integrated
-    (the stored ones), so every channel must be observed; otherwise they
-    are trapezoid-integrated from the first recorded consensus sample (the
-    trace starts at a known steady state), and unobserved channels are
-    zero-filled. A trace without consensus
-    states starts the integration at zero, so the estimate carries a
-    constant bias. The RMSE is over all samples. A disturbance_time adds
-    the origin_detection ranking over the ORIGIN_WINDOW seconds after it,
-    or as much of them as the trace holds; with fewer than three samples
-    after it the ranking is None and a warning says so. Every check runs
-    first; it refuses a primal_dual trajectory, with one command per bus, and
-    one whose command width is not the graph's node count.
+    deriv selects the command-derivative estimate: finite differences on the
+    recorded samples, or, for the idealized adversary, the run's own, which a
+    simulated trajectory derives from its scenario. In the idealized case the
+    consensus states are taken as exactly integrated (the stored ones), so
+    every channel must be observed; otherwise they are trapezoid-integrated
+    from the first recorded consensus sample (the trace starts at a known
+    steady state), and unobserved channels are zero-filled. A trace without
+    consensus states starts the integration at zero, so the estimate carries a
+    constant bias. The RMSE is over all samples. A disturbance_time adds the
+    origin_detection ranking over the ORIGIN_WINDOW seconds after it, or as
+    much of them as the trace holds; with fewer than three samples after it
+    the ranking is None and a warning says so. Every check runs first; it
+    refuses a primal_dual trajectory, with one command per bus, one whose
+    command width is not the graph's node count, and one with consensus states
+    whose width is not the graph's edge count.
     """
     times = traj.times
     dt = traj.dt
@@ -115,6 +115,9 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
     if n_units != comm.node_count:
         raise ConfigurationError(f"trajectory columns do not match the attack: {n_units} pc "
                                  f"columns, the graph has {comm.node_count} nodes")
+    if 0 < traj.psi.shape[1] != comm.edge_count:
+        raise ConfigurationError(f"trajectory columns do not match the attack: {traj.psi.shape[1]}"
+                                 f" psi columns, the graph has {comm.edge_count} edges")
     if deriv not in (FORWARD_DIFF, CENTRAL_DIFF, EXACT_DERIV):
         raise ConfigurationError(f"unknown derivative estimator {deriv!r}")
     if deriv == EXACT_DERIV and traj.scenario is None:
@@ -173,7 +176,7 @@ def _reconstruct(traj, mask, comm, cfg, deriv):
     s_hat = _finite_difference(traj.p_c, traj.dt, deriv)
     s_hat *= cfg.gamma
     s_hat[:, ~mask] = 0.0
-    psi0 = traj.psi[0] if traj.psi.shape[1] == comm.edge_count else np.zeros(comm.edge_count)
+    psi0 = traj.psi[0] if traj.psi.shape[1] else np.zeros(comm.edge_count)
     for rows, psi in _integrate_psi(traj.p_c, mask, comm, cfg.gamma_psi, traj.dt, psi0):
         s_hat[rows] += comm.node_sum(psi)
     return s_hat

@@ -2,10 +2,9 @@
 
 `Graph` is the one graph type, for the network's lines and the controllers'
 communication graph alike. It validates its edges once and owns the edge
-difference Hᵀv, the node sum H f (both along the last axis, on the edges'
-index arrays), the weighted-Laplacian potential solve and the dense
-incidence H, built on first use; only the per-stage reference and the tests
-use H.
+difference Hᵀv and the node sum H f of its incidence H (both along the last
+axis, on the edges' index arrays) and the weighted-Laplacian potential
+solve. They are the one form of H: no library code forms it densely.
 
 The grid is a connected graph of buses and lossless lines. Line power is
 linear in the phase-angle difference (small-angle approximation), and bus
@@ -14,7 +13,6 @@ inertia and damping.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -52,14 +50,6 @@ class Graph:
     @property
     def edge_count(self):
         return len(self.edges)
-
-    @cached_property
-    def incidence(self):
-        """Dense node-edge incidence H, built on first use."""
-        H = np.zeros((self.node_count, self.edge_count))
-        H[self.tail, np.arange(self.edge_count)] = 1.0
-        H[self.head, np.arange(self.edge_count)] = -1.0
-        return H
 
     def edge_diff(self, v):
         """Hᵀ v along v's last axis: v at each edge's tail minus v at its head."""
@@ -158,10 +148,9 @@ def swing_rhs(model, state, net_injection):
     eta = _checked_array(state.eta, "eta", (model.line_count,))
     omega = _checked_array(state.omega, "omega", (model.bus_count,))
     net_injection = _checked_array(net_injection, "net_injection", (model.bus_count,))
-    A = model.graph.incidence
-    eta_dot = A.T @ omega
+    eta_dot = model.graph.edge_diff(omega)
     p = model.susceptance * eta  # line flows
-    omega_dot = (net_injection - model.damping * omega - A @ p) / model.inertia
+    omega_dot = (net_injection - model.damping * omega - model.graph.node_sum(p)) / model.inertia
     return eta_dot, omega_dot
 
 

@@ -123,15 +123,14 @@ def scheme_rhs(cfg, graph, state, devices, s_tilde, omega, zeta=None):
         omega = _checked_array(omega, "omega", (devices.bus_count,))
         pc_dot = -(cfg.integral_gain / devices.cost_q) * omega[devices.bus]
         return np.zeros(0), pc_dot, p_c
-    H = graph.incidence
     psi = _checked_array(state.psi, "psi", (graph.edge_count,))
     if cfg.kind == PRIMAL_DUAL:
         if zeta is None:
             raise ConfigurationError("primal_dual scheme requires zeta")
         p_c = _checked_array(state.p_c, "p_c", (graph.node_count,))
         zeta = _checked_array(zeta, "zeta", (graph.node_count,))
-        psi_dot = (H.T @ p_c) / cfg.gamma_psi
-        pc_dot = (zeta - H @ psi) / cfg.gamma
+        psi_dot = graph.edge_diff(p_c) / cfg.gamma_psi
+        pc_dot = (zeta - graph.node_sum(psi)) / cfg.gamma
         return psi_dot, pc_dot, p_c[devices.bus]
     # unit-level consensus schemes share one code path; extended_primal_dual
     # is the xi = 0, n_f = 0 special case of privacy_preserving
@@ -144,8 +143,8 @@ def scheme_rhs(cfg, graph, state, devices, s_tilde, omega, zeta=None):
     effective = cfg.gamma + xi
     if np.any(effective <= 0):
         raise ConfigurationError("gamma + xi must stay strictly positive")
-    psi_dot = (H.T @ p_c) / cfg.gamma_psi
-    pc_dot = (s_tilde - H @ psi + n_f) / effective
+    psi_dot = graph.edge_diff(p_c) / cfg.gamma_psi
+    pc_dot = (s_tilde - graph.node_sum(psi) + n_f) / effective
     return psi_dot, pc_dot, p_c
 
 

@@ -3,24 +3,24 @@
 The stacked state is [eta, omega, x, p_c, psi]. The closed loop is one
 affine operator on it, dy = A y + b, with b = B p_load plus n_f on the
 command rows. Those rows carry 1/tau0, the base controller time constants
-(gamma, or q / K under integral): `ClosedLoop(scenario)` divides them into
-A once per run, and into B p_load once per load step. The privacy scheme's
+(gamma, or q / K under integral): `ClosedLoop(scenario)` divides them into A
+once per run, and into B p_load once per load step. The privacy scheme's
 time constants gamma + xi are then one diagonal on the command rows, rho =
 tau0 / (tau0 + xi), exactly 1.0 where xi = 0. The constructor assembles A
 and B from the index data of the units and the edge endpoints of two
 `Graph`s: the network's lines and the consensus graph (the communication
 graph, or the lines again for primal_dual). `swing_rhs`, `device_outputs`,
-`device_rhs` and `scheme_rhs` are its per-stage reference. Every scheme
-forms B p_load once per load step, from the step `Scenario.load_steps`
-gives it, and holds it until the next. RK4 is taken in its Taylor form for
-an input held over the step (`ClosedLoop.step`): four sparse products a
-step, no stage states. Only the privacy scheme modulates the input. Its
-signals are inputs, not integrated states, held over a step and drawn
-DRAW_BLOCK_ROWS steps at a time: the xi walk for a whole block
+`device_rhs` and `scheme_rhs` are its per-stage reference. `simulate` walks
+the (rows, load) slices `Scenario.load_segments` places on the step grid,
+forming B p_load once a slice and holding it over its steps. RK4 is taken in
+its Taylor form for an input held over the step (`ClosedLoop.step`): four
+sparse products a step, no stage states. Only the privacy scheme modulates
+the input. Its signals are inputs, not integrated states, held over a step
+and drawn DRAW_BLOCK_ROWS steps at a time: the xi walk for a whole block
 (`draw_privacy_block`) and rho beside it, then n_f step by step from omega,
 as n_f / tau0 onto the command rows of a copy of B p_load. A seed gives the
-same draws as drawing one step at a time. The run records the state and
-the privacy draws, and solves only the rest state it starts from. The
+same draws as drawing one step at a time. The run records the state and the
+privacy draws, and solves only the rest state it starts from. The
 `Trajectory` holds the scenario it ran and derives s_tilde and pc_dot for a
 row slice (`s_tilde_at`, `pc_dot_at`; pc_dot is bit for bit the run's k1),
 and the Lyapunov column and its reference on first read, a block of about
@@ -160,17 +160,18 @@ class Scenario:
         self.disturbances = tuple(sorted(self.disturbances, key=lambda d: d.time))
 
     def load_segments(self, times):
-        """{first index j: uncontrollable load per unit from times[j] on}, in
-        index order. A disturbance acts from the first j with
-        times[j] + 1e-12 >= its time; disturbances at one index merge into one
-        entry, and one after the last time has the index len(times)."""
+        """[(rows, uncontrollable load per unit over those rows)]: slices that
+        tile [0, len(times)) in order. A disturbance acts from the first j with
+        times[j] + 1e-12 >= its time; disturbances at one index share a slice,
+        and one after the last time starts the last slice, an empty one."""
         first = np.searchsorted(np.asarray(times) + 1e-12, [d.time for d in self.disturbances])
         p_load = self.devices.p_load.copy()
-        segments = {0: p_load.copy()}
+        loads = {0: p_load.copy()}  # by first index
         for d, j in zip(self.disturbances, first.tolist()):
             p_load[d.unit] += d.delta
-            segments[j] = p_load.copy()
-        return segments
+            loads[j] = p_load.copy()
+        bounds = [*loads, len(times)]
+        return [(slice(a, b), load) for a, b, load in zip(bounds, bounds[1:], loads.values())]
 
     def step_grid(self, stride):
         """The step indices k = 0, stride, 2*stride, ... up to round(t_end/dt).
@@ -183,15 +184,9 @@ class Scenario:
                                 f"of {8 * (last // stride + 1):.3g} bytes cannot be allocated"
                                 ) from exc
 
-    def load_steps(self):
-        """{first step k: uncontrollable load per unit from k on}: the load
-        segments of the step times k*dt."""
-        return self.load_segments(self.step_grid(1) * self.dt)
-
     def final_load(self):
-        """Uncontrollable load per unit after every disturbance: given no times,
-        `load_segments` merges every disturbance into its one entry, index 0."""
-        return self.load_segments(())[0]
+        """Uncontrollable load per unit after every disturbance: the last slice's."""
+        return self.load_segments(())[-1][1]
 
 
 @dataclass
@@ -244,7 +239,7 @@ class Trajectory:
             return np.zeros((len(self.times[rows]), 0))
         x, p_c, omega = self.x[rows], self.p_c[rows], self.omega[rows]
         out = np.empty((len(x), self.scenario.devices.n_units))
-        for seg, load in _segments(self.scenario, self.times[rows]):
+        for seg, load in self.scenario.load_segments(self.times[rows]):
             for c in row_blocks(seg.stop - seg.start, out.shape[1]):
                 out[seg][c] = _unit_outputs(self.scheme_kind, self.scenario.devices, x[seg][c],
                                             p_c[seg][c], omega[seg][c], load)[2]
@@ -401,8 +396,7 @@ class ClosedLoop:
     def __init__(self, scenario):
         model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
         n_units = devices.n_units
-        unit_level = cfg.kind in UNIT_CONSENSUS_KINDS
-        if unit_level:
+        if cfg.kind in UNIT_CONSENSUS_KINDS:
             graph = scenario.comm
             if graph is None or graph.node_count != n_units:
                 raise ConfigurationError("unit-level scheme needs a communication node per unit")
@@ -481,7 +475,6 @@ class ClosedLoop:
         self.vals = vals / tau_rows[self.rows]
         self.in_rows, self.in_cols, self.in_vals = coo(inputs)  # in_cols: into p_load
         self.tau_c = tau_c  # tau0 per controller, divided into the command rows
-        self.unit_level = unit_level  # rho and n_f act on the command rows
         self.graph = graph  # consensus graph of the controllers
         self.dt = scenario.dt  # the step of `step`
         self.size = int(offsets[-1])
@@ -555,7 +548,7 @@ class ClosedLoop:
             out[c] = np.bincount(index[:terms.size], terms.ravel(),
                                  minlength=n * n_ctrl).reshape(n, n_ctrl)
         privacy = traj.scheme_kind == PRIVACY_PRESERVING
-        for seg, p_load in _segments(traj.scenario, times):
+        for seg, p_load in traj.scenario.load_segments(times):
             b = self.held_input(p_load)[self.pc]
             out[seg] += b + traj.n_f[rows][seg] / self.tau_c if privacy else b
         if privacy:
@@ -586,14 +579,6 @@ def _divergence(op, y, k, dt):
     first = int(np.flatnonzero(~np.isfinite(y))[0])
     block = int(np.searchsorted(op.offsets, first, side="right")) - 1
     return DivergenceError((k + 1) * dt, BLOCKS[block], first - int(op.offsets[block]), k * dt)
-
-
-def _segments(scenario, times):
-    """(rows, uncontrollable load) of each load segment `Scenario.load_segments`
-    places at the sample times, in order."""
-    segments = scenario.load_segments(times)
-    bounds = list(segments) + [len(times)]
-    return [(slice(j0, j1), load) for j0, j1, load in zip(bounds, bounds[1:], segments.values())]
 
 
 def simulate(scenario):
@@ -633,32 +618,31 @@ def simulate(scenario):
     if not privacy:
         xis = n_fs = np.broadcast_to(0.0, (n_samples, n_units))
 
-    loads = scenario.load_steps()
     omega_at_unit = op.offsets[1] + devices.bus  # each unit's bus frequency in y
     rho = None
-    for k in range(n_steps + 1):
-        if k in loads:
-            b_load = op.held_input(loads[k])
-            b = b_load.copy()  # under privacy its command rows are rewritten every step
-        if privacy:
-            r = k % DRAW_BLOCK_ROWS
-            if r == 0:
-                xi_rows, draws = draw_privacy_block(
-                    priv, xi, dt, rng, min(DRAW_BLOCK_ROWS, n_steps + 1 - k))
-                rho_rows = op.tau_c / (op.tau_c + xi_rows)
-            xi, rho = xi_rows[r], rho_rows[r]
-            n_f = privacy_noise(priv, draws[r], y[omega_at_unit])
-            np.add(b_load[op.pc], n_f / op.tau_c, out=b[op.pc])
-        j, off = divmod(k, stride)
-        if off == 0:
-            states[j] = y
+    for steps_held, p_load in scenario.load_segments(scenario.step_grid(1) * dt):
+        b_load = op.held_input(p_load)
+        b = b_load.copy()  # under privacy its command rows are rewritten every step
+        for k in range(steps_held.start, steps_held.stop):
             if privacy:
-                xis[j], n_fs[j] = xi, n_f
-        if k == n_steps:
-            break
-        y = op.step(y, b, rho)[1]
-        if not np.isfinite(y).all():
-            raise _divergence(op, y, k, dt)
+                r = k % DRAW_BLOCK_ROWS
+                if r == 0:
+                    xi_rows, draws = draw_privacy_block(
+                        priv, xi, dt, rng, min(DRAW_BLOCK_ROWS, n_steps + 1 - k))
+                    rho_rows = op.tau_c / (op.tau_c + xi_rows)
+                xi, rho = xi_rows[r], rho_rows[r]
+                n_f = privacy_noise(priv, draws[r], y[omega_at_unit])
+                np.add(b_load[op.pc], n_f / op.tau_c, out=b[op.pc])
+            j, off = divmod(k, stride)
+            if off == 0:
+                states[j] = y
+                if privacy:
+                    xis[j], n_fs[j] = xi, n_f
+            if k == n_steps:
+                break
+            y = op.step(y, b, rho)[1]
+            if not np.isfinite(y).all():
+                raise _divergence(op, y, k, dt)
 
     return Trajectory(times=steps * dt, **dict(zip(BLOCKS, op.blocks(states))), xi=xis, n_f=n_fs,
                       scheme_kind=cfg.kind, scenario=scenario)

@@ -1,20 +1,34 @@
 """Reference pieces of the dynamics that only the tests and tools read.
 
-`inputs` composes the closed loop's held input the way `simulate` does, one
-step at a time, for checks of `ClosedLoop.rhs` and `ClosedLoop.step`;
+`incidence` forms a graph's incidence H densely, the oracle of
+`Graph.edge_diff` and `Graph.node_sum`; `inputs` composes the closed loop's
+held input the way `simulate` does, one step at a time, for checks of
+`ClosedLoop.rhs` and `ClosedLoop.step`;
 `classic_rk4_step` takes one step from the four classic RK4 stages, the
 reference of `ClosedLoop.step`; `laplacian` forms the susceptance-weighted
 Laplacian densely, for checks of the angle solve.
 """
 
+import numpy as np
 
-def inputs(op, p_load, xi, n_f):
-    """The input term b of ClosedLoop op (B p_load, plus n_f / tau0 on the
-    command rows of the unit-level schemes) and the diagonal
-    rho = tau0 / (tau0 + xi) on the command rows, None outside the
+from gridpriv.schemes import UNIT_CONSENSUS_KINDS
+
+
+def incidence(graph):
+    """Dense node-edge incidence H of a Graph: +1 at each edge's tail, -1 at its head."""
+    H = np.zeros((graph.node_count, graph.edge_count))
+    H[graph.tail, np.arange(graph.edge_count)] = 1.0
+    H[graph.head, np.arange(graph.edge_count)] = -1.0
+    return H
+
+
+def inputs(sc, op, p_load, xi, n_f):
+    """The input term b of ClosedLoop op of scenario sc (B p_load, plus
+    n_f / tau0 on the command rows of the unit-level schemes) and the
+    diagonal rho = tau0 / (tau0 + xi) on the command rows, None outside the
     unit-level schemes."""
     b = op.held_input(p_load)
-    if not op.unit_level:
+    if sc.scheme.kind not in UNIT_CONSENSUS_KINDS:
         return b, None
     b[op.pc] += n_f / op.tau_c
     return b, op.tau_c / (op.tau_c + xi)
@@ -32,5 +46,5 @@ def classic_rk4_step(op, y, b, rho):
 
 def laplacian(model):
     """Susceptance-weighted graph Laplacian of a NetworkModel."""
-    A = model.graph.incidence
+    A = incidence(model.graph)
     return A @ (model.susceptance[:, None] * A.T)

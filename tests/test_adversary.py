@@ -34,7 +34,7 @@ from gridpriv.schemes import (
 )
 from gridpriv.sim import ClosedLoop, Trajectory
 from tests.conftest import ALL_KINDS, make_scenario
-from tests.reference_dynamics import inputs
+from tests.reference_dynamics import incidence, inputs
 
 
 @pytest.fixture
@@ -148,6 +148,21 @@ def test_observer_refuses_a_graph_of_another_width(epd_run):
         observer_attack(traj, Graph(3, ((0, 1), (1, 2))), sc.scheme, KnowledgeSet())
 
 
+@pytest.mark.parametrize("deriv", [CENTRAL_DIFF, EXACT_DERIV])
+def test_observer_refuses_consensus_states_of_another_graph(epd_run, monkeypatch, deriv):
+    """Three psi columns under a four-edge graph are refused before any work,
+    rather than integrated from zero in place of the trace's first sample."""
+    def no_work(*args):
+        raise AssertionError("the attack reconstructed s_hat before checking psi")
+
+    monkeypatch.setattr(adversary_module, "_reconstruct", no_work)
+    sc, traj = epd_run
+    comm = Graph(4, sc.comm.edges + ((0, 3),))
+    with pytest.raises(ConfigurationError, match="trajectory columns do not match the attack: "
+                                                 "3 psi columns, the graph has 4 edges"):
+        observer_attack(traj, comm, sc.scheme, KnowledgeSet(), deriv=deriv)
+
+
 def test_observer_checks_its_derivative_before_any_work(epd_run, monkeypatch):
     """An unknown estimator, or the exact one on a trace without stored
     derivatives (one that holds no scenario to derive them from), fails
@@ -185,7 +200,7 @@ def test_observed_mask_rejects_channels_that_are_not_integers(channel):
 
 def reference_attack(traj, comm, cfg, mask, deriv):
     """The observer written out with whole-array temporaries: (s_hat, rmse)."""
-    dt, H = traj.dt, comm.incidence
+    dt, H = traj.dt, incidence(comm)
     pc = np.where(mask[None, :], traj.p_c, 0.0)
     if deriv == FORWARD_DIFF:
         pc_dot = np.empty_like(pc)
@@ -235,7 +250,7 @@ def test_observer_blocks_match_whole_array_reference(pp_run, monkeypatch, sample
     knowledge = KnowledgeSet(observed_channels=channels)
     report = observer_attack(traj, sc.comm, sc.scheme, knowledge, deriv=deriv)
     if deriv == EXACT_DERIV:
-        s_hat = sc.scheme.gamma * traj.pc_dot + traj.psi @ sc.comm.incidence.T
+        s_hat = sc.scheme.gamma * traj.pc_dot + traj.psi @ incidence(sc.comm).T
     else:
         s_hat = reference_attack(traj, sc.comm, sc.scheme, knowledge.observed_mask(4), deriv)[0]
     err = s_hat - traj.s_tilde
@@ -273,7 +288,7 @@ def test_derived_rows_are_the_runs_outputs(scenario_factory, monkeypatch, kind, 
             if d.time <= t + 1e-12:
                 p_load[d.unit] += d.delta
         y = np.concatenate([traj.eta[j], traj.omega[j], traj.x[j], traj.p_c[j], traj.psi[j]])
-        want["pc_dot"].append(op.rhs(y, *inputs(op, p_load, traj.xi[j], traj.n_f[j]))[op.pc])
+        want["pc_dot"].append(op.rhs(y, *inputs(sc, op, p_load, traj.xi[j], traj.n_f[j]))[op.pc])
         u = traj.p_c[j][sc.devices.bus] if kind == PRIMAL_DUAL else traj.p_c[j]
         want["s_tilde"].append(unit_outputs(sc.devices, traj.x[j], u, traj.omega[j], p_load)[2])
     blocks = sim_module.row_blocks(*traj.p_c.shape)
@@ -351,7 +366,7 @@ def test_observer_blocks_across_load_steps_match_whole_array_reference(
     knowledge = KnowledgeSet(observed_channels=channels)
     report = observer_attack(traj, sc.comm, sc.scheme, knowledge, deriv=deriv)
     if deriv == EXACT_DERIV:
-        s_hat = sc.scheme.gamma * traj.pc_dot + traj.psi @ sc.comm.incidence.T
+        s_hat = sc.scheme.gamma * traj.pc_dot + traj.psi @ incidence(sc.comm).T
     else:
         s_hat = reference_attack(traj, sc.comm, sc.scheme, knowledge.observed_mask(4), deriv)[0]
     err = s_hat - traj.s_tilde
@@ -379,7 +394,6 @@ def test_observer_without_targets_is_lean_and_equals_all_targets(monkeypatch):
         tracemalloc.stop()
     block = 8 * (sim_module.BLOCK_CELLS // n) * (n + sc.comm.edge_count)
     assert peak <= traj.p_c.nbytes + 4 * block + 2 * 8 * np.getbufsize()
-    assert "incidence" not in vars(sc.comm)
     assert plain.s_hat.shape == traj.s_tilde.shape
     assert plain.to_dict()["target_units"] == list(range(n))
 

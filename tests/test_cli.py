@@ -284,14 +284,22 @@ def test_attack_on_compare_dt_traces_gives_the_in_memory_ratio(runner, tmp_path)
     assert ratio == rmse[PRIVACY_PRESERVING] / rmse[EXTENDED_PRIMAL_DUAL]
 
 
-@pytest.mark.parametrize("baseline", ["primal_dual", "other scenario"])
+@pytest.mark.parametrize("baseline", ["primal_dual", "other scenario",
+                                      "other communication graph"])
 def test_attack_mismatched_baseline_exits_2(runner, tmp_path, baseline):
     """The baseline trace is checked like the attacked one: a bus-level trace has
-    a pc column per bus, another scenario's trace another unit count."""
+    a pc column per bus, another scenario's trace another unit count, and a
+    trace run over a communication graph with one more edge another psi count."""
     scen = gen(runner, tmp_path)
-    if baseline == "primal_dual":
+    if baseline != "other scenario":
         doc = json.loads(scen.read_text())
-        doc["scheme"]["kind"] = "primal_dual"
+        if baseline == "primal_dual":
+            doc["scheme"]["kind"] = "primal_dual"
+        else:
+            edges, n = {tuple(sorted(e)) for e in doc["comm"]["edges"]}, len(doc["devices"])
+            doc["comm"]["edges"].append(next([i, j] for i in range(n) for j in range(i + 1, n)
+                                             if (i, j) not in edges))
+            doc["comm"]["gamma_psi"].append(0.03)
         base_scen = tmp_path / "base.json"
         base_scen.write_text(json.dumps(doc))
     else:
@@ -774,7 +782,7 @@ def test_run_refuses_a_step_grid_too_large_to_allocate(runner, tmp_path):
     scen = gen(runner, tmp_path)
     doc = json.loads(scen.read_text())
     doc["sim"]["t_end"] = 1e13
-    for kind in (INTEGRAL, PRIVACY_PRESERVING):  # simulate's grid, and load_steps' first
+    for kind in (INTEGRAL, PRIVACY_PRESERVING):  # simulate allocates the grid first under both
         doc["scheme"]["kind"] = kind
         scen.write_text(json.dumps(doc))
         result = runner.invoke(main, ["run", str(scen), "--out", str(tmp_path / "out")])

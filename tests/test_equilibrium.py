@@ -15,7 +15,7 @@ from gridpriv.network import PlantState, dc_power_flow, swing_rhs
 from gridpriv.scenario import RandomScenarioSpec, build_scenario, gen_scenario
 from gridpriv.schemes import EXTENDED_PRIMAL_DUAL, SchemeState, scheme_rhs
 from tests.conftest import make_scheme, padded
-from tests.reference_dynamics import laplacian
+from tests.reference_dynamics import incidence, laplacian
 
 
 def dispatch_oracle(q, is_gen, total_load, mask, iters=4000):
@@ -88,7 +88,7 @@ def test_equilibrium_is_closed_loop_fixed_point(model3, devices4, comm4):
     np.testing.assert_allclose(eq.p_c_star, -kkt.lam)
     # prosumption balances and the consensus system is consistent
     assert abs(eq.s_tilde_star.sum()) < 1e-12
-    np.testing.assert_allclose(comm4.incidence @ eq.psi_star, eq.s_tilde_star,
+    np.testing.assert_allclose(incidence(comm4) @ eq.psi_star, eq.s_tilde_star,
                                atol=1e-9)
     # every derivative vanishes at the equilibrium
     omega = np.zeros(3)
@@ -130,7 +130,7 @@ def test_edge_flows_match_min_norm_lstsq(model3, devices4):
         kkt = solve_kkt(devices, p_load)
         eq = build_equilibrium(model, devices, comm, kkt, p_load)
         s = eq.s_tilde_star
-        oracle, _, _, _ = np.linalg.lstsq(comm.incidence, s, rcond=None)
+        oracle, _, _, _ = np.linalg.lstsq(incidence(comm), s, rcond=None)
         assert eq.psi_star.shape == (comm.edge_count,)
         assert np.abs(eq.psi_star - oracle).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(s).max())
 
@@ -142,7 +142,7 @@ def test_edge_flows_match_min_norm_lstsq(model3, devices4):
         np.testing.assert_array_equal(eta_dc, eq.eta_star)
         tol = 1e-12 * (1.0 + np.abs(injection).max())
         assert np.abs(theta_dc - theta).max() <= tol
-        assert np.abs(eta_dc - model.graph.incidence.T @ theta).max(initial=0.0) <= tol
+        assert np.abs(eta_dc - incidence(model.graph).T @ theta).max(initial=0.0) <= tol
 
 
 def test_lyapunov_zero_at_equilibrium_positive_elsewhere(model3, devices4, comm4):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridpriv import (
     DeviceState,
@@ -46,7 +48,7 @@ from gridpriv.sim import (
     write_csv,
 )
 from tests.conftest import ALL_KINDS, huge_final_step_doc, make_scenario, read_csv
-from tests.reference_dynamics import classic_rk4_step, inputs
+from tests.reference_dynamics import classic_rk4_step, incidence, inputs
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -116,7 +118,7 @@ def test_recorded_reconstruction_identity(scenario_factory, comm4):
     """Recorded columns satisfy (gamma + xi) pc_dot = s - H psi + n_f exactly."""
     sc = scenario_factory(PRIVACY_PRESERVING, t_end=5.0)
     traj = simulate(sc)
-    H = comm4.incidence
+    H = incidence(comm4)
     lhs = (sc.scheme.gamma + traj.xi) * traj.pc_dot
     rhs = traj.s_tilde - traj.psi @ H.T + traj.n_f
     assert np.abs(lhs - rhs).max() < 1e-10
@@ -563,13 +565,15 @@ def test_load_steps_one_entry_per_first_step(model3, devices4, comm4):
     sc = make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL, t_end=2.0, dt=0.01,
                        disturbances=((1.0, 0, 0.2), (1.0, 1, -0.1), (1.005, 2, 0.3),
                                      (2.0, 3, 0.05)))
-    steps = sc.load_steps()
-    assert list(steps) == [0, 100, 101, 200]
+    segments = sc.load_segments(sc.step_grid(1) * sc.dt)
+    assert [(rows.start, rows.stop) for rows, _ in segments] == [
+        (0, 100), (100, 101), (101, 200), (200, 201)]
+    steps = [load for _, load in segments]
     np.testing.assert_array_equal(steps[0], base)
-    np.testing.assert_array_equal(steps[100], base + [0.2, -0.1, 0.0, 0.0])
-    np.testing.assert_array_equal(steps[101], base + [0.2, -0.1, 0.3, 0.0])
-    np.testing.assert_array_equal(steps[200], base + [0.2, -0.1, 0.3, 0.05])
-    np.testing.assert_array_equal(sc.final_load(), steps[200])
+    np.testing.assert_array_equal(steps[1], base + [0.2, -0.1, 0.0, 0.0])
+    np.testing.assert_array_equal(steps[2], base + [0.2, -0.1, 0.3, 0.0])
+    np.testing.assert_array_equal(steps[3], base + [0.2, -0.1, 0.3, 0.05])
+    np.testing.assert_array_equal(sc.final_load(), steps[3])
 
     at_end = simulate(sc)
     before = simulate(dataclasses.replace(sc, disturbances=sc.disturbances[:3]))
@@ -577,6 +581,44 @@ def test_load_steps_one_entry_per_first_step(model3, devices4, comm4):
     np.testing.assert_array_equal(at_end.s_tilde[:-1], before.s_tilde[:-1])
     np.testing.assert_allclose(at_end.s_tilde[-1] - before.s_tilde[-1], [0.0, 0.0, 0.0, 0.05],
                                rtol=0.0, atol=1e-15)
+
+
+SEGMENT_TIMES = st.one_of(  # sorted sample times on [0, 2]: strided steps, off-grid or none
+    st.integers(1, 60).map(lambda stride: np.arange(0, 201, stride) * 0.01),
+    st.lists(st.floats(0.0, 2.0), max_size=30).map(sorted),
+    st.just(()))
+STEP_TIMES = st.one_of(st.integers(0, 200).map(lambda k: k * 0.01), st.floats(0.0, 2.0),
+                       st.just(2.0))  # on the grid, off it, and at t_end
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(times=SEGMENT_TIMES,
+       steps=st.lists(st.tuples(STEP_TIMES, st.integers(0, 3), st.floats(-1.0, 1.0)),
+                      max_size=6).flatmap(lambda s: st.permutations(s + s[:2])))  # ties
+def test_load_segments_tile_the_times_under_the_loads_acting_there(
+        model3, devices4, comm4, times, steps):
+    """The slices tile [0, len(times)) in order; a non-empty slice holds the base
+    load plus every step with time <= times[start] + 1e-12, and final_load all of
+    them, each added in the scenario's (time-sorted) order."""
+    sc = make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL, t_end=2.0, dt=0.01,
+                       disturbances=steps)
+
+    def load_until(limit):
+        p_load = devices4.p_load.copy()
+        for d in sc.disturbances:
+            if d.time <= limit:
+                p_load[d.unit] += d.delta
+        return p_load
+
+    segments = sc.load_segments(times)
+    bounds = [rows.start for rows, _ in segments] + [segments[-1][0].stop]
+    assert bounds[0] == 0 and bounds[-1] == len(times) and bounds == sorted(bounds)
+    assert all(rows == slice(a, b) for (rows, _), a, b in zip(segments, bounds, bounds[1:]))
+    for rows, load in segments:
+        if rows.stop > rows.start:
+            np.testing.assert_array_equal(load, load_until(times[rows.start] + 1e-12))
+    np.testing.assert_array_equal(sc.final_load(), load_until(np.inf))
 
 
 def test_t_end_must_lie_on_the_sample_grid(model3, devices4, comm4):
@@ -718,7 +760,7 @@ def test_closed_loop_matches_per_stage_functions(scenario_factory, system, kind)
         xi = rng.uniform(0.0, 0.1, n_units)
         n_f = rng.normal(scale=0.01, size=n_units)
         want, _ = stacked_rhs(sc, op, y, p_load, xi, n_f)
-        got = op.rhs(y, *inputs(op, p_load, xi, n_f))
+        got = op.rhs(y, *inputs(sc, op, p_load, xi, n_f))
         for got_block, want_block in zip(op.blocks(got), op.blocks(want)):
             assert_close(got_block, want_block)
 
@@ -739,7 +781,7 @@ def test_step_is_classic_rk4(scenario_factory, system, kind, dt):
         p_load = rng.normal(scale=0.2, size=n_units)
         xi = rng.uniform(0.0, 0.1, n_units) * (rng.random(n_units) < 0.5)  # some exactly 0
         n_f = rng.normal(scale=0.01, size=n_units)
-        b, rho = inputs(op, p_load, xi, n_f)
+        b, rho = inputs(sc, op, p_load, xi, n_f)
         k1, got = op.step(y, b, rho)
         np.testing.assert_array_equal(k1, op.rhs(y, b, rho))
         want = classic_rk4_step(op, y, b, rho)
@@ -792,7 +834,8 @@ def stepwise_privacy_run(sc):
     rng = np.random.default_rng(sc.seed)
     xi = rng.uniform(0.0, cfg.privacy.xi_max / 10.0, devices.n_units)
     xi[cfg.privacy.beta_hat == 0.0] = 0.0
-    loads, dt = sc.load_steps(), sc.dt
+    dt = sc.dt
+    loads = {rows.start: load for rows, load in sc.load_segments(sc.step_grid(1) * dt)}
     n_steps = int(round(sc.t_end / dt))
     rec = {name: [] for name in ("y", "pc_dot", "xi", "n_f", "p_load")}
     for k in range(n_steps + 1):
@@ -800,7 +843,7 @@ def stepwise_privacy_run(sc):
             p_load = loads[k]
         xi, n_f = refresh_privacy_signals(cfg.privacy, xi, devices.bus,
                                           y[op.offsets[1]:op.offsets[2]], dt, rng)
-        k1, y_next = op.step(y, *inputs(op, p_load, xi, n_f))
+        k1, y_next = op.step(y, *inputs(sc, op, p_load, xi, n_f))
         if k % sc.record_stride == 0:
             for name, value in zip(rec, (y, k1[op.pc], xi, n_f, p_load)):
                 rec[name].append(value)

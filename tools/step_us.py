@@ -70,7 +70,7 @@ def step_rel_err(sc, rng):
         for _ in range(5):
             y = rng.normal(size=op.size)
             xi = rng.uniform(0.0, 0.1, n_units) * (rng.random(n_units) < 0.5)
-            b, rho = inputs(op, rng.normal(scale=0.2, size=n_units), xi,
+            b, rho = inputs(sc, op, rng.normal(scale=0.2, size=n_units), xi,
                             rng.normal(scale=0.01, size=n_units))
             got = op.step(y, b, rho)[1] - y
             want = classic_rk4_step(op, y, b, rho) - y
