@@ -30,4 +30,4 @@ from .sim import (
     steady_state_metrics,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

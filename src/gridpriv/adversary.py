@@ -102,8 +102,9 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
     much of them as the trace holds; with fewer than three samples after it
     the ranking is None and a warning says so. Every check runs first; it
     refuses a primal_dual trajectory, with one command per bus, one whose
-    command width is not the graph's node count, and one with consensus states
-    whose width is not the graph's edge count.
+    command width is not the graph's node count, one with consensus states
+    whose width is not the graph's edge count, and, for the exact attack, one
+    without them.
     """
     times = traj.times
     dt = traj.dt
@@ -123,6 +124,9 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
     if deriv == EXACT_DERIV and traj.scenario is None:
         raise ConfigurationError("trajectory carries no stored derivatives; only a simulated "
                                  "one, which holds its scenario, derives them")
+    if deriv == EXACT_DERIV and traj.psi.shape[1] != comm.edge_count:
+        raise ConfigurationError("the exact-derivative attack needs the recorded consensus "
+                                 "states, and this trajectory has none")
     if len(times) < 2:
         raise ConfigurationError("trajectory has fewer than two samples; the attack needs "
                                  "dt and one command difference")

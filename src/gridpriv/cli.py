@@ -219,8 +219,9 @@ def _compare_one(scenario, out_dir, watch_bus):
     inferred = None
     if kind in schemes.UNIT_CONSENSUS_KINDS:
         report = observer_attack(traj, scenario.comm, scenario.scheme, KnowledgeSet())
-        true = np.empty(traj.xi[:, :3].shape)  # s_tilde's first units, formed a block at a time
-        for rows in sim.row_blocks(*traj.xi.shape):  # xi is (T, n_units), as s_tilde is
+        samples, n_units = len(traj.times), scenario.devices.n_units
+        true = np.empty((samples, min(3, n_units)))  # s_tilde's first units, a block at a time
+        for rows in sim.row_blocks(samples, n_units):
             true[rows] = traj.s_tilde_at(rows)[:, :3]
         inferred = (true, report.s_hat[:, :3].copy())
     return traj.times, traj.omega[:, watch_bus] / (2.0 * np.pi), inferred, metrics

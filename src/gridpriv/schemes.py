@@ -160,11 +160,30 @@ def draw_privacy_block(params, xi, dt, rng, rows):
     (xi rows, n_f draws), each (rows, n); see `privacy_noise`.
     """
     u = rng.uniform(-1.0, 1.0, (rows, 2, xi.shape[0]))
-    walk = u[:, 0] * (params.safety * params.beta_hat * dt)
+    scale = params.safety * params.beta_hat * dt
+    # the walk is formed in place over its draws, a row at a time: a product
+    # broadcast over the block takes numpy buffers of the block's size
     for r in range(rows):
+        step = np.multiply(u[r, 0], scale, out=u[r, 0])
         # clip's bits for the walk's finite, never -0.0 values, at less cost
-        xi = np.minimum(np.maximum(xi + walk[r], 0.0, out=walk[r]), params.xi_max, out=walk[r])
-    return walk, u[:, 1]
+        xi = np.minimum(np.maximum(xi + step, 0.0, out=step), params.xi_max, out=step)
+    return u[:, 0], u[:, 1]
+
+
+def privacy_draws(params, n_units, dt, seed, steps, block_rows):
+    """The seeded privacy sequence of a run's first `steps` steps, as
+    (xi rows, n_f draws) blocks of `draw_privacy_block`, block_rows rows
+    each but the last. xi starts uniform in [0, xi_max/10) and stays 0 at
+    the beta_hat = 0 units. The one owner of the sequence: `simulate`
+    consumes it step by step, and a trajectory's first read replays it."""
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(0.0, params.xi_max / 10.0, n_units)
+    xi[params.beta_hat == 0.0] = 0.0  # degenerate units stay at the plain scheme
+    for k in range(0, steps, block_rows):
+        xi_rows, draws = draw_privacy_block(params, xi, dt, rng, min(block_rows, steps - k))
+        xi = xi_rows[-1].copy()  # a copy, so that no view keeps the block
+        yield xi_rows, draws
+        del xi_rows, draws  # one block alive at a time
 
 
 def privacy_noise(params, u, omega_at_unit):

@@ -16,14 +16,15 @@ forming B p_load once a slice and holding it over its steps. RK4 is taken in
 its Taylor form for an input held over the step (`ClosedLoop.step`): four
 sparse products a step, no stage states. Only the privacy scheme modulates
 the input. Its signals are inputs, not integrated states, held over a step
-and drawn DRAW_BLOCK_ROWS steps at a time: the xi walk for a whole block
-(`draw_privacy_block`) and rho beside it, then n_f step by step from omega,
-as n_f / tau0 onto the command rows of a copy of B p_load. A seed gives the
-same draws as drawing one step at a time. The run records the state and the
-privacy draws, and solves only the rest state it starts from. The
-`Trajectory` holds the scenario it ran and derives s_tilde and pc_dot for a
-row slice (`s_tilde_at`, `pc_dot_at`; pc_dot is bit for bit the run's k1),
-and the Lyapunov column and its reference on first read, a block of about
+and drawn DRAW_BLOCK_ROWS steps at a time from the seeded sequence that
+`privacy_draws` owns: the xi walk for a whole block and rho beside it, then
+n_f step by step from omega, as n_f / tau0 onto the command rows of a copy
+of B p_load. A seed gives the same draws as drawing one step at a time. The
+run records the state alone and solves only the rest state it starts from.
+The `Trajectory` holds the scenario it ran and derives the rest: s_tilde and
+pc_dot for a row slice (`s_tilde_at`, `pc_dot_at`; pc_dot is bit for bit the
+run's k1); xi and n_f on first read, replaying the run's draws; and the
+Lyapunov column and its reference on first read, a block of about
 BLOCK_CELLS cells at a time (`row_blocks`), as are the trace file's cells
 and the observer's work arrays.
 
@@ -59,7 +60,7 @@ from .schemes import (
     PRIVACY_PRESERVING,
     UNIT_CONSENSUS_KINDS,
     design_condition_report,
-    draw_privacy_block,
+    privacy_draws,
     privacy_noise,
 )
 
@@ -193,17 +194,20 @@ class Scenario:
 class Trajectory:
     """Time-indexed record of all plant, controller and privacy signals.
 
-    The fields `simulate` or `from_csv` returns are views into one buffer;
-    outside the privacy scheme xi and n_f are read-only zero views. What the
-    record and the scenario a run holds determine is not stored: p_M and d_c
+    The fields `simulate` or `from_csv` returns are views into one buffer,
+    which `simulate` fills with the state alone. What the record and the
+    scenario a run holds determine is not stored: p_M and d_c
     (`marginal_costs`), s_tilde and pc_dot, for a row slice (`s_tilde_at`,
-    `pc_dot_at`) or whole, and, on first read under a unit-level scheme,
-    `lyapunov` and its reference `equilibrium`. A trace file holds what a run
-    integrates, draws or sends (see `to_csv`); `from_csv` reads the scheme kind
-    from its columns and, given the scenario, rebuilds the rest but eta and
-    pc_dot. Its s_tilde and lyapunov columns stand in for the derived ones, so
-    `dataclasses.replace` drops them. It refuses a header that repeats a
-    name, does not decode or misorders a block's prefix_k.
+    `pc_dot_at`) or whole, and, on first read, xi and n_f (replayed from the
+    run's seed under privacy, read-only zero views otherwise) and, under a
+    unit-level scheme, `lyapunov` and its reference `equilibrium`. A copy
+    made by `dataclasses.replace` derives them for its own rows. A trace file
+    holds what a run integrates, draws or sends (see `to_csv`); `from_csv`
+    reads the scheme kind from its columns and, given the scenario, rebuilds
+    the rest but eta and pc_dot. Its s_tilde, xi, n_f and lyapunov columns
+    stand in for the derived ones, so `dataclasses.replace` drops them. It
+    refuses a header that repeats a name, does not decode or misorders a
+    block's prefix_k.
     """
 
     times: np.ndarray
@@ -212,8 +216,6 @@ class Trajectory:
     x: np.ndarray  # (T, n_gen)
     p_c: np.ndarray  # (T, n_controllers)
     psi: np.ndarray  # (T, n_comm_edges)
-    xi: np.ndarray  # (T, n_units)
-    n_f: np.ndarray  # (T, n_units)
     scheme_kind: str = EXTENDED_PRIMAL_DUAL
     scenario: object = None  # the Scenario `simulate` ran; what is not recorded derives from it
     _s_tilde: np.ndarray | None = field(default=None, init=False, repr=False)  # a file's
@@ -253,6 +255,46 @@ class Trajectory:
         if self.scenario is None:
             return np.zeros((len(self.times[rows]), 0))
         return self._loop.command_rates(self, rows)
+
+    @cached_property
+    def xi(self):
+        """(T, n_units) privacy gain, derived with n_f (see `_privacy_signals`)."""
+        return self._privacy_signals[0]
+
+    @cached_property
+    def n_f(self):
+        """(T, n_units) privacy noise, derived with xi (see `_privacy_signals`)."""
+        return self._privacy_signals[1]
+
+    @cached_property
+    def _privacy_signals(self):
+        """(xi, n_f). Under privacy, given the scenario, the run's draws
+        replayed from its seed (`privacy_draws`), a block at a time: each
+        sample takes those of its step round(t / dt), and forms n_f from its
+        recorded omega as the run did. Read-only zero views for the other
+        schemes; zero-width without the scenario."""
+        sc = self.scenario
+        shape = (len(self.times), 0 if sc is None else sc.devices.n_units)
+        if sc is None or self.scheme_kind != PRIVACY_PRESERVING:
+            zeros = np.broadcast_to(0.0, shape)
+            return zeros, zeros
+        priv, bus = sc.scheme.privacy, sc.devices.bus
+        steps = np.rint(self.times / sc.dt).astype(np.intp)
+        order = np.argsort(steps, kind="stable")  # the samples by step
+        n_rows = int(steps[order[-1]]) + 1 if len(steps) else 0
+        starts = range(0, n_rows, DRAW_BLOCK_ROWS)
+        bounds = np.searchsorted(steps[order], [*starts, n_rows]).tolist()
+        xi, n_f = np.empty(shape), np.empty(shape)
+        draw_blocks = privacy_draws(priv, shape[1], sc.dt, sc.seed, n_rows, DRAW_BLOCK_ROWS)
+        for k, a, b in zip(starts, bounds, bounds[1:]):
+            xi_rows, draws = next(draw_blocks)
+            samples = order[a:b]  # those whose steps the block holds, at its rows
+            rows = steps[samples] - k
+            xi[samples] = xi_rows[rows]
+            for i, r in zip(samples.tolist(), rows.tolist()):
+                n_f[i] = privacy_noise(priv, draws[r], self.omega[i, bus])
+            del xi_rows, draws  # as in the generator: one block is alive at a time
+        return xi, n_f
 
     @cached_property
     def _loop(self):  # the scenario's ClosedLoop, built once per trajectory
@@ -306,7 +348,8 @@ class Trajectory:
         Given the scenario that ran it, the omega, x and pc widths are checked
         against the scenario for the trace's kind, s_tilde is rebuilt when the
         file has none and xi and n_f are read-only zero views when it has
-        none. Without one, blocks the file does not hold, and always eta and
+        none. xi and n_f are the file's, never replayed from the scenario's
+        seed. Without one, blocks the file does not hold, and always eta and
         pc_dot, are zero-width.
         """
         def span(prefix):  # block prefix: prefix_0 ... prefix_{n-1}, side by side in order
@@ -333,10 +376,10 @@ class Trajectory:
         if data.shape[1] != len(header) or len(set(header)) < len(header):
             raise ConfigurationError(f"malformed trace {path}: {data.shape[1]} columns under "
                                      f"{len(header)} names, {len(set(header))} of them distinct")
-        s_tilde = data[:, spans.pop("s_tilde")]
+        s_tilde, xi, n_f = (data[:, spans.pop(name)] for name in ("s_tilde", "xi", "n_f"))
         traj = cls(eta=np.zeros((len(data), 0)),
                    **{name: data[:, cols] for name, cols in spans.items()})
-        traj._s_tilde = s_tilde
+        traj._s_tilde, traj.xi, traj.n_f = s_tilde, xi, n_f  # never replayed
         if "lyapunov" in header:  # in place of the derived column
             traj.lyapunov = data[:, header.index("lyapunov")]
         traj.scheme_kind = _trace_kind(traj)
@@ -405,8 +448,14 @@ class ClosedLoop:
         else:
             graph = None
         n_ctrl = model.bus_count if cfg.kind == PRIMAL_DUAL else n_units
-        sizes = [model.line_count, model.bus_count, devices.n_generators, n_ctrl,
-                 graph.edge_count if graph is not None else 0]
+        n_psi = graph.edge_count if graph is not None else 0
+        if cfg.kind != INTEGRAL:
+            for name, want in (("gamma", n_ctrl), ("gamma_psi", n_psi)):
+                got = np.shape(getattr(cfg, name))
+                if got not in ((), (want,)):
+                    raise ConfigurationError(f"{cfg.kind} scheme: {name} has {got[0]} entries, "
+                                             f"expected {want}")
+        sizes = [model.line_count, model.bus_count, devices.n_generators, n_ctrl, n_psi]
         offsets = np.cumsum([0] + sizes)
         E, W, X, C, P = offsets[:-1]
 
@@ -584,7 +633,6 @@ def _divergence(op, y, k, dt):
 def simulate(scenario):
     """Integrate the closed loop and record a full trajectory."""
     model, devices, cfg = scenario.model, scenario.devices, scenario.scheme
-    n_units = devices.n_units
     privacy = cfg.kind == PRIVACY_PRESERVING
     op = ClosedLoop(scenario)
     if privacy:
@@ -597,26 +645,19 @@ def simulate(scenario):
     y = np.concatenate([eq.eta_star, np.zeros(model.bus_count), eq.x_star, eq.p_c_star,
                         eq.psi_star])
 
-    if privacy:
-        rng = np.random.default_rng(scenario.seed)
-        priv = cfg.privacy
-        xi = rng.uniform(0.0, priv.xi_max / 10.0, n_units)
-        xi[priv.beta_hat == 0.0] = 0.0  # degenerate units stay at the plain scheme
-
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
     stride = scenario.record_stride
     steps = scenario.step_grid(stride)
-    n_samples = len(steps)
-    # Every recorded signal is a column block of one buffer: the stacked
-    # state, then xi and n_f. One large allocation is mapped on its own and
-    # goes back to the system whole when the trajectory is dropped. xi and
-    # n_f vary only under the privacy scheme; elsewhere they are one
-    # read-only zero view and take no columns.
-    record = np.empty((n_samples, op.size + (2 * n_units if privacy else 0)))
-    states, xis, n_fs = np.split(record, [op.size, op.size + n_units], axis=1)
-    if not privacy:
-        xis = n_fs = np.broadcast_to(0.0, (n_samples, n_units))
+    # The record is the stacked state and nothing else: one large allocation
+    # is mapped on its own and goes back to the system whole when the
+    # trajectory is dropped. The privacy draws are replayed from the seed on
+    # first read (`Trajectory.xi`).
+    states = np.empty((len(steps), op.size))
+    if privacy:
+        priv = cfg.privacy
+        draw_blocks = privacy_draws(priv, devices.n_units, dt, scenario.seed, n_steps + 1,
+                                    DRAW_BLOCK_ROWS)
 
     omega_at_unit = op.offsets[1] + devices.bus  # each unit's bus frequency in y
     rho = None
@@ -627,24 +668,21 @@ def simulate(scenario):
             if privacy:
                 r = k % DRAW_BLOCK_ROWS
                 if r == 0:
-                    xi_rows, draws = draw_privacy_block(
-                        priv, xi, dt, rng, min(DRAW_BLOCK_ROWS, n_steps + 1 - k))
+                    xi_rows, draws = next(draw_blocks)
                     rho_rows = op.tau_c / (op.tau_c + xi_rows)
-                xi, rho = xi_rows[r], rho_rows[r]
+                rho = rho_rows[r]
                 n_f = privacy_noise(priv, draws[r], y[omega_at_unit])
                 np.add(b_load[op.pc], n_f / op.tau_c, out=b[op.pc])
             j, off = divmod(k, stride)
             if off == 0:
                 states[j] = y
-                if privacy:
-                    xis[j], n_fs[j] = xi, n_f
             if k == n_steps:
                 break
             y = op.step(y, b, rho)[1]
             if not np.isfinite(y).all():
                 raise _divergence(op, y, k, dt)
 
-    return Trajectory(times=steps * dt, **dict(zip(BLOCKS, op.blocks(states))), xi=xis, n_f=n_fs,
+    return Trajectory(times=steps * dt, **dict(zip(BLOCKS, op.blocks(states))),
                       scheme_kind=cfg.kind, scenario=scenario)
 
 

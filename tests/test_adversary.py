@@ -28,6 +28,7 @@ from gridpriv.devices import unit_outputs
 from gridpriv.errors import ConfigurationError
 from gridpriv.schemes import (
     EXTENDED_PRIMAL_DUAL,
+    INTEGRAL,
     PRIMAL_DUAL,
     PRIVACY_PRESERVING,
     UNIT_CONSENSUS_KINDS,
@@ -177,6 +178,23 @@ def test_observer_checks_its_derivative_before_any_work(epd_run, monkeypatch):
     stripped = dataclasses.replace(traj, scenario=None)
     with pytest.raises(ConfigurationError, match="no stored derivatives"):
         observer_attack(stripped, sc.comm, sc.scheme, KnowledgeSet(), deriv=EXACT_DERIV)
+
+
+def test_exact_attack_refuses_a_run_without_consensus_states(monkeypatch):
+    """An integral run records no psi, which the exact attack adds to gamma
+    pc_dot: it is refused by name before any work, and the central attack,
+    which integrates psi from the commands, still runs."""
+    sc = build_scenario(gen_scenario(RandomScenarioSpec(
+        bus_count=4, t_end=2.0, seed=7, scheme_kind=INTEGRAL)))
+    traj = simulate(sc)
+    assert traj.psi.shape[1] == 0 < sc.comm.edge_count
+    with monkeypatch.context() as patched:
+        patched.setattr(adversary_module, "_reconstruct", lambda *args: pytest.fail("work done"))
+        with pytest.raises(ConfigurationError, match="the exact-derivative attack needs the "
+                                                     "recorded consensus states"):
+            observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), deriv=EXACT_DERIV)
+    report = observer_attack(traj, sc.comm, sc.scheme, KnowledgeSet(), deriv=CENTRAL_DIFF)
+    assert np.isfinite(report.rmse_transient)
 
 
 def test_observed_mask_accepts_numpy_channels():

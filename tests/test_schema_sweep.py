@@ -52,7 +52,8 @@ def _failure(doc, path, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = simulate(build_scenario(doc))
-            derived = {"s_tilde": traj.s_tilde, "pc_dot": traj.pc_dot, "lyapunov": traj.lyapunov}
+            derived = {"s_tilde": traj.s_tilde, "pc_dot": traj.pc_dot, "lyapunov": traj.lyapunov,
+                       "xi": traj.xi, "n_f": traj.n_f}
     except DivergenceError as exc:
         return f"diverged: {exc}"
     except GridPrivError as exc:

@@ -148,11 +148,24 @@ def test_plain_run_privacy_columns_are_a_read_only_zero_view(scenario_factory, k
         assert np.all(block == 0.0)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_the_record_is_the_state_under_every_scheme(scenario_factory, kind):
+    """The state blocks are views of one buffer of 8 x state bytes per sample;
+    nothing else is recorded, the privacy signals included."""
+    traj = simulate(scenario_factory(kind, t_end=1.0))
+    record = traj.omega.base
+    for name in sim_module.BLOCKS:
+        assert getattr(traj, name).base is record
+    assert record.nbytes == 8 * len(traj.times) * ClosedLoop(traj.scenario).size
+
+
 def test_simulate_peak_memory_is_the_recording_buffer():
-    """One buffer holds every recorded signal, 8 x (state + 2 n_units for
-    privacy) bytes per sample; s_tilde and pc_dot are derived, not stored.
-    The peak stays below the earlier layout's buffer, which also held them:
-    8 x (state + n_ctrl + n_units + 2 n_units) bytes per sample."""
+    """One buffer holds the recorded state, 8 x state bytes per sample; xi and
+    n_f are replayed from the seed, and s_tilde and pc_dot derived, when read.
+    The run's peak stays within the earlier layout's buffer, which also held
+    xi and n_f: 8 x (state + 2 n_units) bytes per sample. The first read of xi
+    forms xi and n_f a block of draws at a time: its peak stays within 1.25 x
+    their 2 x 8 x n_units bytes per sample."""
     sc = build_scenario(gen_scenario(RandomScenarioSpec(
         bus_count=30, t_end=5.0, seed=2, scheme_kind=PRIVACY_PRESERVING)))
     state_size, n = ClosedLoop(sc).size, sc.devices.n_units
@@ -163,12 +176,19 @@ def test_simulate_peak_memory_is_the_recording_buffer():
     finally:
         tracemalloc.stop()
     record = traj.omega.base
-    for name in ("eta", "x", "p_c", "psi", "xi", "n_f"):
+    for name in sim_module.BLOCKS:
         assert getattr(traj, name).base is record
-    # the state, then xi and n_f
-    assert record.nbytes == 8 * len(traj.times) * (state_size + 2 * n)
-    # n_ctrl = n_units here
-    assert peak <= 8 * len(traj.times) * (state_size + n + n + 2 * n)
+    assert record.nbytes == 8 * len(traj.times) * state_size
+    assert peak <= 8 * len(traj.times) * (state_size + 2 * n)
+    assert not {"xi", "n_f"} & vars(traj).keys()  # not formed until read
+    tracemalloc.start()
+    try:
+        traj.xi  # noqa: B018 -- the read is the call under test
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.xi.shape == traj.n_f.shape == (len(traj.times), n)
+    assert peak <= 1.25 * 2 * 8 * len(traj.times) * n
 
 
 def test_lyapunov_monotone(scenario_factory):
@@ -284,7 +304,7 @@ def test_csv_one_row_zero_width_block_and_line_endings(tmp_path, scenario_factor
     traj = simulate(sc)
     assert traj.psi.shape[1] == 0 and traj.lyapunov is None  # integral has no psi
     one = dataclasses.replace(traj, **{name: getattr(traj, name)[:1] for name in (
-        "times", "omega", "p_c", "psi", "x", "xi", "n_f")})
+        "times", "omega", "p_c", "psi", "x")})
     path = tmp_path / "one.csv"
     one.to_csv(path)
     raw = path.read_bytes()
@@ -702,6 +722,24 @@ def test_peak_tells_a_run_that_stays_in_the_band_from_one_that_settles(scenario_
     assert m["settle_time"] == 0.0
 
 
+def test_closed_loop_names_a_mis_sized_scheme_array():
+    """A library Scenario under primal_dual with the unit graph's gamma_psi, or
+    with one gamma per unit, is refused by the field's name and both sizes;
+    the document's own scheme still runs."""
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, t_end=1.0, seed=7))
+    sc = build_scenario(doc)
+    lines, units, unit_edges = sc.model.line_count, sc.devices.n_units, sc.comm.edge_count
+    for gamma, field_name, got, want in ((np.full(sc.model.bus_count, 0.5), "gamma_psi",
+                                          unit_edges, lines),
+                                         (sc.scheme.gamma, "gamma", units, sc.model.bus_count)):
+        scheme = dataclasses.replace(sc.scheme, kind=PRIMAL_DUAL, gamma=gamma)
+        with pytest.raises(ConfigurationError, match=rf"^primal_dual scheme: {field_name} has "
+                                                     rf"{got} entries, expected {want}$"):
+            ClosedLoop(dataclasses.replace(sc, scheme=scheme))
+    doc["scheme"]["kind"] = PRIMAL_DUAL
+    assert np.isfinite(simulate(build_scenario(doc)).p_c).all()
+
+
 def test_scenario_validation(model3, devices4, comm4, scenario_factory):
     with pytest.raises(ConfigurationError):
         make_scenario(model3, devices4, comm4, EXTENDED_PRIMAL_DUAL, dt=0.0)
@@ -899,6 +937,36 @@ def test_block_draws_match_stepwise_draws_for_any_block_length(
         assert_matches_stepwise(privacy_steps_scenario(scenario_factory, 45, stride))
 
 
+@pytest.mark.parametrize("stride", (1, 3))
+def test_copies_replay_the_draws_of_their_own_rows(scenario_factory, stride):
+    """A copy made by dataclasses.replace, truncated, sliced, strided or
+    reversed, derives xi and n_f equal bit for bit to the full run's rows;
+    without the scenario they are zero-width."""
+    traj = simulate(privacy_steps_scenario(scenario_factory, 2 * BLOCK + 1, stride))
+    samples = len(traj.times)
+    for rows in (slice(None, 5), slice(samples // 3, 2 * samples // 3), slice(1, None, 2),
+                 slice(None, None, -3)):
+        copy = dataclasses.replace(traj, **{name: getattr(traj, name)[rows]
+                                            for name in ("times", *sim_module.BLOCKS)})
+        for name in ("xi", "n_f"):
+            assert getattr(copy, name).tobytes() == getattr(traj, name)[rows].tobytes(), name
+    bare = dataclasses.replace(traj, scenario=None)
+    assert bare.xi.shape == bare.n_f.shape == (samples, 0)
+
+
+def test_from_csv_keeps_the_files_draws(tmp_path, scenario_factory):
+    """A trace written under another seed reads back its own xi and nf
+    columns; the scenario given to from_csv replays nothing."""
+    sc = scenario_factory(PRIVACY_PRESERVING, t_end=2.0)
+    seed3 = simulate(dataclasses.replace(sc, seed=3))
+    path = tmp_path / "seed3.csv"
+    seed3.to_csv(path)
+    back = Trajectory.from_csv(path, scenario=sc)
+    for name in ("xi", "n_f"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(seed3, name))
+    assert not np.array_equal(back.n_f, simulate(sc).n_f)
+
+
 def test_negative_zero_xi_max_runs_as_zero_bit_for_bit():
     """-0.0 passes xi_max's >= 0 check; it must not reach xi's initial draw as a
     negative range, and the run must equal the xi_max = 0 run."""
@@ -909,7 +977,8 @@ def test_negative_zero_xi_max_runs_as_zero_bit_for_bit():
         sc = build_scenario(doc)
         assert not np.signbit(sc.scheme.privacy.xi_max)
         runs.append(simulate(sc))
-    for name in [field.name for field in dataclasses.fields(runs[0])] + ["s_tilde", "pc_dot"]:
+    for name in [field.name for field in dataclasses.fields(runs[0])] + [
+            "xi", "n_f", "s_tilde", "pc_dot"]:
         a, b = (getattr(run, name) for run in runs)
         if isinstance(a, np.ndarray):
             assert a.tobytes() == b.tobytes(), name
