@@ -13,13 +13,15 @@ The observer walks the trace a block of samples at a time (`sim.row_blocks`)
 on the graph's edge arrays (`Graph.edge_diff`, `Graph.node_sum`), and
 reads the true prosumption, and the command derivatives of the idealized
 attack, a block at a time from the trajectory, which derives them
-(`Trajectory.s_tilde_at`, `Trajectory.pc_dot_at`). So it holds one
-(samples x units) array, the s_hat it returns, and never forms the dense
-H. It calls no BLAS routine, so its report does not depend on the BLAS
-thread count.
+(`Trajectory.s_tilde_at`, `Trajectory.pc_dot_at`). Each block of s_hat is
+folded into the RMSEs and dropped, so the observer holds no (samples x
+units) array and never forms the dense H; the report derives the whole
+s_hat on its first read, from the same walk (`_reconstruct`). It calls no
+BLAS routine, so its report does not depend on the BLAS thread count.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -58,15 +60,29 @@ class KnowledgeSet:
 
 @dataclass
 class AttackReport:
-    s_hat: np.ndarray  # (T, n_units) estimated prosumption
+    """What an observer attack found. The estimate s_hat is not held: its
+    first read derives it from the attack's own (rows, s_hat[rows]) walk,
+    which `observer_attack` gives the report, bit for bit, so the report
+    holds the attacked trace while it lives."""
+
     rmse_transient: float
     rmse_steady: float
     origin_ranking: list | None = None
     warnings: list = field(default_factory=list)
+    _shape: tuple = field(default=(0, 0), init=False, repr=False)  # (samples, units) of s_hat
+    _walk: object = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def s_hat(self):
+        """(samples, units) estimated prosumption, formed on first read."""
+        s_hat = np.empty(self._shape)
+        for rows, block in self._walk():
+            s_hat[rows] = block
+        return s_hat
 
     def to_dict(self):
         return {
-            "target_units": list(range(self.s_hat.shape[1])),
+            "target_units": list(range(self._shape[1])),
             "rmse_transient": self.rmse_transient,
             "rmse_steady": self.rmse_steady,
             "origin_ranking": self.origin_ranking,
@@ -143,15 +159,15 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
             "partial knowledge: unobserved channels "
             f"{np.flatnonzero(~mask).tolist()} zero-filled"
         )
-    s_hat = _reconstruct(traj, mask, comm, cfg, deriv)
+    walk = partial(_reconstruct, traj, mask, comm, cfg, deriv)
 
     tail = times >= times[-1] - max(dt, 0.05 * (times[-1] - times[0]))
     square_sum, tail_sum = 0.0, np.zeros(n_units)
-    for rows in row_blocks(*s_hat.shape):
-        err = s_hat[rows] - traj.s_tilde_at(rows)
+    for rows, s_hat in walk():
+        err = np.subtract(s_hat, traj.s_tilde_at(rows), out=s_hat)
         square_sum += np.einsum("ij,ij->", err, err)  # no BLAS: the same bits at any thread count
         tail_sum += err[tail[rows]].sum(axis=0)
-    rmse_transient = float(np.sqrt(square_sum / s_hat.size))
+    rmse_transient = float(np.sqrt(square_sum / (len(times) * n_units)))
     rmse_steady = float(np.sqrt(np.mean((tail_sum / np.count_nonzero(tail)) ** 2)))
 
     ranking = None
@@ -162,41 +178,58 @@ def observer_attack(traj, comm, cfg, knowledge, deriv=CENTRAL_DIFF, disturbance_
         else:
             window = min(ORIGIN_WINDOW, times[-1] - disturbance_time)
             ranking, _ = origin_detection(traj, disturbance_time, window)
-    return AttackReport(s_hat=s_hat, rmse_transient=rmse_transient, rmse_steady=rmse_steady,
-                        origin_ranking=ranking, warnings=warnings_out)
+    report = AttackReport(rmse_transient=rmse_transient, rmse_steady=rmse_steady,
+                          origin_ranking=ranking, warnings=warnings_out)
+    report._shape, report._walk = (len(times), n_units), walk
+    return report
 
 
 def _reconstruct(traj, mask, comm, cfg, deriv):
-    """s_hat = gamma * pc_dot + H psi_hat for every unit, with the unobserved
-    channels (mask False) zero-filled. s_hat starts as gamma * pc_dot, and H
-    psi_hat is added into it a block of samples at a time, so besides s_hat
-    only one block's temporaries are held."""
+    """Yields (rows, s_hat[rows]), a fresh `row_blocks` block at a time, of
+    s_hat = gamma * pc_dot + H psi_hat for every unit, with the unobserved
+    channels (mask False) zero-filled: pc_dot the trajectory's own
+    (`pc_dot_at`) and psi_hat the recorded psi for the exact attack, else
+    pc_dot a finite difference of the commands (`_difference`) and psi_hat
+    integrated from them (`_integrate_psi`)."""
     if deriv == EXACT_DERIV:
-        s_hat = np.empty(traj.p_c.shape)
-        for rows in row_blocks(*s_hat.shape):
-            np.multiply(cfg.gamma, traj.pc_dot_at(rows), out=s_hat[rows])
-            s_hat[rows] += comm.node_sum(traj.psi[rows])
-        return s_hat
-    s_hat = _finite_difference(traj.p_c, traj.dt, deriv)
-    s_hat *= cfg.gamma
-    s_hat[:, ~mask] = 0.0
+        for rows in row_blocks(*traj.p_c.shape):
+            s_hat = traj.pc_dot_at(rows)
+            s_hat *= cfg.gamma
+            s_hat += comm.node_sum(traj.psi[rows])
+            yield rows, s_hat
+        return
     psi0 = traj.psi[0] if traj.psi.shape[1] else np.zeros(comm.edge_count)
     for rows, psi in _integrate_psi(traj.p_c, mask, comm, cfg.gamma_psi, traj.dt, psi0):
-        s_hat[rows] += comm.node_sum(psi)
-    return s_hat
+        s_hat = _difference(traj.p_c, rows, traj.dt, deriv)
+        s_hat *= cfg.gamma
+        s_hat[:, ~mask] = 0.0
+        s_hat += comm.node_sum(psi)
+        del psi  # the caller works on s_hat's block alone
+        yield rows, s_hat
 
 
-def _finite_difference(signal, dt, kind):
-    out = np.empty_like(signal)
+def _difference(signal, rows, dt, kind):
+    """The finite-difference derivative of signal at the rows of a slice,
+    formed in the block it returns from the rows and a one-row halo beside
+    them. Forward: (signal[i + 1] - signal[i]) / dt, the last row taking its
+    predecessor's. Central: (signal[i + 1] - signal[i - 1]) / (2 dt), one-sided
+    over dt at the first and last rows."""
+    lo, hi, last = rows.start, rows.stop, len(signal) - 1
+    out = np.empty((hi - lo, signal.shape[1]))
     if kind == FORWARD_DIFF:
-        np.subtract(signal[1:], signal[:-1], out=out[:-1])
-        out[:-1] /= dt
-        out[-1] = out[-2]
-    else:
-        np.subtract(signal[2:], signal[:-2], out=out[1:-1])
-        out[1:-1] /= 2.0 * dt
+        a, b = lo, min(hi, last)  # the rows with a next sample
+        np.subtract(signal[a + 1:b + 1], signal[a:b], out=out[:b - a])
+        if hi > last:
+            np.subtract(signal[last], signal[last - 1], out=out[-1])
+        out /= dt
+        return out
+    a, b = max(lo, 1), min(hi, last)  # the rows with a sample on either side
+    np.subtract(signal[a + 1:b + 1], signal[a - 1:b - 1], out=out[a - lo:b - lo])
+    out[a - lo:b - lo] /= 2.0 * dt
+    if lo == 0:
         out[0] = (signal[1] - signal[0]) / dt
-        out[-1] = (signal[-1] - signal[-2]) / dt
+    if hi > last:
+        out[-1] = (signal[last] - signal[last - 1]) / dt
     return out
 
 
@@ -204,14 +237,17 @@ def _integrate_psi(p_c, mask, graph, gamma_psi, dt, psi0):
     """Trapezoid integration of the consensus dynamics Hᵀ p_c / gamma_psi from
     psi0, with the unobserved channels of p_c (mask False) zero-filled.
 
-    Yields (rows, psi_hat[rows]) a block at a time. The running sum of the
-    trapezoids and the last rate carry over from one block to the next, so
-    psi_hat[k] = psi0 + cumsum(increments)[k] as the whole-array integral.
+    Yields (rows, psi_hat[rows]) a block at a time, and holds no block of its
+    own while the caller works on one. The running sum of the trapezoids and
+    the last rate carry over from one block to the next, so psi_hat[k] = psi0
+    + cumsum(increments)[k] as the whole-array integral.
     """
     carry = np.zeros(graph.edge_count)  # sum of the increments so far
-    last_rate, partial = None, not mask.all()
-    for rows in row_blocks(*p_c.shape):
-        rate = graph.edge_diff(np.where(mask, p_c[rows], 0.0) if partial else p_c[rows])
+    last_rate, masked = None, not mask.all()
+
+    def block(rows):
+        nonlocal carry, last_rate
+        rate = graph.edge_diff(np.where(mask, p_c[rows], 0.0) if masked else p_c[rows])
         rate /= gamma_psi
         psi = np.empty_like(rate)
         np.add(rate[1:], rate[:-1], out=psi[1:])
@@ -226,7 +262,10 @@ def _integrate_psi(p_c, mask, graph, gamma_psi, dt, psi0):
         np.cumsum(psi, axis=0, out=psi)
         carry = psi[-1].copy()
         psi += psi0
-        yield rows, psi
+        return psi
+
+    for rows in row_blocks(*p_c.shape):
+        yield rows, block(rows)
 
 
 def origin_detection(traj, disturbance_time, window=ORIGIN_WINDOW):

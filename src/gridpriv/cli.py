@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import schemes, sim
-from .adversary import KnowledgeSet, observer_attack
+from .adversary import CENTRAL_DIFF, _reconstruct, observer_attack
 from .equilibrium import solve_kkt
 from .errors import ConfigurationError, DivergenceError, GridPrivError
 from .scenario import (
@@ -141,18 +141,15 @@ def attack_cmd(trajectory_path, scenario_path, knowledge_path, baseline_path, ou
             raise ConfigurationError(f"{path}: {exc}") from exc
 
     dist_time = scenario.disturbances[0].time if scenario.disturbances else None
-    report = attack(trajectory_path, dist_time)
-    doc = report.to_dict()
+    doc = attack(trajectory_path, dist_time).to_dict()  # drops the trace before the baseline's
     doc["scenario"] = str(scenario_path)
     if dist_time is not None:
         doc["disturbed_units"] = [d.unit for d in scenario.disturbances]
     if baseline_path:
-        base_report = attack(baseline_path, None)
-        doc["baseline_rmse_transient"] = base_report.rmse_transient
+        base_rmse = attack(baseline_path, None).rmse_transient
+        doc["baseline_rmse_transient"] = base_rmse
         doc["rmse_ratio_vs_baseline"] = (
-            report.rmse_transient / base_report.rmse_transient
-            if base_report.rmse_transient > 0 else None
-        )
+            doc["rmse_transient"] / base_rmse if base_rmse > 0 else None)
     save_scenario(doc, out_path)
     click.echo(json.dumps({"rmse_transient": doc["rmse_transient"],
                            "rmse_steady": doc["rmse_steady"]}, sort_keys=True))
@@ -211,19 +208,21 @@ def _build_as(doc, kind, seed=None, dt=None):
 
 def _compare_one(scenario, out_dir, watch_bus):
     """Run one scheme of `compare` and write its files. Only what the shared figures
-    need is returned, so that one trajectory is alive at a time."""
-    kind = scenario.scheme.kind
+    need is returned, so that one trajectory is alive at a time. The marginal costs
+    and the observer's estimate are formed a block of samples at a time."""
+    kind, devices = scenario.scheme.kind, scenario.devices
     traj, metrics = _run_one(scenario, out_dir / kind)
     sim.write_csv(out_dir / f"fig_marginal_costs_{kind}.csv",
-                  [("t", traj.times), ("mc", marginal_costs(traj, scenario.devices))])
+                  [("t", traj.times), ("mc", lambda rows: marginal_costs(traj, devices, rows))])
     inferred = None
-    if kind in schemes.UNIT_CONSENSUS_KINDS:
-        report = observer_attack(traj, scenario.comm, scenario.scheme, KnowledgeSet())
-        samples, n_units = len(traj.times), scenario.devices.n_units
-        true = np.empty((samples, min(3, n_units)))  # s_tilde's first units, a block at a time
-        for rows in sim.row_blocks(samples, n_units):
+    if kind in schemes.UNIT_CONSENSUS_KINDS:  # the first units' s_tilde and central estimate
+        true, est = np.empty((2, len(traj.times), min(3, devices.n_units)))
+        every = np.ones(devices.n_units, dtype=bool)
+        for rows, s_hat in _reconstruct(traj, every, scenario.comm, scenario.scheme,
+                                        CENTRAL_DIFF):
+            est[rows] = s_hat[:, :3]
             true[rows] = traj.s_tilde_at(rows)[:, :3]
-        inferred = (true, report.s_hat[:, :3].copy())
+        inferred = (true, est)
     return traj.times, traj.omega[:, watch_bus] / (2.0 * np.pi), inferred, metrics
 
 

@@ -97,19 +97,22 @@ def row_blocks(samples, width):
 
 def write_csv(path, columns):
     """CSV of (name, block) float64 column blocks, one row per sample. A 1-D block
-    is the column `name`, a 2-D block the columns `name_0`, `name_1`, ... LF line
-    ends, %.17g cells (exact float64 round trip), formatted by `g17_rows` a
-    `row_blocks` block at a time. A block of another dtype raises TypeError
-    before the file is opened."""
-    header = [name if b.ndim == 1 else f"{name}_{k}" for name, b in columns
-              for k in range(1 if b.ndim == 1 else b.shape[1])]
-    blocks = [b[:, None] if b.ndim == 1 else b for _, b in columns]
-    if any(b.dtype != np.float64 for b in blocks):
+    is the column `name`, a 2-D block the columns `name_0`, `name_1`, ... A block
+    may also be a function that returns a row slice's rows of one, so that it is
+    formed only a block at a time; the first block is an array, whose length is
+    the row count. LF line ends, %.17g cells (exact float64 round trip),
+    formatted by `g17_rows` a `row_blocks` block at a time. A block of another
+    dtype raises TypeError before the file is opened."""
+    readers = [b if callable(b) else b.__getitem__ for _, b in columns]
+    empty = [read(slice(0, 0)) for read in readers]
+    header = [name if e.ndim == 1 else f"{name}_{k}" for (name, _), e in zip(columns, empty)
+              for k in range(1 if e.ndim == 1 else e.shape[1])]
+    if any(e.dtype != np.float64 for e in empty):
         raise TypeError("write_csv takes float64 blocks")
     with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        for rows in row_blocks(len(blocks[0]), len(header)):
-            fh.write(g17_rows(np.hstack([b[rows] for b in blocks])))
+        for rows in row_blocks(len(columns[0][1]), len(header)):
+            fh.write(g17_rows(np.column_stack([read(rows) for read in readers])))
 
 
 @dataclass(frozen=True)
@@ -692,9 +695,10 @@ def steady_state_metrics(traj, window, devices=None):
     Per-unit quantities are averaged over the final window before taking
     spreads, which makes the numbers robust to privacy noise. Marginal
     cost per unit is q times the magnitude of its prosumption; it needs
-    the device set to be supplied. peak_abs_omega is the largest |omega|; a
-    run whose peak stays below SETTLE_THRESHOLD never leaves the band, and
-    its settle_time is its first time.
+    the device set to be supplied, and is formed for the window's samples
+    only. peak_abs_omega is the largest |omega|; a run whose peak stays
+    below SETTLE_THRESHOLD never leaves the band, and its settle_time is its
+    first time.
     """
     times = traj.times
     span = times[-1] - times[0]
@@ -723,13 +727,15 @@ def steady_state_metrics(traj, window, devices=None):
         "p_c_mean_end": float(pc_mean.mean()),
     }
     if devices is not None:
-        mc = marginal_costs(traj, devices)[sel].mean(axis=0)
+        mc = marginal_costs(traj, devices, sel).mean(axis=0)
         metrics["marginal_cost_spread_end"] = float(mc.max() - mc.min())
         metrics["marginal_cost_mean_end"] = float(mc.mean())
     return metrics
 
 
-def marginal_costs(traj, devices):
-    """Per-sample, per-unit marginal cost q * |prosumption at zero load|: q|p_M| or q|d_c|."""
-    s = _unit_outputs(traj.scheme_kind, devices, traj.x, traj.p_c, traj.omega, 0.0)[2]
+def marginal_costs(traj, devices, rows=slice(None)):
+    """Per-sample, per-unit marginal cost q * |prosumption at zero load|: q|p_M| or
+    q|d_c|, at the samples rows (a slice or a mask) select, or at all of them."""
+    s = _unit_outputs(traj.scheme_kind, devices, traj.x[rows], traj.p_c[rows],
+                      traj.omega[rows], 0.0)[2]
     return np.abs(s) * devices.cost_q

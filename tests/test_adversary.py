@@ -416,6 +416,38 @@ def test_observer_without_targets_is_lean_and_equals_all_targets(monkeypatch):
     assert plain.to_dict()["target_units"] == list(range(n))
 
 
+@pytest.mark.parametrize("deriv,channels", [(CENTRAL_DIFF, "all"), (FORWARD_DIFF, [0, 2])])
+def test_observer_holds_only_blocks(monkeypatch, deriv, channels):
+    """The attack folds each block of its estimate into the RMSEs and drops
+    it: its peak is a few blocks and numpy's ufunc buffers, with no term that
+    grows with the sample count. The report derives s_hat on its first read,
+    not in to_dict: bit for bit the estimate at the default block size, and
+    the whole-array one within the last bits that its BLAS sums over the
+    dense incidence round differently at 120 units."""
+    sc = build_scenario(gen_scenario(RandomScenarioSpec(bus_count=30, t_end=5.0, seed=2)))
+    traj = simulate(sc)
+    n = sc.devices.n_units
+    knowledge = KnowledgeSet(observed_channels=channels)
+    with monkeypatch.context() as patched:
+        patched.setattr(sim_module, "BLOCK_CELLS", 1 << 10)
+        tracemalloc.start()
+        try:
+            report = observer_attack(traj, sc.comm, sc.scheme, knowledge, deriv=deriv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * (sim_module.BLOCK_CELLS // n) * (n + sc.comm.edge_count)
+        assert 8 * len(traj.times) * n > 4 * block + 2 * 8 * np.getbufsize()
+        assert peak <= 4 * block + 2 * 8 * np.getbufsize()
+        assert report.to_dict()["target_units"] == list(range(n))
+        assert "s_hat" not in vars(report)  # not derived until read
+        s_hat = report.s_hat
+    default = observer_attack(traj, sc.comm, sc.scheme, knowledge, deriv=deriv).s_hat
+    np.testing.assert_array_equal(s_hat.view(np.uint64), default.view(np.uint64))
+    whole = reference_attack(traj, sc.comm, sc.scheme, knowledge.observed_mask(n), deriv)[0]
+    np.testing.assert_allclose(s_hat, whole, rtol=1e-12, atol=1e-12 * np.abs(whole).max())
+
+
 ATTACK_SCRIPT = """
 import hashlib, pathlib, pickle, sys
 from gridpriv import KnowledgeSet, observer_attack

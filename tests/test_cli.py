@@ -14,6 +14,7 @@ from gridpriv import (
     origin_detection,
     simulate,
 )
+import gridpriv.sim as sim_module
 from gridpriv.cli import main
 from gridpriv.errors import ConfigurationError, ScenarioError
 from gridpriv.schemes import (
@@ -633,6 +634,24 @@ def test_compare_files_match_in_memory_runs(runner, tmp_path, kinds):
                       + [f"inferred_{k}_{u}" for k in observed for u in range(3)])
     np.testing.assert_array_equal(data, np.column_stack(
         [times, runs[observed[0]][1].s_tilde[:, :3]] + [s_hat[k] for k in observed]))
+
+
+def test_compare_figures_do_not_depend_on_the_block_size(runner, tmp_path, monkeypatch):
+    """compare forms its marginal costs and its observer estimates a block at a
+    time: blocks of 7 and 64 cells and the default one write the same bytes to
+    every file, the figures and traces among them."""
+    scen = gen(runner, tmp_path, t_end=4.0)
+    trees = []
+    for cells in (7, 64, sim_module.BLOCK_CELLS):
+        monkeypatch.setattr(sim_module, "BLOCK_CELLS", cells)
+        out = tmp_path / f"cmp{cells}"
+        result = runner.invoke(main, ["compare", str(scen), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.*")})
+    names = {str(name) for name in trees[0]}
+    assert {"fig_inferred_demand.csv", "privacy_preserving/trajectory.csv"} <= names
+    assert {f"fig_marginal_costs_{kind}.csv" for kind in SCHEME_KINDS} <= names
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_compare_bus_without_units_exits_2(runner, tmp_path):

@@ -706,6 +706,30 @@ def test_steady_state_metrics(scenario_factory, devices4):
         steady_state_metrics(traj, window=1e9)
 
 
+def test_steady_state_metrics_form_marginal_costs_for_the_window_only():
+    """Over a 10 % window of a 60 s, 40-unit run the metrics peak at a small
+    multiple of the window's (samples x units) cells, below the run's whole
+    marginal-cost array, and give the whole array's window means exactly."""
+    sc = build_scenario(gen_scenario(RandomScenarioSpec(
+        bus_count=10, units_per_bus=(4, 4), t_end=60.0, seed=7)))
+    traj = simulate(sc)
+    window = 6.0
+    sel = traj.times >= traj.times[-1] - window
+    n = sc.devices.n_units
+    tracemalloc.start()
+    try:
+        m = steady_state_metrics(traj, window, sc.devices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window_bytes = 8 * np.count_nonzero(sel) * n
+    assert 8 * len(traj.times) * n > 8 * window_bytes
+    assert peak <= 8 * window_bytes
+    mc = marginal_costs(traj, sc.devices)[sel].mean(axis=0)
+    assert m["marginal_cost_spread_end"] == float(mc.max() - mc.min())
+    assert m["marginal_cost_mean_end"] == float(mc.mean())
+
+
 def test_peak_tells_a_run_that_stays_in_the_band_from_one_that_settles(scenario_factory):
     """settle_time is the first sample's time for a run whose |omega| never
     reaches SETTLE_THRESHOLD; peak_abs_omega shows which case a run is."""
