@@ -30,4 +30,4 @@ from .sim import (
     steady_state_metrics,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -13,10 +13,8 @@ import numpy as np
 
 from .devices import bus_injection, prosumption
 from .errors import ConfigurationError, InfeasibilityError
-from .network import dc_power_flow
+from .network import RESIDUAL_TOL, dc_power_flow
 from .schemes import PRIVACY_PRESERVING, UNIT_CONSENSUS_KINDS
-
-RESIDUAL_TOL = 1e-9  # power balance and consensus residual of an equilibrium
 
 
 @dataclass
@@ -87,10 +85,11 @@ def build_equilibrium(model, devices, comm, kkt, p_load=None):
 
 def consensus_flows(graph, s):
     """Minimum-norm consensus states psi = Hᵀz with H psi = s, for a zero-sum s;
-    z are the unit-weight Laplacian potentials of s. The residual is checked."""
+    z are the unit-weight Laplacian potentials of s. The residual is checked
+    against RESIDUAL_TOL * (1 + sum |s|)."""
     psi = graph.edge_diff(graph.potentials(1.0, s))
     residual = np.abs(graph.node_sum(psi) - s).max()
-    if residual > RESIDUAL_TOL:
+    if residual > RESIDUAL_TOL * (1.0 + np.abs(s).sum()):
         raise InfeasibilityError(f"consensus equilibrium residual {residual:.3e}")
     return psi
 

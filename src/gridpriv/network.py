@@ -4,7 +4,10 @@
 communication graph alike. It validates its edges once and owns the edge
 difference Hᵀv and the node sum H f of its incidence H (both along the last
 axis, on the edges' index arrays) and the weighted-Laplacian potential
-solve. They are the one form of H: no library code forms it densely.
+solve. They are the one form of H: no library code forms it densely. The
+potential solve eliminates pendant trees in rounds formed once per graph
+and solves only the 2-core left densely, so on a tree it takes linear time
+and memory.
 
 The grid is a connected graph of buses and lossless lines. Line power is
 linear in the phase-angle difference (small-angle approximation), and bus
@@ -13,10 +16,13 @@ inertia and damping.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, InfeasibilityError, _checked_array
+
+RESIDUAL_TOL = 1e-9  # a balance or residual is refused above RESIDUAL_TOL * (1 + sum |terms|)
 
 
 @dataclass(frozen=True)
@@ -69,18 +75,80 @@ class Graph:
 
     def potentials(self, weights, s):
         """Potentials z with L z = s and sum(z) = 0, for the Laplacian L of
-        edge weights `weights` and a zero-sum s.
+        edge weights `weights` (a scalar or one per edge) and a zero-sum s.
 
-        L + 11ᵀ/n is positive definite, so one dense solve gives z; L is built in place
-        on the 1/n shift. With unit weights, Hᵀ z is the minimum-norm solution of H ψ = s.
+        Pendant trees are eliminated first (`_pendant_rounds`): a degree-1
+        node hands its accumulated injection S to its one neighbour, an exact
+        Schur-complement step that creates no fill. Only the k-node 2-core
+        left over is solved densely, as `(L + 11ᵀ/k) z = S` (`_dense_potentials`);
+        a tree leaves one node and no solve. The eliminated nodes follow
+        outward, z = z_neighbour + S / w, and z is shifted to zero mean. A
+        graph with no pendant node is the dense solve alone. With unit
+        weights, Hᵀ z is the minimum-norm solution of H ψ = s.
+        """
+        rounds, core, core_edges = self._pendant_rounds
+        if not rounds:
+            return _dense_potentials(self.node_count, self.tail, self.head, weights, s)
+        weights = np.full(self.tail.shape, weights, dtype=float)
+        acc = np.array(s, dtype=float)
+        for leaf, _, _, target, slot in rounds:
+            acc[target] += np.bincount(slot, acc[leaf], target.size)
+        z = np.zeros(self.node_count)
+        if core.size > 1:
+            core_tail, core_head, edges = core_edges
+            z[core] = _dense_potentials(core.size, core_tail, core_head, weights[edges], acc[core])
+        for leaf, edge, parent, _, _ in reversed(rounds):
+            z[leaf] = z[parent] + acc[leaf] / weights[edge]
+        z -= z.mean()
+        return z
+
+    @cached_property
+    def _pendant_rounds(self):
+        """The rounds that peel the pendant trees off the graph, and the 2-core left.
+
+        Each round takes every node of degree 1 off at once, with its one
+        edge and its neighbour (its parent). Where both ends of an edge have
+        degree 1, the edge is a whole tree's last and only its tail goes, so
+        the head stays as that tree's root. A node's one edge is the sum of
+        its live edges' indices. Returns (rounds, core, core_edges): each
+        round is (leaf, edge, parent, target, slot), target being the
+        distinct parents and slot each leaf's parent's place in target; core
+        the nodes never peeled; core_edges (tail, head, edge) of the edges
+        between them, the ends numbered within core.
         """
         n, tail, head = self.node_count, self.tail, self.head
-        M = np.full((n, n), 1.0 / n)
-        np.add.at(M, (tail, tail), weights)
-        np.add.at(M, (head, head), weights)
-        np.add.at(M, (tail, head), -weights)
-        np.add.at(M, (head, tail), -weights)
-        return np.linalg.solve(M, s)
+        degree = np.bincount(tail, minlength=n) + np.bincount(head, minlength=n)
+        index = np.arange(tail.size, dtype=float)
+        edge_sum = np.bincount(tail, index, n) + np.bincount(head, index, n)
+        alive, rounds = np.ones(n, dtype=bool), []
+        while (leaf := np.flatnonzero(degree == 1)).size:
+            edge = edge_sum[leaf].astype(np.intp)
+            parent = tail[edge] + head[edge] - leaf
+            keep = (degree[parent] != 1) | (leaf == tail[edge])
+            leaf, edge, parent = leaf[keep], edge[keep], parent[keep]
+            count = np.bincount(parent, minlength=n)
+            degree[leaf] = 0
+            degree -= count
+            edge_sum -= np.bincount(parent, edge, n)
+            alive[leaf] = False
+            target = np.flatnonzero(count)
+            slot = (np.cumsum(count > 0) - 1)[parent]
+            rounds.append((leaf, edge, parent, target, slot))
+        core = np.flatnonzero(alive)
+        edges = np.flatnonzero(alive[tail] & alive[head])
+        number = np.cumsum(alive) - 1
+        return rounds, core, (number[tail[edges]], number[head[edges]], edges)
+
+
+def _dense_potentials(n, tail, head, weights, s):
+    """The solve of (L + 11ᵀ/n) z = s, positive definite; L is built in place
+    on the 1/n shift."""
+    M = np.full((n, n), 1.0 / n)
+    np.add.at(M, (tail, tail), weights)
+    np.add.at(M, (head, head), weights)
+    np.add.at(M, (tail, head), -weights)
+    np.add.at(M, (head, tail), -weights)
+    return np.linalg.solve(M, s)
 
 
 def _connected(n, edges):
@@ -158,11 +226,13 @@ def dc_power_flow(model, injection):
     """Bus angles and line angle differences balancing a given injection.
 
     Solves the susceptance-weighted Laplacian system with bus 0 as the
-    angle reference. The injection must sum to zero within 1e-9.
+    angle reference. The injection must sum to zero within
+    RESIDUAL_TOL * (1 + sum |injection|).
     """
     injection = _checked_array(injection, "injection", (model.bus_count,))
-    if abs(injection.sum()) > 1e-9:
-        raise InfeasibilityError(f"injections sum to {injection.sum():.3e}, expected 0 within 1e-9")
+    total, tol = injection.sum(), RESIDUAL_TOL * (1.0 + np.abs(injection).sum())
+    if abs(total) > tol:
+        raise InfeasibilityError(f"injections sum to {total:.3e}, expected 0 within {tol:.3e}")
     z = model.graph.potentials(model.susceptance, injection)
     theta = z - z[0]
     return theta, model.graph.edge_diff(theta)

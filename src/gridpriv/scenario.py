@@ -23,7 +23,7 @@ from .schemes import PrivacyParams, SchemeConfig, max_feasible_beta
 from .sim import Disturbance, Scenario, atomic_open
 
 KIND_ALIASES = {"generator": True, "load": False}
-DISTURBANCE_TIME = 1.0  # s, when a generated scenario's load step acts
+DISTURBANCE_TIME = 1.0  # s, when a generated scenario's load step acts (or at t_end / 2)
 
 
 def _check_keys(obj, path, required, optional=()):
@@ -330,6 +330,7 @@ def gen_scenario(spec):
     beta = 0.8 * boundary
 
     disturbed = int(rng.integers(0, n_units))
+    step_time = DISTURBANCE_TIME if spec.t_end >= DISTURBANCE_TIME else spec.t_end / 2
     doc = {
         "network": network,
         "devices": units,
@@ -350,7 +351,7 @@ def gen_scenario(spec):
             },
         },
         "sim": {"t_end": spec.t_end, "dt": spec.dt, "seed": spec.seed, "record_stride": 1},
-        "disturbances": [{"t": DISTURBANCE_TIME, "unit": disturbed,
+        "disturbances": [{"t": step_time, "unit": disturbed,
                           "delta": spec.disturbance_magnitude}],
     }
     build_scenario(doc)  # generated documents must always validate

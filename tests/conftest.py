@@ -118,8 +118,8 @@ ALL_KINDS = (INTEGRAL, PRIMAL_DUAL, EXTENDED_PRIMAL_DUAL, PRIVACY_PRESERVING)
 
 def huge_final_step_doc():
     """A 10-bus extended_primal_dual document whose load step of 1e8 pu at
-    0.02 s leaves a final rest state that `dc_power_flow` refuses: its
-    injections sum to 5.588e-09, above the absolute tolerance 1e-9."""
+    0.02 s leaves a final rest state whose injections sum to 5.588e-09, a
+    rounding error at that scale."""
     doc = gen_scenario(RandomScenarioSpec(bus_count=10, seed=7, scheme_kind=EXTENDED_PRIMAL_DUAL))
     doc["sim"]["t_end"] = 0.05
     doc["disturbances"][0].update(t=0.02, delta=1e8)

@@ -6,7 +6,9 @@ held input the way `simulate` does, one step at a time, for checks of
 `ClosedLoop.rhs` and `ClosedLoop.step`;
 `classic_rk4_step` takes one step from the four classic RK4 stages, the
 reference of `ClosedLoop.step`; `laplacian` forms the susceptance-weighted
-Laplacian densely, for checks of the angle solve.
+Laplacian densely, for checks of the angle solve; `dense_potentials` is the
+one dense solve that `Graph.potentials` made before it eliminated pendant
+trees, its oracle.
 """
 
 import numpy as np
@@ -48,3 +50,16 @@ def laplacian(model):
     """Susceptance-weighted graph Laplacian of a NetworkModel."""
     A = incidence(model.graph)
     return A @ (model.susceptance[:, None] * A.T)
+
+
+def dense_potentials(graph, weights, s):
+    """Potentials z with L z = s and sum(z) = 0 from one dense solve of
+    (L + 11ᵀ/n) z = s, which is positive definite; L is built in place on the
+    1/n shift."""
+    n, tail, head = graph.node_count, graph.tail, graph.head
+    M = np.full((n, n), 1.0 / n)
+    np.add.at(M, (tail, tail), weights)
+    np.add.at(M, (head, head), weights)
+    np.add.at(M, (tail, head), -weights)
+    np.add.at(M, (head, tail), -weights)
+    return np.linalg.solve(M, s)

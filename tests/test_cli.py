@@ -14,6 +14,7 @@ from gridpriv import (
     origin_detection,
     simulate,
 )
+import gridpriv.network as network_module
 import gridpriv.sim as sim_module
 from gridpriv.cli import main
 from gridpriv.errors import ConfigurationError, ScenarioError
@@ -51,6 +52,17 @@ def test_gen_scenario_deterministic_bytes(runner, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     c = gen(runner, tmp_path, "c.json", seed=5)
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("t_end", ["0.5", "0.05"])
+def test_gen_scenario_with_a_horizon_under_one_second_runs(runner, tmp_path, t_end):
+    """The generated load step lies inside the horizon, so the document runs."""
+    path = tmp_path / "scenario.json"
+    result = runner.invoke(main, ["gen-scenario", str(path), "--buses", "4", "--t-end", t_end])
+    assert result.exit_code == 0, result.output
+    assert json.loads(path.read_text())["disturbances"][0]["t"] == float(t_end) / 2
+    result = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
 
 
 def test_run_outputs(runner, tmp_path):
@@ -212,9 +224,12 @@ def test_disturbance_after_the_last_step_exits_2(runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_with_a_refused_final_rest_state_exits_2_and_writes_no_file(runner, tmp_path):
+def test_run_with_a_refused_final_rest_state_exits_2_and_writes_no_file(runner, tmp_path,
+                                                                        monkeypatch):
     """The Lyapunov column of trajectory.csv needs the final rest state, which
-    dc_power_flow refuses; to_csv forms its columns before it opens the file."""
+    a zero balance tolerance refuses; to_csv forms its columns before it opens
+    the file."""
+    monkeypatch.setattr(network_module, "RESIDUAL_TOL", 0.0)
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps(huge_final_step_doc()))
     out = tmp_path / "out"
@@ -222,6 +237,20 @@ def test_run_with_a_refused_final_rest_state_exits_2_and_writes_no_file(runner, 
     assert result.exit_code == 2, result.output
     assert "injections sum to" in result.output
     assert list(out.iterdir()) == []
+
+
+def test_run_with_a_huge_final_step_exits_0_and_writes_its_files(runner, tmp_path):
+    """The Lyapunov column of trajectory.csv needs the final rest state of a
+    1e8 pu load step, whose balance is checked relative to its injections."""
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(huge_final_step_doc()))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(scen), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in out.iterdir()) == ["equilibrium.json", "metrics.json",
+                                                     "trajectory.csv"]
+    header, data = read_csv(out / "trajectory.csv")
+    assert np.isfinite(data[:, header.index("lyapunov")]).all()
 
 
 def test_run_divergence_exits_3(runner, tmp_path):

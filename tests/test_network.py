@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,20 @@ from gridpriv import (
     NetworkModel,
     PlantState,
     RandomScenarioSpec,
+    build_equilibrium,
     build_scenario,
     dc_power_flow,
     gen_scenario,
+    solve_kkt,
     swing_rhs,
 )
+from gridpriv.devices import bus_injection
+from gridpriv.equilibrium import consensus_flows
 from gridpriv.errors import ConfigurationError, InfeasibilityError, ScenarioError
 from gridpriv.schemes import PRIMAL_DUAL
 from gridpriv.sim import ClosedLoop
-from tests.reference_dynamics import incidence, laplacian
+from tests.conftest import huge_final_step_doc
+from tests.reference_dynamics import dense_potentials, incidence, laplacian
 
 # node 1 has degree 4, (0, 1) and (1, 0) are antiparallel, 1-2-4-3 is a cycle
 MESHED = Graph(5, ((0, 1), (1, 0), (1, 2), (1, 3), (3, 4), (4, 2)))
@@ -73,6 +80,26 @@ def test_dc_power_flow_balances(model3):
 def test_dc_power_flow_rejects_imbalance(model3):
     with pytest.raises(InfeasibilityError):
         dc_power_flow(model3, np.array([0.4, 0.0, 0.0]))
+
+
+def test_balance_checks_scale_with_the_injections():
+    """The final rest state of a 1e8 pu load step sums to about 5.6e-09 and is
+    accepted; an imbalance of 1e-6 of its total size is refused, by the power
+    flow and by the consensus flows alike."""
+    sc = build_scenario(huge_final_step_doc())
+    devices, p_load = sc.devices, sc.final_load()
+    kkt = solve_kkt(devices, p_load)
+    eq = build_equilibrium(sc.model, devices, sc.comm, kkt, p_load)
+    assert np.isfinite(eq.eta_star).all() and np.isfinite(eq.psi_star).all()
+    injection = bus_injection(devices, kkt.p_M_star, kkt.d_c_star, p_load)
+    assert abs(injection.sum()) > 1e-9
+    injection[0] += 1e-6 * np.abs(injection).sum()
+    with pytest.raises(InfeasibilityError, match="injections sum to"):
+        dc_power_flow(sc.model, injection)
+    s = eq.s_tilde_star.copy()
+    s[0] += 1e-6 * np.abs(s).sum()
+    with pytest.raises(InfeasibilityError, match="consensus equilibrium residual"):
+        consensus_flows(sc.comm, s)
 
 
 def test_dc_power_flow_hand_values():
@@ -155,6 +182,100 @@ def test_graph_potential_flow_is_min_norm_solution():
     z = g.potentials(w, s)
     np.testing.assert_allclose(incidence(g) @ (w * g.edge_diff(z)), s, rtol=0, atol=1e-12)
     assert abs(z.sum()) <= 1e-12
+
+
+def _barbell(draw):
+    """Two cycles joined by a path."""
+    a, b, c = (draw(st.integers(3, 6)), draw(st.integers(1, 4)), draw(st.integers(3, 6)))
+    start = a + b - 1  # the second cycle's first node ends the path
+    return ([(i, (i + 1) % a) for i in range(a)]
+            + [(a - 1 + i, a + i) for i in range(b)]
+            + [(start + i, start + (i + 1) % c) for i in range(c)]), start + c
+
+
+def _tree(n, rng):
+    return [(int(rng.integers(0, i)), i) for i in range(1, n)]
+
+
+def _tree_plus_chords(n, rng):
+    edges = _tree(n, rng)
+    present = {frozenset(e) for e in edges}
+    for _ in range(3):
+        i, j = (int(v) for v in rng.integers(0, n, 2))
+        if i != j and frozenset((i, j)) not in present:
+            edges.append((i, j))
+            present.add(frozenset((i, j)))
+    return edges
+
+
+GRAPH_FAMILIES = {  # name: (smallest and largest node count, edges of n nodes)
+    "one node": ((1, 1), lambda n, rng: []),
+    "two nodes": ((2, 2), lambda n, rng: [(0, 1)]),
+    "path": ((3, 40), lambda n, rng: [(i, i + 1) for i in range(n - 1)]),
+    "star": ((3, 40), lambda n, rng: [(0, i) for i in range(1, n)]),
+    "random tree": ((3, 40), _tree),
+    "cycle": ((3, 20), lambda n, rng: [(i, (i + 1) % n) for i in range(n)]),
+    "tree plus chords": ((4, 40), _tree_plus_chords),
+    "complete": ((3, 12), lambda n, rng: [(i, j) for i in range(n) for j in range(i + 1, n)]),
+}
+
+
+@st.composite
+def laplacian_systems(draw):
+    """A graph of one family, its edges turned at random, with weights over
+    1e-3..1e3 (or the scalar 1.0) and a zero-sum right-hand side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(sorted(GRAPH_FAMILIES) + ["barbell"]))
+    if family == "barbell":
+        edges, n = _barbell(draw)
+    else:
+        (low, high), build = GRAPH_FAMILIES[family]
+        n = draw(st.integers(low, high))
+        edges = build(n, rng)
+    flips = rng.random(len(edges)) < 0.5
+    edges = [(j, i) if flip else (i, j) for (i, j), flip in zip(edges, flips)]
+    graph = Graph(n, tuple(edges))
+    weights = 1.0 if draw(st.booleans()) else 10.0 ** rng.uniform(-3.0, 3.0, len(edges))
+    s = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return graph, weights, s - s.mean()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(laplacian_systems())
+def test_potentials_solve_the_laplacian_system_on_every_family(system):
+    """L z = s and sum(z) = 0 to rounding, at the scale of the terms that L z
+    sums; the flows w Hᵀz agree with the dense solve's, whose z differs only by
+    that solve's own rounding; a graph with no pendant node gets its bits."""
+    g, w, s = system
+    z = g.potentials(w, s)
+    flow = w * g.edge_diff(z)
+    terms = w * (np.abs(z[g.tail]) + np.abs(z[g.head]))
+    n = g.node_count
+    scale = (np.abs(s) + np.bincount(g.tail, terms, n) + np.bincount(g.head, terms, n)).max()
+    assert np.abs(g.node_sum(flow) - s).max() <= 1e-12 * scale
+    assert abs(z.sum()) <= 1e-12 * np.abs(z).sum()
+    oracle = dense_potentials(g, w, s)
+    assert np.abs(flow - w * g.edge_diff(oracle)).max(initial=0.0) <= 1e-12 * scale
+    degree = np.bincount(g.tail, minlength=n) + np.bincount(g.head, minlength=n)
+    if (degree != 1).all():
+        np.testing.assert_array_equal(z, oracle)
+
+
+def test_potentials_of_a_large_tree_form_no_square_array():
+    """A 4000-node tree is peeled to one node: the elimination and the solve
+    hold O(n) memory, far below the n² cells of a dense Laplacian."""
+    n, rng = 4000, np.random.default_rng(0)
+    g = Graph(n, tuple(_tree(n, rng)))
+    s = rng.normal(size=n)
+    s -= s.mean()
+    tracemalloc.start()
+    try:
+        z = g.potentials(1.0, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 8 * n  # 2 MB; one n x n float64 array is 128 MB
+    assert np.abs(g.node_sum(g.edge_diff(z)) - s).max() <= 1e-12 * np.abs(s).sum()
 
 
 def test_network_lines_are_its_graph(model3):

@@ -41,6 +41,18 @@ def test_gen_scenario_deterministic():
     assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
 
 
+@pytest.mark.parametrize("t_end, step", [(0.5, 0.25), (0.05, 0.025), (1.0, 1.0), (60.0, 1.0)])
+def test_gen_scenario_steps_at_t_end_over_2_in_a_horizon_under_one_second(t_end, step):
+    """The load step acts at DISTURBANCE_TIME, or halfway through a shorter
+    horizon, and the run applies it."""
+    doc = gen_scenario(RandomScenarioSpec(bus_count=4, t_end=t_end))
+    assert doc["disturbances"][0]["t"] == step
+    sc = build_scenario(doc)
+    assert not np.array_equal(sc.final_load(), sc.devices.p_load)
+    traj = simulate(sc)
+    assert traj.times[-1] == pytest.approx(t_end)
+
+
 def test_gen_scenario_validates_and_satisfies_design_condition(small_doc):
     sc = build_scenario(small_doc)
     feasible, _, _ = design_condition_report(sc.devices, sc.model,
